@@ -1,20 +1,21 @@
-// P10 — scheduler head-to-head on skewed workloads: the chunked cursor
-// vs the work-stealing stage (exec/work_steal.hpp), on (a) a synthetic
-// Zipf-cost loop and (b) a fault campaign engineered so almost all of
-// the work hides in a handful of undetectable faults.
+// P10 — the exec scheduler on skewed workloads: the guided cursor
+// (exec/parallel.hpp) on (a) a synthetic Zipf-cost loop and (b) a fault
+// campaign engineered so almost all of the work hides in a handful of
+// undetectable faults.
 //
-// Both workloads place their expensive items *contiguously in the last
-// auto-sized chunk*, the adversarial case for static chunking: one
-// worker ends up owning nearly all the work after its peers drain the
-// cheap chunks and idle. Stealing splits lazily at grain 1, so each
-// expensive item migrates to an idle worker on its own and the critical
+// Both workloads place their expensive items *contiguously at the tail
+// of the index space*, the adversarial case for a cursor handing out
+// fixed ~n/(4*width) chunks: one worker would own the whole heavy block
+// after its peers drain the cheap chunks and idle. The guided cursor's
+// claims shrink to single items by the time the cursor reaches the
+// tail, so the heavy items spread over every worker and the critical
 // path collapses from ~(heavy block) to ~(heavy block / width).
 //
 // CI (bench-smoke) archives this binary's JSON as BENCH_sched.json and
-// gates `BM_SkewedCampaignChunked/threads:4 / BM_SkewedCampaignStealing/
-// threads:4 >= 1.5` via tools/bench_diff.py --require-speedup. Results
-// of every pair are asserted identical here before timing starts —
-// the schedules must agree bit-for-bit, or the numbers are meaningless.
+// gates `BM_SkewedCampaign/threads:1 / BM_SkewedCampaign/threads:4 >=
+// 2.0` via tools/bench_diff.py --require-speedup. Results of every
+// parallel run are asserted identical to the serial ones — a schedule
+// that changed a value would make the numbers meaningless.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -52,19 +53,19 @@ std::uint64_t spin(std::uint64_t rounds) {
 constexpr std::size_t kZipfItems = 512;
 
 // cost(i) ~ 1/rank^1.1 with rank = n - i: the heaviest items sit at the
-// *tail* of the index space, i.e. inside the last auto-sized chunk. The
-// 32 tail items carry ~63% of the total work; the single heaviest ~21%.
+// *tail* of the index space, i.e. inside the last chunk of a fixed
+// ~n/(4*width) split. The 32 tail items carry ~63% of the total work;
+// the single heaviest ~21%.
 std::uint64_t zipf_rounds(std::size_t i) {
   const double rank = static_cast<double>(kZipfItems - i);
   const double cost = 40000.0 / std::pow(rank, 1.1);
   return static_cast<std::uint64_t>(cost) + 4;
 }
 
-void zipf_loop(benchmark::State& state, lv::exec::Schedule schedule) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
+void BM_SchedZipf(benchmark::State& state) {
   const lv::exec::ParallelOptions opt{
-      .threads = threads, .chunk = 0, .schedule = schedule};
-  // Same inputs → both schedules must produce the same slots.
+      .threads = static_cast<std::size_t>(state.range(0))};
+  // Same inputs → every width must produce the serial loop's slots.
   const auto expect = lv::exec::parallel_map<std::uint64_t>(
       kZipfItems, [](std::size_t i) { return spin(zipf_rounds(i)); },
       {.threads = 1});
@@ -81,17 +82,7 @@ void zipf_loop(benchmark::State& state, lv::exec::Schedule schedule) {
   for (std::size_t i = 0; i < kZipfItems; ++i) total += zipf_rounds(i);
   state.counters["spin_rounds"] = static_cast<double>(total);
 }
-
-void BM_SchedZipfChunked(benchmark::State& state) {
-  zipf_loop(state, lv::exec::Schedule::chunked);
-}
-BENCHMARK(BM_SchedZipfChunked)
-    ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-void BM_SchedZipfStealing(benchmark::State& state) {
-  zipf_loop(state, lv::exec::Schedule::stealing);
-}
-BENCHMARK(BM_SchedZipfStealing)
+BENCHMARK(BM_SchedZipf)
     ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 // ---- (b) skewed fault campaign -------------------------------------------
@@ -107,8 +98,9 @@ BENCHMARK(BM_SchedZipfStealing)
 //   * faults enumerate in net-creation order, two per net, so the cone's
 //     faults occupy the tail of the campaign;
 //   * pad inverters (observable, cheap) align the total fault count to a
-//     multiple of 4*width(=16), making the auto chunk exact — the heavy
-//     block then sits entirely inside the *last* chunk at 4 threads.
+//     multiple of 4*width(=16) with the cone block no wider than
+//     total/16 — at 4 threads the heavy block sits entirely inside what
+//     would be the *last* fixed-size chunk.
 struct SkewedCampaign {
   lv::circuit::Netlist nl;
   std::vector<std::uint64_t> vectors;
@@ -162,36 +154,31 @@ SkewedCampaign build_skewed_campaign() {
   return c;
 }
 
-void skewed_campaign(benchmark::State& state,
-                     lv::exec::Schedule schedule) {
-  lv::exec::set_thread_count(static_cast<std::size_t>(state.range(0)));
-  lv::exec::set_schedule(schedule);
+void BM_SkewedCampaign(benchmark::State& state) {
   static const SkewedCampaign c = build_skewed_campaign();
   // Scalar kernel: per-fault early exit is what skews per-item cost.
+  const auto grade = [] {
+    return lv::sim::fault_coverage(c.nl, c.vectors,
+                                   lv::sim::FaultKernel::scalar);
+  };
+  lv::exec::set_thread_count(1);
+  static const auto serial = grade();
+  lv::exec::set_thread_count(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    const auto r =
-        lv::sim::fault_coverage(c.nl, c.vectors, lv::sim::FaultKernel::scalar);
+    const auto r = grade();
     benchmark::DoNotOptimize(r.coverage);
   }
-  const auto r =
-      lv::sim::fault_coverage(c.nl, c.vectors, lv::sim::FaultKernel::scalar);
+  const auto r = grade();
+  lv::exec::set_thread_count(0);
+  if (r.first_detections != serial.first_detections) {
+    state.SkipWithError("schedule changed the first-detection profile");
+    return;
+  }
   state.counters["faults"] = static_cast<double>(r.total_faults);
   state.counters["undetected"] = static_cast<double>(
       r.total_faults - r.detected);
-  lv::exec::set_thread_count(0);
-  lv::exec::set_schedule(lv::exec::Schedule::automatic);
 }
-
-void BM_SkewedCampaignChunked(benchmark::State& state) {
-  skewed_campaign(state, lv::exec::Schedule::chunked);
-}
-BENCHMARK(BM_SkewedCampaignChunked)
-    ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-void BM_SkewedCampaignStealing(benchmark::State& state) {
-  skewed_campaign(state, lv::exec::Schedule::stealing);
-}
-BENCHMARK(BM_SkewedCampaignStealing)
+BENCHMARK(BM_SkewedCampaign)
     ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 }  // namespace

@@ -17,12 +17,19 @@
 // is bit-identical to the serial loop at any thread count. That rules out
 // chunk-partial floating-point sums (addition is not associative);
 // parallel_sum therefore materializes every term and accumulates them
-// 0..n-1 exactly as the serial loop would. Scheduling — chunked (workers
-// claim contiguous index ranges from an atomic cursor) or stealing
-// (per-worker deques with lazy splitting, exec/work_steal.hpp; pick with
-// ParallelOptions::schedule or the process-wide exec::set_schedule /
-// LVSIM_SCHEDULE / `--schedule` knob) — affects only which thread
-// computes a slot, never its value.
+// 0..n-1 exactly as the serial loop would. Scheduling affects only which
+// thread computes a slot, never its value.
+//
+// Scheduling is guided self-scheduling: workers claim contiguous index
+// ranges from one atomic cursor, and each claim takes
+// ceil(remaining / (4 * width)) indices (at least 1). Early claims are
+// large (the first equals an even ~4-chunks-per-worker split), so
+// uniform sweeps pay few cursor round-trips; claims shrink as the range
+// drains, so the tail of a skewed loop (fault campaigns, where one item
+// can cost ~100x another) spreads over every worker instead of idling
+// behind one oversized last chunk. Claim sizes are a pure function of
+// the cursor position, so the partition of [0, n) into claims is the
+// same on every run at a given width.
 //
 // Exceptions: every index is attempted even when one throws; afterwards
 // the exception from the *lowest* failing index is rethrown, so the
@@ -42,7 +49,6 @@
 #include <vector>
 
 #include "exec/thread_pool.hpp"
-#include "exec/work_steal.hpp"
 #include "obs/metrics.hpp"
 
 namespace lv::exec {
@@ -50,15 +56,6 @@ namespace lv::exec {
 struct ParallelOptions {
   // Worker width for this call; 0 = the global exec::thread_count().
   std::size_t threads = 0;
-  // Indices claimed per scheduling step; 0 = auto (~4 chunks per worker
-  // under chunked, ~64 tasks per worker under stealing). Chunking trades
-  // scheduling overhead against load balance and never affects results.
-  std::size_t chunk = 0;
-  // Scheduling policy for this call; automatic = the process default
-  // (exec::schedule(), i.e. --schedule / LVSIM_SCHEDULE / chunked).
-  // Either policy is bit-identical to serial — pick stealing when item
-  // costs are skewed, chunked when they are uniform.
-  Schedule schedule = Schedule::automatic;
 };
 
 namespace detail {
@@ -92,73 +89,16 @@ inline std::size_t resolve_width(std::size_t n, const ParallelOptions& opt) {
   return width < n ? width : n;
 }
 
-// Auto chunk: exact ceiling so ~4 chunks land per worker. The old
-// `n / (4 * width) + 1` rounded *up past* the ceiling whenever 4*width
-// divided n, and for tiny n with a large width the oversized chunk left
-// the tail as zero-length claims — scheduling steps that did no work but
-// still bumped exec.pool.chunks_claimed (see ChunkedCursorNeverOverruns
-// in tests/exec_steal_test.cpp).
-inline std::size_t resolve_chunk(std::size_t n, std::size_t width,
-                                 std::size_t chunk) {
-  if (chunk != 0) return chunk;
-  const std::size_t target = 4 * width;
-  return (n + target - 1) / target;
-}
-
-inline Schedule resolve_schedule(const ParallelOptions& opt) {
-  return opt.schedule != Schedule::automatic ? opt.schedule : schedule();
-}
-
-// Work-stealing variant of the drive loop below: same per-index slots,
-// same exception contract, different distribution of indices over
-// workers (exec/work_steal.hpp has the machinery and the rationale).
-template <class State, class MakeState, class Fn>
-void drive_stealing(std::size_t n, std::size_t width, std::size_t grain,
-                    std::size_t& err_index, std::exception_ptr& err,
-                    std::mutex& err_mu, MakeState&& make, Fn&& fn) {
-  steal::StealScheduler sched{n, width, grain};
-  ThreadPool::pool().run(width, [&](std::size_t worker) {
-    std::optional<State> state;
-    steal::Task task;
-    while (sched.acquire(worker, task)) {
-      if (!state) {
-        try {
-          state.emplace(make());
-        } catch (...) {
-          // Mirror the chunked path: this worker's current range is
-          // skipped (counted done so the region still terminates), the
-          // worker exits, and the lowest-index error wins.
-          std::lock_guard<std::mutex> lock{err_mu};
-          if (task.begin < err_index) {
-            err_index = task.begin;
-            err = std::current_exception();
-          }
-          sched.complete(task.size());
-          return;
-        }
-      }
-      // Lazy halving: offer the far half to thieves while the near half
-      // is still wider than the grain. If the scheduler is saturated
-      // (offload fails) just run the whole remaining range inline.
-      while (task.size() > sched.grain()) {
-        const std::size_t mid = task.begin + task.size() / 2;
-        if (!sched.offload(worker, steal::Task{mid, task.end})) break;
-        task.end = mid;
-      }
-      for (std::size_t i = task.begin; i < task.end; ++i) {
-        try {
-          fn(*state, i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock{err_mu};
-          if (i < err_index) {
-            err_index = i;
-            err = std::current_exception();
-          }
-        }
-      }
-      sched.complete(task.size());
-    }
-  });
+// Guided claim size for a cursor with `remaining` unclaimed indices:
+// ceil(remaining / (4 * width)), which is >= 1 whenever remaining >= 1
+// and never exceeds remaining, so the cursor stops exactly at n with no
+// zero-length claims. The divisor is 4 * width rather than the textbook
+// 2 * width: with 2 * width the opening claim of a 26-batch mul12 fault
+// round is 4 batches, the round waits on that one worker, and grading
+// ran 26 % slower (EXPERIMENTS.md, "Parallel schedule").
+inline std::size_t guided_claim(std::size_t remaining, std::size_t width) {
+  const std::size_t divisor = 4 * width;
+  return (remaining + divisor - 1) / divisor;
 }
 
 // Shared driver: fn(state, i) over [0, n) with one make() state per
@@ -185,30 +125,23 @@ void drive(std::size_t n, const ParallelOptions& opt, MakeState&& make,
         }
       }
     }
-  } else if (resolve_schedule(opt) == Schedule::stealing) {
-    std::mutex err_mu;
-    drive_stealing<std::decay_t<decltype(make())>>(
-        n, width, steal::resolve_grain(n, width, opt.chunk), err_index, err,
-        err_mu, make, fn);
   } else {
-    const std::size_t chunk = resolve_chunk(n, width, opt.chunk);
     std::atomic<std::size_t> cursor{0};
     std::mutex err_mu;
     ThreadPool::pool().run(width, [&](std::size_t) {
       std::optional<std::decay_t<decltype(make())>> state;
       for (;;) {
-        // Bounded claim: the cursor never advances past n, so a worker
-        // arriving after the last real chunk observes `begin >= n`
-        // without burning a no-op scheduling step (and without the
-        // fetch_add counter ever wrapping on pathological widths).
+        // Claim [begin, end) with end <= n: the cursor never advances
+        // past n, so a worker arriving after the last claim observes
+        // `begin >= n` without burning a no-op scheduling step.
         std::size_t begin = cursor.load(std::memory_order_relaxed);
+        std::size_t end = 0;
         do {
           if (begin >= n) return;
-        } while (!cursor.compare_exchange_weak(
-            begin, begin + chunk < n ? begin + chunk : n,
-            std::memory_order_relaxed));
+          end = begin + guided_claim(n - begin, width);
+        } while (!cursor.compare_exchange_weak(begin, end,
+                                               std::memory_order_relaxed));
         note_chunk_claim();
-        const std::size_t end = begin + chunk < n ? begin + chunk : n;
         if (!state) {
           try {
             state.emplace(make());

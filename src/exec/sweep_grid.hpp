@@ -14,13 +14,11 @@
 // recompute memoized values through identical expressions, so results
 // are bit-identical to a single context walking the grid serially.
 //
-// Scheduling: both maps forward ParallelOptions, so a grid whose cell
+// Scheduling: both maps forward ParallelOptions to exec::parallel_map,
+// whose guided cursor hands out shrinking claims, so a grid whose cell
 // costs skew (optimizer iteration counts vary point to point across the
-// Fig. 10 grid; infeasible corners bail early) can pass
-// `{.schedule = Schedule::stealing}` — or inherit it process-wide from
-// `--schedule stealing` / LVSIM_SCHEDULE — and cells migrate to idle
-// workers instead of idling behind the slowest static chunk. Results
-// are schedule-invariant either way.
+// Fig. 10 grid; infeasible corners bail early) still finishes with every
+// worker busy on the tail. Results are schedule-invariant either way.
 #pragma once
 
 #include <cstddef>

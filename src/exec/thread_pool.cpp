@@ -37,20 +37,6 @@ std::size_t default_thread_count() {
 // 0 = unset, resolve from the environment/hardware on first read.
 std::atomic<std::size_t> g_configured{0};
 
-Schedule default_schedule() {
-  if (const char* env = std::getenv("LVSIM_SCHEDULE")) {
-    if (const auto parsed = parse_schedule(env);
-        parsed && *parsed != Schedule::automatic) {
-      return *parsed;
-    }
-  }
-  return Schedule::chunked;
-}
-
-// automatic = unset, resolve from LVSIM_SCHEDULE/builtin on each read
-// (cheap: one relaxed load on the common explicitly-configured path).
-std::atomic<Schedule> g_schedule{Schedule::automatic};
-
 }  // namespace
 
 std::size_t thread_count() {
@@ -60,34 +46,6 @@ std::size_t thread_count() {
 
 void set_thread_count(std::size_t n) {
   g_configured.store(n, std::memory_order_relaxed);
-}
-
-Schedule schedule() {
-  const Schedule configured = g_schedule.load(std::memory_order_relaxed);
-  return configured != Schedule::automatic ? configured : default_schedule();
-}
-
-void set_schedule(Schedule s) {
-  g_schedule.store(s, std::memory_order_relaxed);
-}
-
-const char* schedule_name(Schedule s) {
-  switch (s) {
-    case Schedule::chunked:
-      return "chunked";
-    case Schedule::stealing:
-      return "stealing";
-    case Schedule::automatic:
-      break;
-  }
-  return "automatic";
-}
-
-std::optional<Schedule> parse_schedule(const std::string& name) {
-  if (name == "chunked") return Schedule::chunked;
-  if (name == "stealing") return Schedule::stealing;
-  if (name == "automatic") return Schedule::automatic;
-  return std::nullopt;
 }
 
 bool on_worker_thread() { return t_on_worker; }

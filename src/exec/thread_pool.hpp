@@ -11,14 +11,13 @@
 //
 // Width resolution, in priority order: set_thread_count() (the CLI
 // `--threads N` knob lands here), the LVSIM_THREADS environment variable,
-// then std::thread::hardware_concurrency(). The scheduling policy knob
-// (set_schedule / LVSIM_SCHEDULE / `--schedule`) resolves the same way.
+// then std::thread::hardware_concurrency(). How a region's indices are
+// distributed over its workers is not configurable: exec/parallel.hpp
+// runs one guided self-scheduling cursor for every parallel region.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <optional>
-#include <string>
 
 namespace lv::exec {
 
@@ -29,33 +28,6 @@ std::size_t thread_count();
 // Existing pool threads are kept (idle workers are cheap); a smaller
 // width simply leaves them unscheduled.
 void set_thread_count(std::size_t n);
-
-// How a parallel region distributes indices over its workers. Either
-// way, results land in per-index slots and reductions fold in serial
-// index order, so the schedule never affects a value — only wall clock.
-//
-//   chunked  — workers claim fixed contiguous ranges from one atomic
-//              cursor. Lowest overhead; assumes uniform item cost.
-//   stealing — per-worker lock-free deques with lazy splitting and
-//              work stealing (exec/work_steal.hpp). Wins when item
-//              costs are skewed (fault campaigns, mixed sweep points).
-//   automatic — defer to the process default (schedule()).
-enum class Schedule : unsigned char { automatic = 0, chunked, stealing };
-
-// Process-default schedule, resolved like thread_count(): an explicit
-// set_schedule() wins, else the LVSIM_SCHEDULE environment variable
-// ("chunked" | "stealing"), else chunked. Never returns automatic.
-Schedule schedule();
-
-// Overrides the process default; Schedule::automatic restores the
-// LVSIM_SCHEDULE/builtin default.
-void set_schedule(Schedule s);
-
-// "chunked" / "stealing" / "automatic".
-const char* schedule_name(Schedule s);
-
-// Parses a CLI/env spelling; nullopt on anything else.
-std::optional<Schedule> parse_schedule(const std::string& name);
 
 // True while the calling thread is executing a pool task. Parallel
 // primitives called from inside a task run serially inline, so nested

@@ -104,11 +104,8 @@ std::vector<std::size_t> first_detections_scalar(
   // FaultySimulator over the shared immutable SimGraph. Per-fault cost
   // is the most skewed distribution in the toolkit (an early-detected
   // leaf fault costs a couple of vectors, an undetectable one costs all
-  // of them), so under the stealing schedule pin the grain to 1 so every
-  // fault machine can migrate to an idle worker on its own; chunked runs
-  // keep the default chunk (a chunk of 1 would only buy cursor traffic).
-  exec::ParallelOptions opt;
-  if (exec::schedule() == exec::Schedule::stealing) opt.chunk = 1;
+  // of them); the guided cursor's shrinking claims keep the expensive
+  // tail spread over every worker.
   return exec::parallel_map<std::size_t>(
       faults.size(),
       [&](std::size_t k) {
@@ -120,8 +117,7 @@ std::vector<std::size_t> first_detections_scalar(
           if (!bad.read_bus(outputs, out) || out != golden[i]) return i;
         }
         return kNeverDetected;
-      },
-      opt);
+      });
 }
 
 // Word kernel: batches of (1 good + up to 63 fault) machines share one
@@ -154,13 +150,7 @@ std::vector<std::size_t> first_detections_word(
     const std::size_t batches =
         (survivors.size() + kFaultLanes - 1) / kFaultLanes;
     // Per batch: first-detection index within this round's window, or
-    // kNeverDetected for lanes that survive the round. Batch costs skew
-    // hard in late rounds (each batch's remaining-lane count differs and
-    // early exit fires at different vectors), so under stealing each
-    // batch is its own migratable task, same reasoning as the scalar
-    // kernel above.
-    exec::ParallelOptions round_opt;
-    if (exec::schedule() == exec::Schedule::stealing) round_opt.chunk = 1;
+    // kNeverDetected for lanes that survive the round.
     const auto round = exec::parallel_map<std::vector<std::size_t>>(
         batches,
         [&](std::size_t b) {
@@ -213,8 +203,7 @@ std::vector<std::size_t> first_detections_word(
             }
           }
           return batch_first;
-        },
-        round_opt);
+        });
     // Serial fold: record detections, condense survivors for the next
     // (larger) window.
     std::vector<std::size_t> next;

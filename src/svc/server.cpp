@@ -61,10 +61,15 @@ struct Connection {
 
   // Serializes whole frames onto the socket: responses for one
   // connection may come from several workers concurrently, and an
-  // interleaved frame would desynchronize the stream.
+  // interleaved frame would desynchronize the stream. A failed send may
+  // have left half a frame on the wire, so the stream is torn down: the
+  // peer sees a hang-up (and retries) instead of waiting out its receive
+  // timeout for a reply that will never come.
   bool send(FrameKind kind, std::uint64_t id, std::string_view payload) {
     std::lock_guard<std::mutex> lock{write_mu};
-    return send_all(fd, encode_frame(kind, id, payload));
+    if (send_all(fd, encode_frame(kind, id, payload))) return true;
+    ::shutdown(fd, SHUT_RDWR);
+    return false;
   }
 
   int fd;
@@ -93,17 +98,20 @@ class Server {
   };
 
   // ---- queue ----------------------------------------------------------
-  bool try_push(Job job) {
+  enum class Push { queued, full, closed };
+
+  Push try_push(Job job) {
     {
       std::lock_guard<std::mutex> lock{queue_mu_};
-      if (queue_closed_ || queue_.size() >= opt_.queue_capacity) return false;
+      if (queue_closed_) return Push::closed;
+      if (queue_.size() >= opt_.queue_capacity) return Push::full;
       queue_.push_back(std::move(job));
       obs::Registry::global()
           .gauge("svc.queue_depth")
           .update_max(static_cast<double>(queue_.size()));
     }
     queue_cv_.notify_one();
-    return true;
+    return Push::queued;
   }
 
   bool pop(Job& job) {
@@ -211,7 +219,12 @@ class Server {
           job.id = frame.request_id;
           job.payload = frame.payload;
           job.enqueued = Clock::now();
-          if (!try_push(std::move(job))) {
+          const Push pushed = try_push(std::move(job));
+          // Draining for shutdown: the request never ran, so hang up
+          // unanswered (serve() closes the connection after the drain)
+          // and the client's transport retry replays it elsewhere.
+          if (pushed == Push::closed) return;
+          if (pushed == Push::full) {
             // Bounded queue: reject loudly instead of buffering without
             // limit. The client gets a well-formed diagnostic response
             // and may retry; the connection stays usable.
@@ -359,13 +372,10 @@ int serve(const ServerOptions& options) {
   // Note on scheduling: svc workers *are* exec pool workers, so a
   // handler's own parallel regions run inline-serial on their worker
   // (nested-parallelism rule) — request-level concurrency across the
-  // shared job queue is already dynamically balanced. The schedule
-  // reported here is what one-shot runs of the same binary would use.
-  std::printf("serving on %s  workers=%zu queue=%zu max_payload=%u"
-              " schedule=%s\n",
+  // shared job queue is already dynamically balanced.
+  std::printf("serving on %s  workers=%zu queue=%zu max_payload=%u\n",
               options.endpoint.to_string().c_str(), server.opt_.workers,
-              server.opt_.queue_capacity, server.opt_.max_payload,
-              exec::schedule_name(exec::schedule()));
+              server.opt_.queue_capacity, server.opt_.max_payload);
   std::fflush(stdout);
 
   // The svc workers are the lv::exec pool: ThreadPool::run blocks the

@@ -126,8 +126,9 @@ Fired Site::fire_slow() {
   if (action == Action::none) return {};
   const std::uint64_t k =
       eval_count_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t draw = mix(seed_ ^ (k * 0x2545f4914f6cdd1dULL));
-  if (draw >= threshold_) return {};
+  const std::uint64_t draw = mix(seed_.load(std::memory_order_relaxed) ^
+                                 (k * 0x2545f4914f6cdd1dULL));
+  if (draw >= threshold_.load(std::memory_order_relaxed)) return {};
   hit_count_.fetch_add(1, std::memory_order_relaxed);
   return {action, mix(draw)};
 }
@@ -147,8 +148,8 @@ void configure(const std::string& spec) {
   }
   reset();
   for (const Clause& c : clauses) {
-    c.site->threshold_ = c.threshold;
-    c.site->seed_ = c.seed;
+    c.site->threshold_.store(c.threshold, std::memory_order_relaxed);
+    c.site->seed_.store(c.seed, std::memory_order_relaxed);
     c.site->action_.store(static_cast<std::uint8_t>(c.action),
                           std::memory_order_release);
   }
@@ -166,8 +167,8 @@ void reset() {
   std::lock_guard<std::mutex> lock{r.mu};
   for (Site* site : r.sites) {
     site->action_.store(0, std::memory_order_release);
-    site->threshold_ = 0;
-    site->seed_ = 0;
+    site->threshold_.store(0, std::memory_order_relaxed);
+    site->seed_.store(0, std::memory_order_relaxed);
     site->eval_count_.store(0, std::memory_order_relaxed);
     site->hit_count_.store(0, std::memory_order_relaxed);
   }

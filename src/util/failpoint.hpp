@@ -98,8 +98,11 @@ class Site {
 
   const char* name_;
   std::atomic<std::uint8_t> action_{0};
-  std::uint64_t threshold_ = 0;  // fire when mix(seed, k) < threshold
-  std::uint64_t seed_ = 0;
+  // Atomic so reconfiguring never races a concurrent fire() (a server
+  // thread may still be inside one when a test resets); relaxed is
+  // enough because action_'s release/acquire publishes them.
+  std::atomic<std::uint64_t> threshold_{0};  // fire when mix(seed, k) < it
+  std::atomic<std::uint64_t> seed_{0};
   std::atomic<std::uint64_t> eval_count_{0};
   std::atomic<std::uint64_t> hit_count_{0};
 };
@@ -107,8 +110,9 @@ class Site {
 // Parses and applies a spec (`site=action[:prob][@seed]`, comma
 // separated; empty string = disarm everything). Throws util::Error on a
 // malformed clause or an unknown site name, leaving the previous
-// configuration in place. Not thread-safe against concurrent fire():
-// configure before spawning the threads that hit the sites.
+// configuration in place. A fire() concurrent with configure may see
+// the old or the new settings: configure before spawning the threads
+// that hit the sites when the schedule must replay exactly.
 void configure(const std::string& spec);
 
 // configure($LVSIM_FAILPOINTS) when the variable is set and non-empty;

@@ -7,8 +7,9 @@
 // tolerance, since the layer's whole point is exact equivalence.
 //
 // Also pinned: the primitive-level contracts — per-index slots, ordered
-// reduction, lowest-index exception rethrow, empty ranges, nested calls
-// running inline, SweepGrid indexing, and RNG stream splitting.
+// reduction, lowest-index exception rethrow, failing per-worker state,
+// empty ranges, nested calls running inline, the guided cursor's claim
+// sequence, SweepGrid indexing, and RNG stream splitting.
 #include "exec/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "circuit/generators.hpp"
@@ -24,6 +26,7 @@
 #include "exec/rng_split.hpp"
 #include "exec/sweep_grid.hpp"
 #include "exec/thread_pool.hpp"
+#include "obs/metrics.hpp"
 #include "opt/dual_vt.hpp"
 #include "opt/energy_delay.hpp"
 #include "opt/voltage_opt.hpp"
@@ -156,6 +159,226 @@ TEST(ParallelPrimitives, StatefulMakeRunsPerWorkerAndStatePersists) {
   EXPECT_GE(makes.load(), 1);
   for (std::size_t i = 0; i < 64; ++i)
     EXPECT_EQ(out[i], static_cast<int>(i) * 2);
+}
+
+TEST(ParallelPrimitives, FailingMakePropagates) {
+  // At width 4 every worker's make() throws on its first claim; the
+  // region still terminates and the error reaches the caller.
+  EXPECT_THROW(
+      e::parallel_map_stateful<int>(
+          32, []() -> int { throw std::runtime_error("no state"); },
+          [](int&, std::size_t i) { return static_cast<int>(i); },
+          {.threads = 4}),
+      std::runtime_error);
+}
+
+// ---- primitive contracts under skewed per-index cost ------------------
+//
+// The first few indices are far more expensive than the rest, so the
+// worker holding the opening claim lags while the others drain every
+// later claim from the shared cursor. Which worker runs which index then
+// differs from the even-cost case (and between runs); results, the
+// exception contract and per-worker state must not notice. Widths 3, 5
+// and 7 give claim sequences that the 1/2/8 tests above never produce.
+
+// Spins for a cost that is large for i < 4 and negligible otherwise,
+// then returns a value that depends only on i.
+double skewed_term(std::size_t i) {
+  volatile double sink = 0.0;
+  const std::size_t spins = i < 4 ? 200000 : 10;
+  for (std::size_t k = 0; k < spins; ++k) sink = sink + 1e-9;
+  return 1.0 / (static_cast<double>(i) + 1.0) * (i % 2 == 0 ? 1.0 : -1e-8);
+}
+
+TEST(StealingPrimitives, MapFillsEverySlot) {
+  for (const std::size_t width :
+       {std::size_t{3}, std::size_t{5}, std::size_t{7}}) {
+    const auto out = e::parallel_map<double>(
+        1000, [](std::size_t i) { return skewed_term(i); },
+        {.threads = width});
+    ASSERT_EQ(out.size(), 1000u);
+    for (std::size_t i = 0; i < out.size(); ++i)
+      EXPECT_EQ(out[i], skewed_term(i)) << "width " << width << " slot " << i;
+  }
+}
+
+TEST(StealingPrimitives, SumFoldsInSerialOrder) {
+  double serial = 0.0;
+  for (std::size_t i = 0; i < 5000; ++i) serial += skewed_term(i);
+  for (const std::size_t width :
+       {std::size_t{3}, std::size_t{5}, std::size_t{7}}) {
+    EXPECT_EQ(e::parallel_sum(5000, skewed_term, {.threads = width}), serial)
+        << "width " << width;
+  }
+}
+
+TEST(StealingPrimitives, LowestFailingIndexExceptionWins) {
+  // Index 2 is both slow and failing, so a faster worker reaches and
+  // throws at 63 first; the lower index must still win.
+  for (const std::size_t width :
+       {std::size_t{3}, std::size_t{5}, std::size_t{7}}) {
+    std::atomic<int> attempted{0};
+    try {
+      e::parallel_for(
+          100,
+          [&](std::size_t i) {
+            attempted.fetch_add(1, std::memory_order_relaxed);
+            skewed_term(i);
+            if (i == 2 || i == 63)
+              throw std::runtime_error("boom at " + std::to_string(i));
+          },
+          {.threads = width});
+      FAIL() << "expected a throw at width " << width;
+    } catch (const std::runtime_error& err) {
+      EXPECT_STREQ(err.what(), "boom at 2") << "width " << width;
+    }
+    EXPECT_EQ(attempted.load(), 100) << "width " << width;
+  }
+}
+
+TEST(StealingPrimitives, NestedCallsRunInlineSerially) {
+  // The slow outer indices keep their workers inside a nested region
+  // while the rest of the pool finishes the outer range.
+  const auto out = e::parallel_map<double>(
+      12,
+      [](std::size_t i) {
+        const bool outer_on_worker = e::on_worker_thread();
+        const auto inner = e::parallel_map<double>(
+            8,
+            [&](std::size_t j) {
+              EXPECT_EQ(e::on_worker_thread(), outer_on_worker);
+              return skewed_term(i) + static_cast<double>(j);
+            },
+            {.threads = 8});
+        double acc = 0.0;
+        for (const double v : inner) acc += v;
+        return acc;
+      },
+      {.threads = 5});
+  for (std::size_t i = 0; i < 12; ++i) {
+    double expect = 0.0;
+    for (std::size_t j = 0; j < 8; ++j)
+      expect += skewed_term(i) + static_cast<double>(j);
+    EXPECT_EQ(out[i], expect) << "outer " << i;
+  }
+}
+
+TEST(StealingPrimitives, StatefulMakeRunsAtMostOncePerWorker) {
+  // Each state records the indices it served; together they must cover
+  // the range exactly once however the claims were spread.
+  std::atomic<int> makes{0};
+  std::vector<std::atomic<int>> served(64);
+  struct Scratch {
+    std::vector<std::atomic<int>>* served;
+  };
+  const auto out = e::parallel_map_stateful<double>(
+      64,
+      [&] {
+        makes.fetch_add(1, std::memory_order_relaxed);
+        return Scratch{&served};
+      },
+      [](Scratch& scratch, std::size_t i) {
+        (*scratch.served)[i].fetch_add(1, std::memory_order_relaxed);
+        return skewed_term(i);
+      },
+      {.threads = 4});
+  EXPECT_LE(makes.load(), 4);
+  EXPECT_GE(makes.load(), 1);
+  for (std::size_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(served[i].load(), 1) << "index " << i;
+    EXPECT_EQ(out[i], skewed_term(i)) << "index " << i;
+  }
+}
+
+TEST(StealingPrimitives, EmptyAndSingletonRanges) {
+  // With no work no state is made; with one index the width collapses to
+  // the serial path and exactly one state is made.
+  std::atomic<int> makes{0};
+  auto make = [&] {
+    makes.fetch_add(1, std::memory_order_relaxed);
+    return 0;
+  };
+  auto body = [](int&, std::size_t i) { return skewed_term(i); };
+  EXPECT_TRUE(
+      e::parallel_map_stateful<double>(0, make, body, {.threads = 8}).empty());
+  EXPECT_EQ(makes.load(), 0);
+  const auto one =
+      e::parallel_map_stateful<double>(1, make, body, {.threads = 8});
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0], skewed_term(0));
+  EXPECT_EQ(makes.load(), 1);
+}
+
+// ---- guided cursor ----------------------------------------------------
+
+TEST(GuidedCursor, ClaimsShrinkAndCoverEveryIndexExactlyOnce) {
+  lv::obs::set_enabled(true);
+  auto& claims = lv::obs::Registry::global().counter(
+      "exec.pool.chunks_claimed", lv::obs::Stability::scheduling);
+  for (const std::size_t n :
+       {std::size_t{2}, std::size_t{3}, std::size_t{5}, std::size_t{16},
+        std::size_t{17}, std::size_t{1000}}) {
+    // Claim sizes depend only on the cursor position, so the claim
+    // sequence at a given width is fixed; walk it the way drive() does.
+    const std::size_t width = n < 8 ? n : 8;
+    std::vector<std::size_t> sizes;
+    for (std::size_t begin = 0; begin < n;) {
+      const std::size_t size = e::detail::guided_claim(n - begin, width);
+      ASSERT_GT(size, 0u) << "n " << n << " at " << begin;
+      ASSERT_LE(size, n - begin) << "n " << n << " at " << begin;
+      sizes.push_back(size);
+      begin += size;
+    }
+    EXPECT_EQ(sizes.front(), (n + 4 * width - 1) / (4 * width)) << "n " << n;
+    for (std::size_t k = 1; k < sizes.size(); ++k)
+      EXPECT_LE(sizes[k], sizes[k - 1]) << "n " << n << " claim " << k;
+
+    // The real region at width 8 runs every index once and bumps the
+    // claim counter exactly once per claim of that sequence.
+    std::vector<std::atomic<int>> ran(n);
+    const std::uint64_t before = claims.value();
+    e::parallel_for(
+        n,
+        [&](std::size_t i) { ran[i].fetch_add(1, std::memory_order_relaxed); },
+        {.threads = 8});
+    EXPECT_EQ(claims.value() - before, sizes.size()) << "n " << n;
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(ran[i].load(), 1) << "n " << n << " index " << i;
+  }
+  lv::obs::set_enabled(false);
+}
+
+TEST(ChunkedCursor, AutoChunkIsExactCeiling) {
+  // The opening claim is exactly ceil(n / (4 * width)), never the
+  // n/(4w) + 1 overshoot, and never below one index.
+  EXPECT_EQ(e::detail::guided_claim(16, 2), 2u);  // overshoot would be 3
+  EXPECT_EQ(e::detail::guided_claim(3, 8), 1u);
+  EXPECT_EQ(e::detail::guided_claim(1, 8), 1u);
+  EXPECT_EQ(e::detail::guided_claim(100, 4), 7u);  // ceil(100/16)
+  EXPECT_EQ(e::detail::guided_claim(1000, 8), 32u);
+  EXPECT_EQ(e::detail::guided_claim(32, 8), 1u);  // exact multiple
+  EXPECT_EQ(e::detail::guided_claim(33, 8), 2u);
+}
+
+TEST(ChunkedCursor, TinyNWithLargeWidthClaimsExactlyCeilChunks) {
+  // For n <= 4 * width every claim is a single index, so a region of n
+  // indices makes exactly n claims: no zero-length trailing claim from a
+  // worker that arrives after the cursor reached n.
+  lv::obs::set_enabled(true);
+  auto& claims = lv::obs::Registry::global().counter(
+      "exec.pool.chunks_claimed", lv::obs::Stability::scheduling);
+  for (const std::size_t n : {std::size_t{2}, std::size_t{3},
+                              std::size_t{5}, std::size_t{16},
+                              std::size_t{17}, std::size_t{32}}) {
+    const std::uint64_t before = claims.value();
+    std::atomic<int> ran{0};
+    e::parallel_for(
+        n, [&](std::size_t) { ran.fetch_add(1, std::memory_order_relaxed); },
+        {.threads = 8});
+    EXPECT_EQ(ran.load(), static_cast<int>(n));
+    EXPECT_EQ(claims.value() - before, n) << "n " << n;
+  }
+  lv::obs::set_enabled(false);
 }
 
 TEST(ThreadPoolConfig, SetThreadCountOverridesAndZeroRestores) {
@@ -332,19 +555,23 @@ TEST(SweepDeterminism, FaultCampaign) {
   lv::circuit::build_ripple_carry_adder(nl, 8);
   const auto vecs = lv::sim::random_vectors(
       48, static_cast<int>(nl.primary_inputs().size()), 7);
-  expect_same_at_all_widths(
-      [&] { return lv::sim::fault_coverage(nl, vecs); },
-      [](const auto& ref, const auto& got, std::size_t width) {
-        EXPECT_EQ(ref.total_faults, got.total_faults) << width;
-        EXPECT_EQ(ref.detected, got.detected) << width;
-        EXPECT_EQ(ref.coverage, got.coverage) << width;
-        ASSERT_EQ(ref.undetected.size(), got.undetected.size()) << width;
-        for (std::size_t i = 0; i < ref.undetected.size(); ++i) {
-          EXPECT_EQ(ref.undetected[i].net, got.undetected[i].net) << width;
-          EXPECT_EQ(ref.undetected[i].stuck_at, got.undetected[i].stuck_at)
-              << width;
-        }
-      });
+  for (const auto kernel :
+       {lv::sim::FaultKernel::scalar, lv::sim::FaultKernel::word}) {
+    expect_same_at_all_widths(
+        [&] { return lv::sim::fault_coverage(nl, vecs, kernel); },
+        [](const auto& ref, const auto& got, std::size_t width) {
+          EXPECT_EQ(ref.total_faults, got.total_faults) << width;
+          EXPECT_EQ(ref.detected, got.detected) << width;
+          EXPECT_EQ(ref.coverage, got.coverage) << width;
+          EXPECT_EQ(ref.first_detections, got.first_detections) << width;
+          ASSERT_EQ(ref.undetected.size(), got.undetected.size()) << width;
+          for (std::size_t i = 0; i < ref.undetected.size(); ++i) {
+            EXPECT_EQ(ref.undetected[i].net, got.undetected[i].net) << width;
+            EXPECT_EQ(ref.undetected[i].stuck_at, got.undetected[i].stuck_at)
+                << width;
+          }
+        });
+  }
 }
 
 TEST(SweepDeterminism, CharacterizeIvSweeps) {
@@ -361,6 +588,70 @@ TEST(SweepDeterminism, CharacterizeIvSweeps) {
           EXPECT_EQ(ref[i].vgs, got[i].vgs) << width;
           EXPECT_EQ(ref[i].id, got[i].id) << width;
         }
+      });
+}
+
+// ---- claim placement: bit-identical at odd widths ---------------------
+
+// Like expect_same_at_all_widths, but at widths 3, 5 and 7, whose guided
+// claim sequences (and so the indices each worker runs) differ from the
+// ones at 2 and 8.
+template <class Fn, class Eq>
+void expect_same_at_odd_widths(Fn&& fn, Eq&& eq) {
+  e::set_thread_count(1);
+  const auto reference = fn();
+  for (const std::size_t width :
+       {std::size_t{3}, std::size_t{5}, std::size_t{7}}) {
+    e::set_thread_count(width);
+    const auto got = fn();
+    eq(reference, got, width);
+  }
+  e::set_thread_count(0);
+}
+
+TEST(ScheduleDeterminism, FaultCampaignBothKernels) {
+  lv::circuit::Netlist nl;
+  lv::circuit::build_carry_lookahead_adder(nl, 8);
+  const auto vecs = lv::sim::random_vectors(
+      40, static_cast<int>(nl.primary_inputs().size()), 11);
+  for (const auto kernel :
+       {lv::sim::FaultKernel::scalar, lv::sim::FaultKernel::word}) {
+    expect_same_at_odd_widths(
+        [&] { return lv::sim::fault_coverage(nl, vecs, kernel); },
+        [](const auto& ref, const auto& got, std::size_t width) {
+          EXPECT_EQ(ref.total_faults, got.total_faults) << width;
+          EXPECT_EQ(ref.detected, got.detected) << width;
+          EXPECT_EQ(ref.coverage, got.coverage) << width;
+          EXPECT_EQ(ref.first_detections, got.first_detections) << width;
+          ASSERT_EQ(ref.undetected.size(), got.undetected.size()) << width;
+          for (std::size_t i = 0; i < ref.undetected.size(); ++i) {
+            EXPECT_EQ(ref.undetected[i].net, got.undetected[i].net) << width;
+            EXPECT_EQ(ref.undetected[i].stuck_at, got.undetected[i].stuck_at)
+                << width;
+          }
+        });
+  }
+}
+
+TEST(ScheduleDeterminism, Fig10EnergyRatioGrid) {
+  lv::circuit::Netlist nl;
+  lv::circuit::build_ripple_carry_adder(nl, 8);
+  const auto tech = lv::tech::soias();
+  const lv::core::BurstOperatingPoint op{1.0, tech.backgate_swing, 50e6,
+                                         1.0};
+  const auto mod =
+      lv::core::module_params_from_netlist(nl, tech, op.vdd, "adder");
+  expect_same_at_odd_widths(
+      [&] {
+        return lv::core::energy_ratio_grid(mod, 0.3, op, 1e-5, 1.0, 1e-5,
+                                           1.0, 23);
+      },
+      [](const auto& ref, const auto& got, std::size_t width) {
+        ASSERT_EQ(ref.log_ratio.size(), got.log_ratio.size());
+        for (std::size_t b = 0; b < ref.log_ratio.size(); ++b)
+          for (std::size_t f = 0; f < ref.log_ratio[b].size(); ++f)
+            EXPECT_EQ(ref.log_ratio[b][f], got.log_ratio[b][f])
+                << "width " << width << " cell (" << b << "," << f << ")";
       });
 }
 

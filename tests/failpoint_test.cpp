@@ -22,7 +22,6 @@
 #include "check/diag.hpp"
 #include "circuit/generators.hpp"
 #include "circuit/netlist.hpp"
-#include "exec/parallel.hpp"
 #include "sim/graph_io.hpp"
 #include "sim/sim_graph.hpp"
 #include "store/artifact_store.hpp"
@@ -191,30 +190,15 @@ TEST_F(FailpointTest, RegistryListsEveryCompiledSite) {
   // The site registry is a contract shared with tools/chaos_soak.py
   // (EXPECTED_SITES) and docs/RESILIENCE.md — update all three together.
   const char* expected[] = {
-      "exec.pool_exhausted", "exec.steal_delay", "sim.graph_decode",
-      "store.design_decode", "store.group_write", "store.read",
-      "store.rename",        "store.sweep_unlink", "store.temp_write",
-      "svc.accept",          "svc.sock_read",      "svc.sock_write",
-      "svc.worker",
+      "sim.graph_decode", "store.design_decode", "store.group_write",
+      "store.read",       "store.rename",        "store.sweep_unlink",
+      "store.temp_write", "svc.accept",          "svc.sock_read",
+      "svc.sock_write",   "svc.worker",
   };
   for (const char* name : expected)
     EXPECT_TRUE(std::find(names.begin(), names.end(), name) != names.end())
         << "missing site: " << name;
   EXPECT_EQ(names.size(), std::size(expected));
-}
-
-// The scheduler sites live in exec/work_steal.cpp; driving a stealing
-// region through them links that TU into this binary (so the registry
-// test above sees exec.*) and pins the contract: armed scheduler
-// failpoints shake task placement only, never results.
-TEST_F(FailpointTest, SchedulerSitesPerturbPlacementNotResults) {
-  fp::configure("exec.pool_exhausted=error:0.5@3,exec.steal_delay=error:0.5@5");
-  const auto out = lv::exec::parallel_map<int>(
-      256, [](std::size_t i) { return static_cast<int>(i) * 7; },
-      {.threads = 4, .schedule = lv::exec::Schedule::stealing});
-  for (std::size_t i = 0; i < 256; ++i)
-    ASSERT_EQ(out[i], static_cast<int>(i) * 7);
-  EXPECT_GT(fp::find_site("exec.pool_exhausted")->evals(), 0u);
 }
 
 // ---- store recovery matrix -------------------------------------------

@@ -5,6 +5,7 @@
 // background thread of this test process, so tsan/asan presets cover it.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -417,4 +418,26 @@ TEST(SvcServer, TornSocketInjectionIsAbsorbedByReassembly) {
     EXPECT_EQ(torn.out, clean.out);
     EXPECT_EQ(torn.err, clean.err);
   }
+}
+
+TEST(SvcServer, FailedResponseWriteHangsUpInsteadOfStalling) {
+  // A response that cannot be written leaves the stream unusable, so the
+  // server must hang up: the client sees end-of-stream at once instead of
+  // waiting out its receive deadline for a reply that never comes.
+  TestServer server;
+  TestServer::Conn conn{server.endpoint()};
+  conn.hello();
+  svc::set_recv_timeout(conn.fd(), 5000);
+  svc::Request req;
+  req.op = "version";
+  // Client and server share the send path in this process, so the
+  // request goes out through a raw send before the armed site can see it.
+  lv::failpoint::configure("svc.sock_write=error");
+  const std::string frame =
+      svc::encode_frame(svc::FrameKind::request, 1, svc::encode_request(req));
+  ASSERT_EQ(::send(conn.fd(), frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+  const svc::FrameReader::Result r = conn.read();
+  lv::failpoint::reset();
+  EXPECT_EQ(r.kind, svc::FrameReader::Result::Kind::eof) << r.code;
 }

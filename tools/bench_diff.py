@@ -14,9 +14,9 @@ before/after runs (EXPERIMENTS.md) both use.
 asserts a relationship *within* the candidate file: benchmark SLOW's
 real_time must be at least RATIO times benchmark FAST's. The bench-smoke
 job uses this to pin the bit-parallel kernel's advantage over the scalar
-one and the stealing schedule's advantage on the skewed campaign, so a
-regression in either side fails the build even though the job has no
-cross-run baseline. The optional MIN_MS field is a noise floor: when
+one and the parallel scheduler's 4-thread speedup over 1 thread on the
+skewed campaign, so a regression in either fails the build even though
+the job has no cross-run baseline. The optional MIN_MS field is a noise floor: when
 either benchmark's real_time is below it the ratio is too jittery to
 gate on, so the check downgrades to a warning instead of failing.
 

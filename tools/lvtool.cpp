@@ -214,10 +214,6 @@ void usage() {
       "Every command accepts --threads N (default: LVSIM_THREADS or all\n"
       "cores); sweeps and fault campaigns fan out across N workers with\n"
       "results identical to --threads 1.\n"
-      "Every command also accepts --schedule chunked|stealing (default:\n"
-      "LVSIM_SCHEDULE or chunked): stealing rebalances skewed per-item\n"
-      "costs across workers via lock-free deques; output is bit-identical\n"
-      "under either schedule.\n"
       "Every command also accepts --stats (run-metrics summary to stdout)\n"
       "and --stats-json <file> (lv-run-report/1 JSON). The `counters`\n"
       "section is bit-identical at any --threads width.\n"
@@ -262,18 +258,6 @@ int main(int argc, char** argv) {
         throw chk::InputError(chk::codes::cli_option,
                               "--threads must be >= 0 (0 = default)");
       lv::exec::set_thread_count(static_cast<std::size_t>(n));
-    }
-    // Scheduling policy for every parallel region, mirroring --threads:
-    // --schedule > LVSIM_SCHEDULE env > chunked. Results are identical
-    // under either schedule; stealing wins wall clock on skewed work
-    // (fault campaigns, mixed-cost sweeps).
-    if (const auto sched = args.text("--schedule")) {
-      const auto parsed = lv::exec::parse_schedule(*sched);
-      if (!parsed)
-        throw chk::InputError(
-            chk::codes::cli_option,
-            "--schedule must be 'chunked', 'stealing' or 'automatic'");
-      lv::exec::set_schedule(*parsed);
     }
     configure_cache(args);
     if (cmd == "serve") return cmd_serve(args);

@@ -19,7 +19,7 @@ run(${LVTOOL} simulate ${NETLIST} --vectors 500 --activity-out ${WORK}/a.lvact)
 run(${LVTOOL} power ${NETLIST} soi_low_vt --activity ${WORK}/a.lvact)
 run(${LVTOOL} glitch ${NETLIST} soi_low_vt --vectors 500)
 run(${LVTOOL} faults ${NETLIST} --vectors 64)
-run(${LVTOOL} faults ${NETLIST} --vectors 64 --schedule stealing --threads 4)
+run(${LVTOOL} faults ${NETLIST} --vectors 64 --threads 4)
 run(${LVTOOL} paths ${NETLIST} soi_low_vt --k 3)
 run(${LVTOOL} sizing ${NETLIST} soi_low_vt --margin 0.05)
 run(${LVTOOL} optimize ${NETLIST} -o ${WORK}/opt.lvnet)
