@@ -141,36 +141,30 @@ void BM_Assembler(benchmark::State& state) {
 }
 BENCHMARK(BM_Assembler);
 
-// Stuck-at fault campaign over an adder, at the worker width given by the
-// argument (/1 = serial code path; results identical at every width and
-// between the scalar and word kernels). The scalar/word pair at one
-// thread is the measured fault-campaign speedup CI gates on.
-void fault_campaign(benchmark::State& state, lv::sim::FaultKernel kernel) {
+// Stuck-at fault campaign (levelized 64-lane kernel) over an adder and a
+// multiplier, at the worker width given by the argument (/1 = serial
+// code path; results identical at every width).
+void BM_FaultCampaign(benchmark::State& state, bool multiplier) {
   lv::exec::set_thread_count(static_cast<std::size_t>(state.range(0)));
   lv::circuit::Netlist nl;
-  lv::circuit::build_ripple_carry_adder(nl, 12);
+  if (multiplier)
+    lv::circuit::build_array_multiplier(nl, 8);
+  else
+    lv::circuit::build_ripple_carry_adder(nl, 12);
   const auto vecs = lv::sim::random_vectors(
       64, static_cast<int>(nl.primary_inputs().size()), 7);
   for (auto _ : state) {
-    const auto r = lv::sim::fault_coverage(nl, vecs, kernel);
+    const auto r = lv::sim::fault_coverage(nl, vecs);
     benchmark::DoNotOptimize(r.coverage);
   }
   state.counters["faults"] = static_cast<double>(
       lv::sim::enumerate_faults(nl).size());
   lv::exec::set_thread_count(0);
 }
-
-void BM_FaultCampaignScalar(benchmark::State& state) {
-  fault_campaign(state, lv::sim::FaultKernel::scalar);
-}
-BENCHMARK(BM_FaultCampaignScalar)->ArgName("threads")->Arg(1)->Arg(2)
-    ->Arg(4)->Arg(8)->UseRealTime();
-
-void BM_FaultCampaignWord(benchmark::State& state) {
-  fault_campaign(state, lv::sim::FaultKernel::word);
-}
-BENCHMARK(BM_FaultCampaignWord)->ArgName("threads")->Arg(1)->Arg(2)
-    ->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK_CAPTURE(BM_FaultCampaign, rca12, false)->ArgName("threads")
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK_CAPTURE(BM_FaultCampaign, mul8, true)->ArgName("threads")
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 }  // namespace
 

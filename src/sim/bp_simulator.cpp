@@ -10,7 +10,6 @@
 namespace lv::sim {
 
 namespace u = lv::util;
-using circuit::CellKind;
 using circuit::InstanceId;
 using circuit::Logic;
 using circuit::NetId;
@@ -78,6 +77,7 @@ BitParallelSimulator::BitParallelSimulator(
     : graph_{std::move(graph)},
       config_{config},
       options_{options},
+      eval_{*graph_, options.force_lut_fallback},
       values_(graph_->net_count()),
       scheduled_(graph_->net_count()),
       settled_(graph_->net_count()),
@@ -89,21 +89,9 @@ BitParallelSimulator::BitParallelSimulator(
       queue_{graph_->max_delay(config.delay_model), 4 * graph_->net_count()},
       stats_{graph_->net_count()} {
   nodes_ = graph_->nodes().data();
-  in_nets_ = graph_->input_nets().data();
   eval_offsets_ = graph_->eval_offsets().data();
   eval_list_ = graph_->eval_list().data();
   delay_ = graph_->delays(config_.delay_model).data();
-  luts_ = graph_->luts().data();
-  if (options_.force_lut_fallback) {
-    forced_plan_ = graph_->word_ops();
-    for (auto& op : forced_plan_)
-      if (op != SimGraph::kWordSequential) op = SimGraph::kWordLut;
-    word_ops_ = forced_plan_.data();
-  } else {
-    word_ops_ = graph_->word_ops().data();
-  }
-  eval_scratch_.resize(graph_->max_input_count());
-  lane_scratch_.resize(graph_->max_input_count());
   dirty_nets_.reserve(graph_->net_count());
   captures_.reserve(graph_->sequential_instances().size());
   if (options_.per_lane_stats) {
@@ -171,58 +159,10 @@ void BitParallelSimulator::schedule(NetId net, LogicW value,
 
 void BitParallelSimulator::evaluate_instance(InstanceId id,
                                              std::uint64_t now) {
-  const SimGraph::Node& node = nodes_[id];
-  const NetId* ins = in_nets_ + node.in_begin;
-  LogicW out;
-  const std::uint8_t op = word_ops_[id];
-  if (op < static_cast<std::uint8_t>(CellKind::kind_count)) {
-    // Verified direct word operator: one bitwise evaluation covers all
-    // 64 lanes.
-    LogicW in[SimGraph::kMaxLutInputs];
-    for (unsigned k = 0; k < node.in_count; ++k) in[k] = values_[ins[k]];
-    out = word_evaluate_direct(static_cast<CellKind>(op), in);
-    ++direct_evals_;
-  } else if (node.lut != SimGraph::kNoLut) {
-    // Per-lane LUT fallback: same 256-entry tables as the scalar kernel,
-    // indexed lane by lane.
-    const SimGraph::Lut& lut = luts_[node.lut];
-    for (unsigned k = 0; k < node.in_count; ++k)
-      eval_scratch_[k] = values_[ins[k]];
-    out = LogicW{0, 0};
-    for (unsigned lane = 0; lane < kLaneCount; ++lane) {
-      unsigned idx = 0;
-      for (unsigned k = 0; k < node.in_count; ++k)
-        idx |= static_cast<unsigned>(lane_of(eval_scratch_[k], lane))
-               << (2u * k);
-      const Logic v = lut[idx];
-      const std::uint64_t bit = std::uint64_t{1} << lane;
-      if (v == Logic::one)
-        out.one |= bit;
-      else if (v == Logic::x)
-        out.x |= bit;
-    }
-    lut_lane_evals_ += kLaneCount;
-  } else {
-    // Generic wide cell: per-lane circuit::evaluate_cell.
-    for (unsigned k = 0; k < node.in_count; ++k)
-      eval_scratch_[k] = values_[ins[k]];
-    out = LogicW{0, 0};
-    for (unsigned lane = 0; lane < kLaneCount; ++lane) {
-      for (unsigned k = 0; k < node.in_count; ++k)
-        lane_scratch_[k] = lane_of(eval_scratch_[k], lane);
-      const Logic v = circuit::evaluate_cell(
-          static_cast<CellKind>(node.kind),
-          {lane_scratch_.data(), node.in_count});
-      const std::uint64_t bit = std::uint64_t{1} << lane;
-      if (v == Logic::one)
-        out.one |= bit;
-      else if (v == Logic::x)
-        out.x |= bit;
-    }
-    generic_lane_evals_ += kLaneCount;
-  }
-  if (out == scheduled_[node.output]) return;
-  schedule(node.output, out, now + delay_[id]);
+  const LogicW out = eval_.evaluate(id, values_.data());
+  const NetId net = nodes_[id].output;
+  if (out == scheduled_[net]) return;
+  schedule(net, out, now + delay_[id]);
 }
 
 void BitParallelSimulator::count_transitions(NetId net,
@@ -271,17 +211,15 @@ std::uint64_t BitParallelSimulator::drain_events() {
       throw u::Error(
           "BitParallelSimulator: event budget exceeded (oscillation?)");
   }
+  const WordEvaluator::Counts evals = eval_.take_counts();
   if (obs::enabled()) {
     c_events().add(processed);
-    c_direct_evals().add(direct_evals_);
-    c_lut_lane_evals().add(lut_lane_evals_);
-    c_generic_lane_evals().add(generic_lane_evals_);
+    c_direct_evals().add(evals.direct);
+    c_lut_lane_evals().add(evals.lut_lanes);
+    c_generic_lane_evals().add(evals.generic_lanes);
     c_wheel_wraps().add(queue_.wraps() - wraps_flushed_);
     g_queue_hwm().update_max(static_cast<double>(queue_hwm_));
   }
-  direct_evals_ = 0;
-  lut_lane_evals_ = 0;
-  generic_lane_evals_ = 0;
   wraps_flushed_ = queue_.wraps();
   queue_hwm_ = 0;
   return processed;
@@ -373,16 +311,6 @@ void BitParallelSimulator::force_net(NetId net, LogicW value) {
   if (net >= values_.size())
     throw u::Error("force_net: net out of range");
   schedule(net, value, queue_.time());
-  drain_events();
-}
-
-void BitParallelSimulator::force_lanes(NetId net, std::uint64_t lane_mask,
-                                       Logic value) {
-  if (net >= values_.size())
-    throw u::Error("force_lanes: net out of range");
-  // Perturb only the masked lanes; the others keep their present value,
-  // so one fault machine's injection never disturbs its batch-mates.
-  schedule(net, with_lanes(values_[net], lane_mask, value), queue_.time());
   drain_events();
 }
 

@@ -39,6 +39,7 @@
 #include "sim/calendar_queue.hpp"
 #include "sim/sim_graph.hpp"
 #include "sim/simulator.hpp"
+#include "sim/word_eval.hpp"
 #include "sim/word_logic.hpp"
 
 namespace lv::sim {
@@ -100,11 +101,6 @@ class BitParallelSimulator {
   void force_net(circuit::NetId net, circuit::Logic value) {
     force_net(net, broadcast(value));
   }
-  // Forces only the lanes in `lane_mask` to `value`, leaving the other
-  // lanes' current values in place (per-lane fault injection: each fault
-  // machine perturbs its own lane only).
-  void force_lanes(circuit::NetId net, std::uint64_t lane_mask,
-                   circuit::Logic value);
 
   // ---- clock gating ----
   void set_module_clock_enable(const std::string& module, bool enabled);
@@ -138,12 +134,11 @@ class BitParallelSimulator {
   Options options_;
   // Hot views resolved once from the graph (see Simulator).
   const SimGraph::Node* nodes_ = nullptr;
-  const circuit::NetId* in_nets_ = nullptr;
   const std::uint32_t* eval_offsets_ = nullptr;
   const circuit::InstanceId* eval_list_ = nullptr;
   const std::uint32_t* delay_ = nullptr;
-  const SimGraph::Lut* luts_ = nullptr;
-  const std::uint8_t* word_ops_ = nullptr;
+  // Gate evaluation (direct word operators or the per-lane fallback).
+  WordEvaluator eval_;
 
   std::vector<LogicW> values_;
   std::vector<LogicW> scheduled_;
@@ -161,21 +156,13 @@ class BitParallelSimulator {
   std::vector<std::uint64_t> lane_transitions_;
   std::vector<std::uint64_t> lane_settled_changes_;
   std::uint64_t lane_cycles_[kLaneCount] = {};
-  // Overridden word plan when Options::force_lut_fallback demotes every
-  // combinational instance to the per-lane LUT path.
-  std::vector<std::uint8_t> forced_plan_;
-  // Reused scratch buffers (steady state stays allocation-free, same
+  // Reused scratch buffer (steady state stays allocation-free, same
   // contract as the scalar kernel; pinned by tests/sim_alloc_test.cpp).
   std::vector<std::pair<circuit::InstanceId, LogicW>> captures_;
-  std::vector<LogicW> eval_scratch_;
-  std::vector<circuit::Logic> lane_scratch_;
   // Observability accumulators (flushed behind one obs::enabled() check
   // per drain/cycle, like the scalar kernel).
   std::uint64_t queue_hwm_ = 0;
   std::uint64_t cycle_transitions_ = 0;
-  std::uint64_t direct_evals_ = 0;
-  std::uint64_t lut_lane_evals_ = 0;
-  std::uint64_t generic_lane_evals_ = 0;
   std::uint64_t wraps_flushed_ = 0;
 };
 

@@ -2,7 +2,7 @@
 //
 // Driving a bus from an integer and packing a bus back into one used to
 // be duplicated (with identical width/range checks and LSB-first bit
-// order) across Simulator::set_bus/read_bus, FaultySimulator::read_bus,
+// order) across Simulator::set_bus/read_bus, the fault kernel,
 // and the bit-parallel kernel. The two helpers below are the single
 // definition of that loop: callers supply only how one net is driven or
 // observed.
@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 
+#include "circuit/generators.hpp"  // circuit::Bus
 #include "circuit/logic.hpp"
 #include "circuit/netlist.hpp"
 #include "util/error.hpp"

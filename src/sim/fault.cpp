@@ -5,8 +5,10 @@
 #include <limits>
 
 #include "exec/parallel.hpp"
-#include "sim/bp_simulator.hpp"
+#include "obs/metrics.hpp"
 #include "sim/bus_pack.hpp"
+#include "sim/sim_graph.hpp"
+#include "sim/word_eval.hpp"
 #include "sim/word_logic.hpp"
 #include "util/error.hpp"
 
@@ -14,53 +16,6 @@ namespace lv::sim {
 
 using circuit::Logic;
 using circuit::NetId;
-
-FaultySimulator::FaultySimulator(const circuit::Netlist& netlist, Fault fault,
-                                 SimConfig config)
-    : FaultySimulator{SimGraph::compile(netlist), fault, config} {}
-
-FaultySimulator::FaultySimulator(std::shared_ptr<const SimGraph> graph,
-                                 Fault fault, SimConfig config)
-    : sim_{std::move(graph), config}, fault_{fault} {
-  lv::util::require(fault.net < sim_.netlist().net_count(),
-                    "FaultySimulator: fault net out of range");
-  lv::util::require(circuit::is_known(fault.stuck_at),
-                    "FaultySimulator: stuck value must be 0 or 1");
-  reassert_fault();
-}
-
-void FaultySimulator::reassert_fault() {
-  if (sim_.value(fault_.net) != fault_.stuck_at)
-    sim_.force_net(fault_.net, fault_.stuck_at);
-}
-
-void FaultySimulator::set_input(NetId net, Logic value) {
-  // Driving the faulty net itself is pointless but harmless.
-  sim_.set_input(net, value);
-}
-
-void FaultySimulator::set_bus(const circuit::Bus& bus, std::uint64_t value) {
-  sim_.set_bus(bus, value);
-}
-
-void FaultySimulator::settle() {
-  // Let the stimulus propagate, then override the faulty net and
-  // re-propagate its cone until quiescent (serial fault simulation).
-  sim_.settle();
-  reassert_fault();
-}
-
-Logic FaultySimulator::value(NetId net) const {
-  if (net == fault_.net) return fault_.stuck_at;
-  return sim_.value(net);
-}
-
-bool FaultySimulator::read_bus(const circuit::Bus& bus,
-                               std::uint64_t& out) const {
-  return pack_bus(
-      bus, sim_.netlist().net_count(), "FaultySimulator: read_bus",
-      [this](NetId id) { return value(id); }, out);
-}
 
 std::vector<Fault> enumerate_faults(const circuit::Netlist& netlist) {
   std::vector<Fault> out;
@@ -77,81 +32,67 @@ namespace {
 
 constexpr std::size_t kNeverDetected = std::numeric_limits<std::size_t>::max();
 
-// Fault lanes per word-kernel batch: lane 0 carries the good machine.
+// Fault lanes per batch: lane 0 carries the good machine.
 constexpr std::size_t kFaultLanes = kLaneCount - 1;
 
-// Scalar kernel: one FaultySimulator per fault, early exit at the first
-// detecting vector (whose index is the fault's verdict).
-std::vector<std::size_t> first_detections_scalar(
-    const std::shared_ptr<const SimGraph>& graph,
-    const std::vector<Fault>& faults, const circuit::Bus& inputs,
-    const circuit::Bus& outputs, const std::vector<std::uint64_t>& vectors) {
-  // Good-machine responses once.
-  std::vector<std::uint64_t> golden;
-  golden.reserve(vectors.size());
-  {
-    Simulator good{graph};
-    for (const auto v : vectors) {
-      good.set_bus(inputs, v);
-      good.settle();
-      std::uint64_t out = 0;
-      lv::util::require(good.read_bus(outputs, out),
-                        "fault_coverage: X at outputs of the good machine");
-      golden.push_back(out);
-    }
-  }
-  // Embarrassingly parallel: each fault machine is a fresh
-  // FaultySimulator over the shared immutable SimGraph. Per-fault cost
-  // is the most skewed distribution in the toolkit (an early-detected
-  // leaf fault costs a couple of vectors, an undetectable one costs all
-  // of them); the guided cursor's shrinking claims keep the expensive
-  // tail spread over every worker.
-  return exec::parallel_map<std::size_t>(
-      faults.size(),
-      [&](std::size_t k) {
-        FaultySimulator bad{graph, faults[k]};
-        for (std::size_t i = 0; i < vectors.size(); ++i) {
-          bad.set_bus(inputs, vectors[i]);
-          bad.settle();
-          std::uint64_t out = 0;
-          if (!bad.read_bus(outputs, out) || out != golden[i]) return i;
-        }
-        return kNeverDetected;
-      });
+// Gate-word evaluations (batches x vectors x gates, summed over rounds):
+// Stability::exact, since batch packing is fixed by fault order and the
+// count is folded serially.
+lv::obs::Counter& c_word_evals() {
+  static auto& c = lv::obs::Registry::global().counter("sim.fault_word_evals");
+  return c;
 }
 
-// Word kernel: batches of (1 good + up to 63 fault) machines share one
-// 64-lane replay. Each batch is independent, so batches parallelize the
-// same way scalar fault machines do; within a batch the per-lane
-// bit-exactness of the word kernel makes lane L's trajectory identical
-// to a scalar FaultySimulator run of that lane's fault.
+// The lanes of one net held at a constant by one batch's faults.
+struct StuckLanes {
+  std::uint64_t held = 0;  // lanes stuck at either value
+  std::uint64_t ones = 0;  // the subset stuck at 1
+};
+
+constexpr LogicW apply_stuck(LogicW w, StuckLanes s) {
+  return {(w.one & ~s.held) | s.ones, w.x & ~s.held};
+}
+
+struct BatchResult {
+  // Per fault lane: first-detection index within the round's window, or
+  // kNeverDetected for lanes that survive the round.
+  std::vector<std::size_t> first;
+  std::uint64_t word_evals = 0;
+};
+
+// Batches of (1 good + up to 63 fault) machines share one 64-lane word
+// per net. Each vector is one levelized pass: primary inputs broadcast
+// to every lane, then every instance evaluated once in topological
+// order, its output word overridden in the faulty lanes before any
+// consumer reads it. Batches are independent, so they run in parallel.
 //
 // Batches are re-packed between rounds of geometrically growing vector
 // windows. fault_coverage treats the netlist combinationally, so a
 // lane's response to vector i is a function of (vector i, its fault)
 // alone — survivors of one round can be condensed into fewer, denser
 // batches that resume at the next vector with first-detection indices
-// unchanged. Without re-packing, one stubborn fault drags its whole
-// batch through the entire vector set and the word kernel loses the
-// scalar kernel's per-fault early exit.
+// unchanged. Without re-packing, one stubborn fault would drag its
+// whole batch through the entire vector set.
 std::vector<std::size_t> first_detections_word(
-    const std::shared_ptr<const SimGraph>& graph,
-    const std::vector<Fault>& faults, const circuit::Bus& inputs,
-    const circuit::Bus& outputs, const std::vector<std::uint64_t>& vectors) {
+    const SimGraph& graph, const std::vector<Fault>& faults,
+    const circuit::Bus& inputs, const circuit::Bus& outputs,
+    const std::vector<std::uint64_t>& vectors) {
+  // Resolved before the fan-out: the netlist builds its caches lazily.
+  const auto& order = graph.netlist().topo_order();
+  const SimGraph::Node* nodes = graph.nodes().data();
   std::vector<std::size_t> first(faults.size(), kNeverDetected);
   // Undetected fault indices, kept in fault order so batch packing (and
   // with it every lane assignment) is deterministic at any thread count.
   std::vector<std::size_t> survivors(faults.size());
   for (std::size_t k = 0; k < faults.size(); ++k) survivors[k] = k;
+  std::uint64_t word_evals = 0;
   std::size_t begin = 0;
   std::size_t window = 16;
   while (!survivors.empty() && begin < vectors.size()) {
     const std::size_t end = std::min(vectors.size(), begin + window);
     const std::size_t batches =
         (survivors.size() + kFaultLanes - 1) / kFaultLanes;
-    // Per batch: first-detection index within this round's window, or
-    // kNeverDetected for lanes that survive the round.
-    const auto round = exec::parallel_map<std::vector<std::size_t>>(
+    const auto round = exec::parallel_map<BatchResult>(
         batches,
         [&](std::size_t b) {
           const std::size_t base = b * kFaultLanes;
@@ -163,28 +104,31 @@ std::vector<std::size_t> first_detections_word(
               count + 1 >= kLaneCount
                   ? kAllLanes
                   : (std::uint64_t{1} << (count + 1)) - 1;
-          BitParallelSimulator sim{graph};
-          const auto reassert = [&] {
-            for (std::size_t f = 0; f < count; ++f) {
-              const Fault& fault = faults[survivors[base + f]];
-              const unsigned lane = static_cast<unsigned>(f + 1);
-              if (lane_of(sim.value(fault.net), lane) != fault.stuck_at)
-                sim.force_lanes(fault.net, std::uint64_t{1} << lane,
-                                fault.stuck_at);
-            }
-          };
-          reassert();
-          std::vector<std::size_t> batch_first(count, kNeverDetected);
+          WordEvaluator eval{graph};
+          std::vector<LogicW> values(graph.net_count());  // all lanes X
+          std::vector<StuckLanes> stuck(graph.net_count());
+          for (std::size_t f = 0; f < count; ++f) {
+            const Fault& fault = faults[survivors[base + f]];
+            const std::uint64_t lane = std::uint64_t{1} << (f + 1);
+            stuck[fault.net].held |= lane;
+            if (fault.stuck_at == Logic::one) stuck[fault.net].ones |= lane;
+          }
+          BatchResult out{std::vector<std::size_t>(count, kNeverDetected), 0};
           std::size_t remaining = count;
           for (std::size_t i = begin; i < end && remaining > 0; ++i) {
-            sim.set_bus_broadcast(inputs, vectors[i]);
-            sim.settle();
-            reassert();
+            unpack_bus(inputs, vectors[i], "fault_coverage",
+                       [&](NetId net, Logic v) { values[net] = broadcast(v); });
+            for (const circuit::InstanceId id : order) {
+              const NetId net = nodes[id].output;
+              values[net] =
+                  apply_stuck(eval.evaluate(id, values.data()), stuck[net]);
+            }
+            out.word_evals += order.size();
             // Detection mask: a lane detects when any output bit is X
             // or disagrees with the good machine (lane 0).
             std::uint64_t detected = 0;
-            for (std::size_t j = 0; j < outputs.size(); ++j) {
-              const LogicW w = sim.value(outputs[j]);
+            for (const NetId net : outputs) {
+              const LogicW w = values[net];
               if (w.x & 1)
                 throw lv::util::Error(
                     "fault_coverage: X at outputs of the good machine");
@@ -196,38 +140,39 @@ std::vector<std::size_t> first_detections_word(
               const unsigned lane = static_cast<unsigned>(
                   std::countr_zero(detected));
               detected &= detected - 1;
-              if (batch_first[lane - 1] == kNeverDetected) {
-                batch_first[lane - 1] = i;
+              if (out.first[lane - 1] == kNeverDetected) {
+                out.first[lane - 1] = i;
                 --remaining;
               }
             }
           }
-          return batch_first;
+          return out;
         });
     // Serial fold: record detections, condense survivors for the next
     // (larger) window.
     std::vector<std::size_t> next;
     for (std::size_t b = 0; b < batches; ++b) {
       const std::size_t base = b * kFaultLanes;
-      for (std::size_t f = 0; f < round[b].size(); ++f) {
-        if (round[b][f] == kNeverDetected)
+      for (std::size_t f = 0; f < round[b].first.size(); ++f) {
+        if (round[b].first[f] == kNeverDetected)
           next.push_back(survivors[base + f]);
         else
-          first[survivors[base + f]] = round[b][f];
+          first[survivors[base + f]] = round[b].first[f];
       }
+      word_evals += round[b].word_evals;
     }
     survivors = std::move(next);
     begin = end;
     window *= 4;
   }
+  if (obs::enabled()) c_word_evals().add(word_evals);
   return first;
 }
 
 }  // namespace
 
 CoverageResult fault_coverage(const circuit::Netlist& netlist,
-                              const std::vector<std::uint64_t>& vectors,
-                              FaultKernel kernel) {
+                              const std::vector<std::uint64_t>& vectors) {
   lv::util::require(netlist.sequential_instances().empty(),
                     "fault_coverage: combinational netlists only");
   const circuit::Bus inputs = netlist.primary_inputs();
@@ -236,13 +181,10 @@ CoverageResult fault_coverage(const circuit::Netlist& netlist,
                     "fault_coverage: more than 64 inputs");
 
   // One compiled graph serves the good machine and every fault machine.
-  const auto graph = SimGraph::compile(netlist);
+  const SimGraph graph{netlist};
   const auto faults = enumerate_faults(netlist);
-
   const std::vector<std::size_t> first =
-      kernel == FaultKernel::word
-          ? first_detections_word(graph, faults, inputs, outputs, vectors)
-          : first_detections_scalar(graph, faults, inputs, outputs, vectors);
+      first_detections_word(graph, faults, inputs, outputs, vectors);
 
   // Serial fold in fault order — identical result at any thread count.
   CoverageResult result;

@@ -1,30 +1,27 @@
-// Stuck-at fault injection and fault simulation.
+// Stuck-at fault simulation.
 //
-// Failure-injection support for the logic simulator: a FaultySimulator
-// forces one net to a constant (stuck-at-0/1) regardless of its driver,
-// and `fault_coverage` grades a vector set against the collapsed fault
-// list. Used to grade the stimulus generators (random vs counting
-// coverage) and as a harness robustness check: power/timing analyses
-// must keep working on faulty netlists (a bug in a generator shows up
-// here first).
+// `fault_coverage` grades a vector set against the collapsed stuck-at
+// fault list (two faults per gate-driven net). Used to grade the
+// stimulus generators (random vs counting coverage) and as a harness
+// robustness check: a bug in a generator shows up here first.
 //
-// Two kernels produce bit-identical results:
-//
-//   * FaultKernel::scalar — the classic serial loop: one FaultySimulator
-//     per fault, replayed over the whole vector set.
-//   * FaultKernel::word (default) — bit-parallel: each pass of the
-//     64-lane kernel simulates the good machine in lane 0 and up to 63
-//     distinct fault machines in lanes 1-63 (each fault asserted with
-//     BitParallelSimulator::force_lanes on its own lane only), so one
-//     event-kernel replay retires 63 faults. Detection is a word-level
-//     compare at the primary outputs: a fault lane detects when any
-//     output bit is X or differs from the lane-0 value.
+// Grading needs only *settled* outputs, so the kernel is levelized and
+// oblivious rather than event-driven: each batch packs the good machine
+// into lane 0 and up to 63 fault machines into lanes 1-63 of a LogicW
+// word per net, and every vector is one pass over the netlist's
+// topological order with no event queue. A fault is a stuck-at-0 or
+// stuck-at-1 lane mask applied to its net's word right after that net is
+// computed, so downstream gates see the stuck value in the faulty lane
+// only. Cost is O(batches x vectors x gates) whatever the logic depth or
+// glitch count. Detection is a word-level compare at the primary
+// outputs: a fault lane detects when any output bit is X or differs from
+// the lane-0 value.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "sim/simulator.hpp"
+#include "circuit/netlist.hpp"
 
 namespace lv::sim {
 
@@ -33,41 +30,9 @@ struct Fault {
   circuit::Logic stuck_at = circuit::Logic::zero;  // zero or one
 };
 
-// Simulator wrapper holding one injected fault. The faulty net reports
-// the stuck value; fanout sees it; statistics still accumulate normally.
-class FaultySimulator {
- public:
-  FaultySimulator(const circuit::Netlist& netlist, Fault fault,
-                  SimConfig config = {});
-  // Shares a pre-compiled SimGraph — the fault campaign compiles the
-  // netlist once and runs every fault machine against the same graph
-  // instead of re-validating and re-lowering per fault.
-  FaultySimulator(std::shared_ptr<const SimGraph> graph, Fault fault,
-                  SimConfig config = {});
-
-  void set_input(circuit::NetId net, circuit::Logic value);
-  void set_bus(const circuit::Bus& bus, std::uint64_t value);
-  void settle();
-  circuit::Logic value(circuit::NetId net) const;
-  bool read_bus(const circuit::Bus& bus, std::uint64_t& out) const;
-
-  const Fault& fault() const { return fault_; }
-
- private:
-  void reassert_fault();
-
-  Simulator sim_;
-  Fault fault_;
-};
-
 // All stuck-at faults on gate-driven nets (two per net), excluding
 // primary inputs and the clock.
 std::vector<Fault> enumerate_faults(const circuit::Netlist& netlist);
-
-enum class FaultKernel {
-  scalar,  // one fault machine per replay (serial fault simulation)
-  word,    // 63 fault machines + good machine per 64-lane replay
-};
 
 struct CoverageResult {
   std::size_t total_faults = 0;
@@ -85,10 +50,9 @@ struct CoverageResult {
 // Fault simulation of combinational netlists: applies each input vector
 // to the good and faulty machines and flags a detection when any primary
 // output differs (or reads X on the faulty machine). `vectors` drive all
-// primary inputs as one packed bus (LSB = first declared input). Both
-// kernels return bit-identical results at any thread count.
+// primary inputs as one packed bus (LSB = first declared input). The
+// result is identical at any thread count.
 CoverageResult fault_coverage(const circuit::Netlist& netlist,
-                              const std::vector<std::uint64_t>& vectors,
-                              FaultKernel kernel = FaultKernel::word);
+                              const std::vector<std::uint64_t>& vectors);
 
 }  // namespace lv::sim

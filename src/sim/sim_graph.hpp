@@ -24,9 +24,9 @@
 //     the interpreted kernel by construction.
 //
 // A graph is immutable after compile() and safe to share across threads
-// and simulators — the fault campaign compiles one graph and runs every
-// fault machine against it instead of re-validating and re-deriving per
-// simulator.
+// and simulators — the fault campaign compiles one graph and grades
+// every fault batch against it instead of re-validating and re-deriving
+// per batch.
 #pragma once
 
 #include <array>

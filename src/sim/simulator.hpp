@@ -87,7 +87,7 @@ class Simulator {
   // simulator).
   explicit Simulator(const circuit::Netlist& netlist, SimConfig config = {});
   // Shares a pre-compiled graph — the cheap form when many simulators run
-  // over one netlist (fault campaigns, sweeps).
+  // over one netlist (sweeps, server sessions).
   explicit Simulator(std::shared_ptr<const SimGraph> graph,
                      SimConfig config = {});
 
@@ -117,8 +117,8 @@ class Simulator {
 
   // Forces one net to a value and propagates its cone to quiescence
   // (fault injection / debug). The net keeps its driver, so a subsequent
-  // driver re-evaluation can overwrite the forced value — fault harnesses
-  // re-force after every settle (see sim/fault.hpp). Does not count as a
+  // driver re-evaluation can overwrite the forced value — a fault harness
+  // re-forces after every settle. Does not count as a
   // statistics cycle.
   void force_net(circuit::NetId net, circuit::Logic value);
 

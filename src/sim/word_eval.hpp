@@ -1,0 +1,75 @@
+// One 64-lane gate evaluation over a SimGraph's word plan.
+//
+// Shared by the two word kernels: the event-driven BitParallelSimulator
+// evaluates an instance whenever one of its inputs changes, and the
+// levelized fault kernel (fault.cpp) evaluates every instance once per
+// vector in topological order. Both read gate inputs from a flat
+// per-net LogicW array, so the evaluation itself — the verified direct
+// word operator, or the per-lane LUT / generic fallback — lives here
+// once.
+#pragma once
+
+#include <cstdint>
+#include <vector>
+
+#include "circuit/cells.hpp"
+#include "sim/sim_graph.hpp"
+#include "sim/word_logic.hpp"
+
+namespace lv::sim {
+
+class WordEvaluator {
+ public:
+  // Evaluations taken by each path since the last take_counts().
+  struct Counts {
+    std::uint64_t direct = 0;         // whole-word direct operators
+    std::uint64_t lut_lanes = 0;      // per-lane LUT lookups
+    std::uint64_t generic_lanes = 0;  // per-lane circuit::evaluate_cell
+  };
+
+  // `force_lut_fallback` routes every combinational cell through the
+  // per-lane LUT path (differential testing of the two paths). The graph
+  // must outlive the evaluator.
+  explicit WordEvaluator(const SimGraph& graph,
+                         bool force_lut_fallback = false);
+
+  // Output word of combinational instance `id`, reading its input nets
+  // from `values` (indexed by NetId).
+  LogicW evaluate(circuit::InstanceId id, const LogicW* values) {
+    const SimGraph::Node& node = nodes_[id];
+    const std::uint8_t op = word_ops_[id];
+    if (op < static_cast<std::uint8_t>(circuit::CellKind::kind_count)) {
+      // Verified direct word operator: one bitwise evaluation covers all
+      // 64 lanes.
+      const circuit::NetId* ins = in_nets_ + node.in_begin;
+      LogicW in[SimGraph::kMaxLutInputs];
+      for (unsigned k = 0; k < node.in_count; ++k) in[k] = values[ins[k]];
+      ++counts_.direct;
+      return word_evaluate_direct(static_cast<circuit::CellKind>(op), in);
+    }
+    return evaluate_per_lane(node, values);
+  }
+
+  Counts take_counts() {
+    const Counts out = counts_;
+    counts_ = {};
+    return out;
+  }
+
+ private:
+  LogicW evaluate_per_lane(const SimGraph::Node& node, const LogicW* values);
+
+  const SimGraph::Node* nodes_;
+  const circuit::NetId* in_nets_;
+  const SimGraph::Lut* luts_;
+  const std::uint8_t* word_ops_;
+  // Word plan with every combinational instance demoted to the LUT path
+  // (force_lut_fallback only).
+  std::vector<std::uint8_t> forced_plan_;
+  // Reused scratch for the per-lane paths (no allocation per evaluation).
+  std::vector<LogicW> word_scratch_;
+  std::vector<circuit::Logic> lane_scratch_;
+  Counts counts_;
+};
+
+}  // namespace lv::sim

@@ -69,15 +69,6 @@ constexpr LogicW with_lane(LogicW w, unsigned lane, circuit::Logic v) {
   return w;
 }
 
-// Returns `w` with every lane in `mask` replaced by the known value `v`.
-constexpr LogicW with_lanes(LogicW w, std::uint64_t mask, circuit::Logic v) {
-  w.one &= ~mask;
-  w.x &= ~mask;
-  if (v == circuit::Logic::one) w.one |= mask;
-  else if (v == circuit::Logic::x) w.x |= mask;
-  return w;
-}
-
 // Lanes whose value is a known 0 / known 1 / either known value.
 constexpr std::uint64_t known_zeros(LogicW w) { return ~(w.one | w.x); }
 constexpr std::uint64_t known_ones(LogicW w) { return w.one; }

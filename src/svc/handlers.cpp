@@ -471,20 +471,11 @@ Response op_faults(ServiceContext& ctx, const Request& req) {
   const auto vecs = lv::sim::random_vectors(
       vectors, static_cast<int>(nl.primary_inputs().size()),
       static_cast<std::uint64_t>(args.number("--seed", 1)));
-  const auto kernel_name = args.text("--kernel").value_or("word");
-  if (kernel_name != "scalar" && kernel_name != "word")
-    throw chk::InputError(chk::codes::cli_option,
-                          "--kernel must be 'scalar' or 'word', got '" +
-                              kernel_name + "'");
-  const auto result = lv::sim::fault_coverage(
-      nl, vecs,
-      kernel_name == "word" ? lv::sim::FaultKernel::word
-                            : lv::sim::FaultKernel::scalar);
+  const auto result = lv::sim::fault_coverage(nl, vecs);
   appendf(r.out,
           "stuck-at faults: %zu; detected %zu; coverage %.2f%% "
-          "(%s kernel)\n",
-          result.total_faults, result.detected, result.coverage * 100.0,
-          kernel_name.c_str());
+          "(word kernel)\n",
+          result.total_faults, result.detected, result.coverage * 100.0);
   if (result.detected > 0) {
     // First-detection profile: how quickly the vector set earns its
     // coverage (cumulative detections over result.first_detections).

@@ -52,6 +52,23 @@ void expect_same_at_all_widths(Fn&& fn, Eq&& eq) {
   e::set_thread_count(0);  // restore the default for other tests
 }
 
+// Fault-campaign comparator: counts, first-detection profile and the
+// undetected list, fault by fault.
+void expect_same_coverage(const lv::sim::CoverageResult& ref,
+                          const lv::sim::CoverageResult& got,
+                          std::size_t width) {
+  EXPECT_EQ(ref.total_faults, got.total_faults) << width;
+  EXPECT_EQ(ref.detected, got.detected) << width;
+  EXPECT_EQ(ref.coverage, got.coverage) << width;
+  EXPECT_EQ(ref.first_detections, got.first_detections) << width;
+  ASSERT_EQ(ref.undetected.size(), got.undetected.size()) << width;
+  for (std::size_t i = 0; i < ref.undetected.size(); ++i) {
+    EXPECT_EQ(ref.undetected[i].net, got.undetected[i].net) << width;
+    EXPECT_EQ(ref.undetected[i].stuck_at, got.undetected[i].stuck_at)
+        << width;
+  }
+}
+
 // ---- primitive contracts ----------------------------------------------
 
 TEST(ParallelPrimitives, MapFillsEverySlotInIndexOrder) {
@@ -555,23 +572,9 @@ TEST(SweepDeterminism, FaultCampaign) {
   lv::circuit::build_ripple_carry_adder(nl, 8);
   const auto vecs = lv::sim::random_vectors(
       48, static_cast<int>(nl.primary_inputs().size()), 7);
-  for (const auto kernel :
-       {lv::sim::FaultKernel::scalar, lv::sim::FaultKernel::word}) {
-    expect_same_at_all_widths(
-        [&] { return lv::sim::fault_coverage(nl, vecs, kernel); },
-        [](const auto& ref, const auto& got, std::size_t width) {
-          EXPECT_EQ(ref.total_faults, got.total_faults) << width;
-          EXPECT_EQ(ref.detected, got.detected) << width;
-          EXPECT_EQ(ref.coverage, got.coverage) << width;
-          EXPECT_EQ(ref.first_detections, got.first_detections) << width;
-          ASSERT_EQ(ref.undetected.size(), got.undetected.size()) << width;
-          for (std::size_t i = 0; i < ref.undetected.size(); ++i) {
-            EXPECT_EQ(ref.undetected[i].net, got.undetected[i].net) << width;
-            EXPECT_EQ(ref.undetected[i].stuck_at, got.undetected[i].stuck_at)
-                << width;
-          }
-        });
-  }
+  expect_same_at_all_widths(
+      [&] { return lv::sim::fault_coverage(nl, vecs); },
+      expect_same_coverage);
 }
 
 TEST(SweepDeterminism, CharacterizeIvSweeps) {
@@ -614,23 +617,9 @@ TEST(ScheduleDeterminism, FaultCampaignBothKernels) {
   lv::circuit::build_carry_lookahead_adder(nl, 8);
   const auto vecs = lv::sim::random_vectors(
       40, static_cast<int>(nl.primary_inputs().size()), 11);
-  for (const auto kernel :
-       {lv::sim::FaultKernel::scalar, lv::sim::FaultKernel::word}) {
-    expect_same_at_odd_widths(
-        [&] { return lv::sim::fault_coverage(nl, vecs, kernel); },
-        [](const auto& ref, const auto& got, std::size_t width) {
-          EXPECT_EQ(ref.total_faults, got.total_faults) << width;
-          EXPECT_EQ(ref.detected, got.detected) << width;
-          EXPECT_EQ(ref.coverage, got.coverage) << width;
-          EXPECT_EQ(ref.first_detections, got.first_detections) << width;
-          ASSERT_EQ(ref.undetected.size(), got.undetected.size()) << width;
-          for (std::size_t i = 0; i < ref.undetected.size(); ++i) {
-            EXPECT_EQ(ref.undetected[i].net, got.undetected[i].net) << width;
-            EXPECT_EQ(ref.undetected[i].stuck_at, got.undetected[i].stuck_at)
-                << width;
-          }
-        });
-  }
+  expect_same_at_odd_widths(
+      [&] { return lv::sim::fault_coverage(nl, vecs); },
+      expect_same_coverage);
 }
 
 TEST(ScheduleDeterminism, Fig10EnergyRatioGrid) {

@@ -6,14 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cctype>
+#include <cstdint>
 #include <string>
 
 #include "circuit/generators.hpp"
+#include "exec/parallel.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/run_report.hpp"
 #include "opt/voltage_opt.hpp"
+#include "sim/bp_simulator.hpp"
 #include "sim/fault.hpp"
+#include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
 #include "tech/process.hpp"
 #include "timing/delay_model.hpp"
@@ -293,10 +298,45 @@ TEST_F(Obs, FaultCampaignCountersAreWidthInvariant) {
   const auto vecs = lv::sim::random_vectors(
       48, static_cast<int>(nl.primary_inputs().size()), 7);
   expect_deterministic_report([&] { lv::sim::fault_coverage(nl, vecs); });
+
+  const o::RunReport r = o::Registry::global().report();
+  ASSERT_EQ(r.counters.count("sim.fault_word_evals"), 1u);
+  EXPECT_GT(r.counters.at("sim.fault_word_evals"), 0u);
+  EXPECT_EQ(r.scheduling_counters.count("sim.fault_word_evals"), 0u);
+
+  // One vector: every batch evaluates every gate exactly once.
+  o::Registry::global().reset();
+  lv::sim::fault_coverage(nl, {0});
+  const std::size_t batches =
+      (lv::sim::enumerate_faults(nl).size() + 62) / 63;
+  EXPECT_EQ(o::Registry::global().counter("sim.fault_word_evals").value(),
+            batches * nl.instance_count());
 }
 
+namespace {
+
+// Simulates 32 random stimuli on each of 4 seeds, one simulator per
+// seed over one shared graph, the seeds fanned out over the exec pool:
+// each simulator's counter traffic depends only on the netlist and its
+// stimulus, so the report must not depend on the width.
+template <class Sim, class Drive>
+void simulate_per_seed(const lv::circuit::Netlist& nl, Drive&& drive) {
+  const auto graph = lv::sim::SimGraph::compile(nl);
+  lv::exec::parallel_for(4, [&](std::size_t seed) {
+    Sim sim{graph};
+    const auto vecs = lv::sim::random_vectors(
+        32, static_cast<int>(nl.primary_inputs().size()), 9 + seed);
+    for (const auto v : vecs) {
+      drive(sim, v);
+      sim.settle();
+    }
+  });
+}
+
+}  // namespace
+
 TEST_F(Obs, CompiledKernelCountersArePresentAndWidthInvariant) {
-  // The compiled kernel's new instrumentation — LUT vs generic evaluation
+  // The compiled kernel's instrumentation — LUT vs generic evaluation
   // split and calendar-queue wrap count — must be Stability::exact: both
   // depend only on the netlist, stimulus, and delay model, never on
   // thread scheduling. Presence in `counters` (not scheduling_counters)
@@ -305,10 +345,13 @@ TEST_F(Obs, CompiledKernelCountersArePresentAndWidthInvariant) {
   // compilation was timed.
   lv::circuit::Netlist nl;
   lv::circuit::build_ripple_carry_adder(nl, 8);
-  const auto vecs = lv::sim::random_vectors(
-      32, static_cast<int>(nl.primary_inputs().size()), 9);
-  expect_deterministic_report(
-      [&] { lv::sim::fault_coverage(nl, vecs, lv::sim::FaultKernel::scalar); });
+  const lv::circuit::Bus inputs = nl.primary_inputs();
+  expect_deterministic_report([&] {
+    simulate_per_seed<lv::sim::Simulator>(
+        nl, [&](lv::sim::Simulator& sim, std::uint64_t v) {
+          sim.set_bus(inputs, v);
+        });
+  });
 
   // The harness left the registry holding the width-8 run; the named
   // counters must be there with real traffic.
@@ -324,14 +367,21 @@ TEST_F(Obs, CompiledKernelCountersArePresentAndWidthInvariant) {
 
 TEST_F(Obs, WordKernelCountersArePresentAndWidthInvariant) {
   // Same contract for the bit-parallel kernel's "sim.word_*" family: all
-  // Stability::exact (the batch fold is serial in fault order and each
-  // batch's event traffic depends only on the netlist and stimulus).
+  // Stability::exact, since each simulator's event traffic depends only
+  // on the netlist and stimulus.
   lv::circuit::Netlist nl;
   lv::circuit::build_ripple_carry_adder(nl, 8);
-  const auto vecs = lv::sim::random_vectors(
-      32, static_cast<int>(nl.primary_inputs().size()), 9);
-  expect_deterministic_report(
-      [&] { lv::sim::fault_coverage(nl, vecs, lv::sim::FaultKernel::word); });
+  const lv::circuit::Bus inputs = nl.primary_inputs();
+  expect_deterministic_report([&] {
+    simulate_per_seed<lv::sim::BitParallelSimulator>(
+        nl, [&](lv::sim::BitParallelSimulator& sim, std::uint64_t v) {
+          // Lane L drives v rotated by L: 64 distinct stimuli per settle.
+          std::uint64_t lanes[lv::sim::kLaneCount];
+          for (unsigned l = 0; l < lv::sim::kLaneCount; ++l)
+            lanes[l] = std::rotl(v, static_cast<int>(l));
+          sim.set_bus(inputs, lanes);
+        });
+  });
 
   const o::RunReport r = o::Registry::global().report();
   ASSERT_EQ(r.counters.count("sim.word_events_processed"), 1u);

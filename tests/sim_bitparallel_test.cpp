@@ -4,10 +4,11 @@
 // BitParallelSimulator must reproduce, exactly, the trajectory and
 // activity accounting that a scalar Simulator produces when fed that
 // lane's stimulus alone — on every fixture, every delay model, with
-// X-carrying lanes, lane-isolated stuck-at injection, and both word
-// evaluation paths (verified direct operators and the per-lane LUT
-// fallback). No tolerances: the word kernel shares the scalar kernel's
-// (time, seq) event order, so equality is exact, not statistical.
+// X-carrying lanes, and both word evaluation paths (verified direct
+// operators and the per-lane LUT fallback). No tolerances: the word
+// kernel shares the scalar kernel's (time, seq) event order, so equality
+// is exact, not statistical. The levelized fault kernel, which shares
+// the word evaluation, is pinned against a serial interpreted oracle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +16,9 @@
 
 #include "circuit/generators.hpp"
 #include "circuit/netlist.hpp"
+#include "circuit/netlist_io.hpp"
 #include "exec/thread_pool.hpp"
+#include "reference_simulator.hpp"
 #include "sim/bp_simulator.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulator.hpp"
@@ -232,70 +235,103 @@ TEST(SimBitParallel, XCarryingLanesStayLaneExact) {
   }
 }
 
-TEST(SimBitParallel, ForceLanesIsolatesInjectedFaults) {
-  // A stuck-at asserted with force_lanes on lane 3 must match a scalar
-  // FaultySimulator on lane 3 and leave lane 0 identical to the good
-  // machine.
-  c::Netlist nl;
-  const auto ports = c::build_ripple_carry_adder(nl, 8);
-  const c::NetId victim = ports.sum[2];
-  const auto vecs_a = s::random_vectors(20, 8, 91);
-  const auto vecs_b = s::random_vectors(20, 8, 92);
+namespace {
 
-  s::BitParallelSimulator word{nl, {}, {.per_lane_stats = true}};
-  const auto reassert = [&] {
-    if (s::lane_of(word.value(victim), 3) != c::Logic::one)
-      word.force_lanes(victim, std::uint64_t{1} << 3, c::Logic::one);
-  };
-  reassert();
-  s::Simulator good{nl};
-  s::FaultySimulator bad{nl, {victim, c::Logic::one}};
-  for (std::size_t i = 0; i < vecs_a.size(); ++i) {
-    word.set_bus_broadcast(ports.a, vecs_a[i]);
-    word.set_bus_broadcast(ports.b, vecs_b[i]);
-    word.settle();
-    reassert();
-    good.set_bus(ports.a, vecs_a[i]);
-    good.set_bus(ports.b, vecs_b[i]);
+// Serial stuck-at grader over the interpreted reference engine, the
+// oracle for fault_coverage: one fresh machine per fault; after each
+// vector settles, the stuck value is forced and propagated, and the
+// outputs are compared with the good machine's.
+s::CoverageResult oracle_coverage(const c::Netlist& nl,
+                                  const std::vector<std::uint64_t>& vecs) {
+  const c::Bus inputs = nl.primary_inputs();
+  const c::Bus outputs = nl.primary_outputs();
+  std::vector<std::uint64_t> golden;
+  s::testing::ReferenceSimulator good{nl};
+  for (const auto v : vecs) {
+    good.set_bus(inputs, v);
     good.settle();
-    bad.set_bus(ports.a, vecs_a[i]);
-    bad.set_bus(ports.b, vecs_b[i]);
-    bad.settle();
-    std::uint64_t good_out = 0, bad_out = 0, lane0 = 0, lane3 = 0;
-    ASSERT_TRUE(good.read_bus(ports.sum, good_out));
-    ASSERT_TRUE(word.read_bus(ports.sum, 0, lane0));
-    EXPECT_EQ(lane0, good_out) << "vector " << i;
-    ASSERT_TRUE(bad.read_bus(ports.sum, bad_out));
-    ASSERT_TRUE(word.read_bus(ports.sum, 3, lane3));
-    EXPECT_EQ(lane3, bad_out) << "vector " << i;
+    std::uint64_t out = 0;
+    EXPECT_TRUE(good.read_bus(outputs, out));
+    golden.push_back(out);
   }
+  s::CoverageResult r;
+  const auto faults = s::enumerate_faults(nl);
+  r.total_faults = faults.size();
+  r.first_detections.assign(vecs.size(), 0);
+  for (const s::Fault& f : faults) {
+    s::testing::ReferenceSimulator bad{nl};
+    std::size_t i = 0;
+    for (; i < vecs.size(); ++i) {
+      bad.set_bus(inputs, vecs[i]);
+      bad.settle();
+      bad.force_net(f.net, f.stuck_at);
+      std::uint64_t out = 0;
+      if (!bad.read_bus(outputs, out) || out != golden[i]) break;
+    }
+    if (i < vecs.size()) {
+      ++r.detected;
+      ++r.first_detections[i];
+    } else {
+      r.undetected.push_back(f);
+    }
+  }
+  r.coverage = static_cast<double>(r.detected) /
+               static_cast<double>(r.total_faults);
+  return r;
 }
 
+}  // namespace
+
 TEST(SimBitParallel, FaultKernelsAgreeExactly) {
-  // The word campaign (63 fault machines per pass) must reproduce the
-  // scalar serial campaign verbatim: counts, undetected list, and the
-  // per-vector first-detection profile.
-  for (const bool multiplier : {false, true}) {
+  // The levelized 64-lane campaign must reproduce the serial interpreted
+  // oracle verbatim: counts, undetected list, and the per-vector
+  // first-detection profile.
+  struct Case {
+    const char* name;
     c::Netlist nl;
-    if (multiplier)
-      c::build_array_multiplier(nl, 4);
-    else
-      c::build_ripple_carry_adder(nl, 8);
-    const auto vecs = s::random_vectors(
-        40, static_cast<int>(nl.primary_inputs().size()), 17);
-    const auto scalar = s::fault_coverage(nl, vecs, s::FaultKernel::scalar);
-    const auto word = s::fault_coverage(nl, vecs, s::FaultKernel::word);
-    EXPECT_EQ(word.total_faults, scalar.total_faults);
-    EXPECT_EQ(word.detected, scalar.detected);
-    EXPECT_EQ(word.coverage, scalar.coverage);
-    ASSERT_EQ(word.undetected.size(), scalar.undetected.size());
-    for (std::size_t k = 0; k < word.undetected.size(); ++k) {
-      EXPECT_EQ(word.undetected[k].net, scalar.undetected[k].net);
-      EXPECT_EQ(word.undetected[k].stuck_at, scalar.undetected[k].stuck_at);
+    std::vector<std::uint64_t> vecs;
+  };
+  std::vector<Case> cases;
+  const auto random_case = [&](const char* name, auto build) {
+    Case k{name, {}, {}};
+    build(k.nl);
+    k.vecs = s::random_vectors(
+        40, static_cast<int>(k.nl.primary_inputs().size()), 17);
+    cases.push_back(std::move(k));
+  };
+  random_case("rca8",
+              [](c::Netlist& nl) { c::build_ripple_carry_adder(nl, 8); });
+  random_case("cla8",
+              [](c::Netlist& nl) { c::build_carry_lookahead_adder(nl, 8); });
+  random_case("mul4",
+              [](c::Netlist& nl) { c::build_array_multiplier(nl, 4); });
+  random_case("alu4", [](c::Netlist& nl) { c::build_alu(nl, 4); });  // MUX2
+  random_case("csel8", [](c::Netlist& nl) {  // TIE0 and TIE1 carry-ins
+    c::build_carry_select_adder(nl, 8);
+  });
+  // Net ids out of topological order: y is declared before m, its
+  // driver's input, so a fault machine that re-propagates m after y was
+  // forced can lose y's stuck value.
+  const char* rev =
+      "lvnet 1\ninput a\ninput b\nnet y\nnet m\n"
+      "gate g1 AND2 m a b\ngate g2 BUF y m\noutput y\n";
+  for (const std::size_t n : {std::size_t{16}, std::size_t{64}})
+    cases.push_back({"rev", c::parse_netlist_text(rev),
+                     s::random_vectors(n, 2, 3)});
+
+  for (const Case& k : cases) {
+    SCOPED_TRACE(::testing::Message() << k.name << " x" << k.vecs.size());
+    const auto want = oracle_coverage(k.nl, k.vecs);
+    const auto got = s::fault_coverage(k.nl, k.vecs);
+    EXPECT_EQ(got.total_faults, want.total_faults);
+    EXPECT_EQ(got.detected, want.detected);
+    EXPECT_EQ(got.coverage, want.coverage);
+    ASSERT_EQ(got.undetected.size(), want.undetected.size());
+    for (std::size_t f = 0; f < got.undetected.size(); ++f) {
+      EXPECT_EQ(got.undetected[f].net, want.undetected[f].net);
+      EXPECT_EQ(got.undetected[f].stuck_at, want.undetected[f].stuck_at);
     }
-    ASSERT_EQ(word.first_detections.size(), vecs.size());
-    ASSERT_EQ(scalar.first_detections.size(), vecs.size());
-    EXPECT_EQ(word.first_detections, scalar.first_detections);
+    EXPECT_EQ(got.first_detections, want.first_detections);
   }
 }
 
@@ -421,7 +457,7 @@ TEST(SimBitParallel, RejectsBadLaneAndBusUsage) {
   const std::vector<std::uint64_t> too_many(65, 0);
   EXPECT_THROW(sim.set_bus(ports.a, too_many), lv::util::Error);
   EXPECT_THROW(sim.set_input(ports.sum[0], c::Logic::one), lv::util::Error);
-  EXPECT_THROW(sim.force_lanes(static_cast<c::NetId>(nl.net_count()), 1,
-                               c::Logic::one),
+  EXPECT_THROW(sim.force_net(static_cast<c::NetId>(nl.net_count()),
+                             c::Logic::one),
                lv::util::Error);
 }

@@ -92,8 +92,6 @@ run(profile 0 profile crc32)
 run(techfile 0 techfile soias)
 run(glitch 0 glitch adder.lvnet soi_low_vt --vectors 200 --seed 3)
 run(faults_word 0 faults adder.lvnet --vectors 64 --seed 5)
-run(faults_scalar 0 faults adder.lvnet --vectors 64 --seed 5
-    --kernel scalar)
 run(paths 0 paths adder.lvnet soi_low_vt --k 3)
 run(sizing 0 sizing adder.lvnet soi_low_vt)
 run(optimize 0 optimize adder.lvnet -o opt.lvnet)

@@ -197,7 +197,7 @@ void usage() {
       "          [--gap N] [--blocks N]\n"
       "  techfile <tech>\n"
       "  glitch <netlist> <tech> [--vectors N] [--vdd V]\n"
-      "  faults <netlist> [--vectors N] [--kernel word|scalar]\n"
+      "  faults <netlist> [--vectors N]\n"
       "  paths <netlist> <tech> [--k N] [--vdd V]\n"
       "  sizing <netlist> <tech> [--margin M] [--min-size S]\n"
       "  optimize <netlist> [-o file]\n"
