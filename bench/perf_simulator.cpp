@@ -1,12 +1,13 @@
-// P1 — engine throughput: event-driven logic simulation, the LVR32
-// instruction-set simulator, and the stuck-at fault campaign's thread
-// scaling (google-benchmark; informational).
+// P1 — engine throughput: event-driven logic simulation, the activity
+// replay's and the stuck-at fault campaign's thread scaling, and the
+// LVR32 instruction-set simulator (google-benchmark).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "circuit/generators.hpp"
+#include "exec/parallel.hpp"
 #include "exec/thread_pool.hpp"
 #include "isa/assembler.hpp"
 #include "isa/machine.hpp"
@@ -118,6 +119,45 @@ void BM_AdderWorkloadWord(benchmark::State& state) {
       state.iterations() * static_cast<std::int64_t>(a.size()));
 }
 BENCHMARK(BM_AdderWorkloadWord);
+
+// Activity replay as `lvtool simulate` runs it (sim::replay_vectors)
+// over an 8-bit array multiplier, at the worker width given by the
+// argument: the vectors are split over the workers, each seated on its
+// predecessor vector. CI (bench-smoke) gates threads:1 / threads:4 >=
+// 2.0 within one run. Every width must reproduce the serial replay's
+// ActivityStats before anything is timed.
+void BM_ActivityReplay(benchmark::State& state, int width) {
+  lv::circuit::Netlist nl;
+  lv::circuit::build_array_multiplier(nl, width);
+  const lv::circuit::Bus inputs = nl.primary_inputs();
+  lv::sim::Simulator start{nl};
+  start.set_bus(inputs, 0);
+  start.settle();
+  start.clear_stats();
+  const auto vecs =
+      lv::sim::random_vectors(1000, static_cast<int>(inputs.size()), 5);
+  const lv::exec::ParallelOptions opt{
+      .threads = static_cast<std::size_t>(state.range(0))};
+  const auto serial =
+      lv::sim::replay_vectors(start, inputs, vecs, {.threads = 1});
+  const auto split = lv::sim::replay_vectors(start, inputs, vecs, opt);
+  bool same = split.cycles() == serial.cycles();
+  for (lv::circuit::NetId n = 0; same && n < nl.net_count(); ++n)
+    same = split.transitions(n) == serial.transitions(n) &&
+           split.settled_changes(n) == serial.settled_changes(n);
+  if (!same) {
+    state.SkipWithError("the split replay changed the activity");
+    return;
+  }
+  for (auto _ : state) {
+    const auto stats = lv::sim::replay_vectors(start, inputs, vecs, opt);
+    benchmark::DoNotOptimize(stats.cycles());
+  }
+  state.SetItemsProcessed(
+      state.iterations() * static_cast<std::int64_t>(vecs.size()));
+}
+BENCHMARK_CAPTURE(BM_ActivityReplay, mul8, 8)->ArgName("threads")
+    ->Arg(1)->Arg(4)->UseRealTime();
 
 void BM_MachineIdeaBlock(benchmark::State& state) {
   const auto workload = lv::workloads::idea_workload(1);

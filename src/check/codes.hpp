@@ -31,6 +31,7 @@ inline constexpr char net_unknown_net[] = "net.unknown_net";
 inline constexpr char net_multi_driver[] = "net.multi_driver";
 inline constexpr char net_arity[] = "net.arity";  // pin count vs catalog
 inline constexpr char net_reserved_name[] = "net.reserved_name";  // "module=..."
+inline constexpr char net_too_large[] = "net.too_large";  // past the kernel's net-id range
 
 // ---- netlist: semantics (validators) ----------------------------------
 inline constexpr char net_cycle[] = "net.cycle";      // combinational loop

@@ -9,6 +9,9 @@
 //                                         `mk()` state per worker (used
 //                                         for AnalysisContext clones and
 //                                         per-worker simulators)
+//   parallel_for_stateful(n, mk, fn)    — fn(state, i), same states, for
+//                                         loops that accumulate into the
+//                                         state instead of per-index slots
 //
 // plus parallel_sum, the ordered-reduction helper.
 //
@@ -204,6 +207,17 @@ std::vector<T> parallel_map_stateful(std::size_t n, MakeState&& make,
   detail::drive(n, opt, std::forward<MakeState>(make),
                 [&](auto& state, std::size_t i) { out[i] = fn(state, i); });
   return out;
+}
+
+// Per-worker state without per-index result slots: the body accumulates
+// into its state (the activity replay's per-worker simulators). A state
+// sees its indices in increasing order; whatever it accumulates must be
+// folded by the caller in a way that does not depend on which worker
+// served which index (integer sums do not).
+template <class MakeState, class Fn>
+void parallel_for_stateful(std::size_t n, MakeState&& make, Fn&& fn,
+                           const ParallelOptions& opt = {}) {
+  detail::drive(n, opt, std::forward<MakeState>(make), std::forward<Fn>(fn));
 }
 
 // Ordered reduction: sum of fn(i) over [0, n), folded in index order on

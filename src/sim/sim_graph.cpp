@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <bitset>
+#include <string>
 
+#include "check/codes.hpp"
+#include "check/diag.hpp"
 #include "obs/metrics.hpp"
 #include "sim/graph_access.hpp"
 #include "sim/word_logic.hpp"
@@ -135,8 +138,18 @@ bool detail::GraphAccess::word_direct_verified(circuit::CellKind kind) {
   return verified_word_kinds()[static_cast<std::size_t>(kind)];
 }
 
+void SimGraph::require_net_capacity(std::size_t net_count) {
+  if (net_count >= kMaxNets)
+    throw check::InputError(
+        check::codes::net_too_large,
+        "netlist has " + std::to_string(net_count) +
+            " nets; the simulator supports fewer than " +
+            std::to_string(kMaxNets));
+}
+
 SimGraph::SimGraph(const circuit::Netlist& netlist) : netlist_{netlist} {
   lv::obs::ScopedTimer compile_timer{t_graph_compile()};
+  require_net_capacity(netlist.net_count());
   netlist.validate();
   net_count_ = netlist.net_count();
   const std::size_t inst_count = netlist.instance_count();

@@ -61,6 +61,12 @@ class SimGraph {
   static constexpr std::uint8_t kNoLut = 0xff;
   using Lut = std::array<circuit::Logic, 256>;
 
+  // The scalar event queue packs net ids into 30 bits
+  // (sim/calendar_queue.hpp), so a graph holds fewer than 2^30 nets.
+  static constexpr std::size_t kMaxNets = std::size_t{1} << 30;
+  // Throws a coded InputError (net.too_large) unless `net_count` fits.
+  static void require_net_capacity(std::size_t net_count);
+
   // Word-level evaluation plan (bit-parallel kernel): word_ops()[i] is
   // the CellKind evaluated directly as bitwise ops on whole 64-lane
   // words, or one of the sentinels below. Direct kinds are admitted only

@@ -14,6 +14,9 @@ using circuit::InstanceId;
 using circuit::Logic;
 using circuit::NetId;
 
+static_assert(SimGraph::kMaxNets == std::size_t{ScalarEvent::kNetMask} + 1,
+              "every graph net id must fit a ScalarEvent");
+
 namespace {
 
 // Global simulator metrics (lv::obs). Every counter here is
@@ -104,6 +107,17 @@ std::uint64_t ActivityStats::total_transitions() const {
   return total;
 }
 
+ActivityStats& ActivityStats::operator+=(const ActivityStats& other) {
+  u::require(other.transitions_.size() == transitions_.size(),
+             "ActivityStats: merging stats of different netlists");
+  for (std::size_t n = 0; n < transitions_.size(); ++n) {
+    transitions_[n] += other.transitions_[n];
+    settled_changes_[n] += other.settled_changes_[n];
+  }
+  cycles_ += other.cycles_;
+  return *this;
+}
+
 Simulator::Simulator(const circuit::Netlist& netlist, SimConfig config)
     : Simulator{SimGraph::compile(netlist), config} {}
 
@@ -168,25 +182,29 @@ void Simulator::schedule(NetId net, Logic value, std::uint64_t time) {
   if (queue_.size() > queue_hwm_) queue_hwm_ = queue_.size();
 }
 
-void Simulator::evaluate_instance(InstanceId id, std::uint64_t now) {
-  const SimGraph::Node& node = nodes_[id];
+Logic Simulator::evaluate(const SimGraph::Node& node) {
   const NetId* ins = in_nets_ + node.in_begin;
-  Logic out;
   if (node.lut != SimGraph::kNoLut) {
     // Pack the 2-bit input codes into a table index: one shift/or per
     // pin, no allocation, no cell_info lookup.
     unsigned idx = 0;
     for (unsigned k = 0; k < node.in_count; ++k)
       idx |= static_cast<unsigned>(values_[ins[k]]) << (2u * k);
-    out = luts_[node.lut][idx];
-    ++lut_evals_;
-  } else {
-    for (unsigned k = 0; k < node.in_count; ++k)
-      eval_scratch_[k] = values_[ins[k]];
-    out = circuit::evaluate_cell(static_cast<CellKind>(node.kind),
-                                 {eval_scratch_.data(), node.in_count});
-    ++generic_evals_;
+    return luts_[node.lut][idx];
   }
+  for (unsigned k = 0; k < node.in_count; ++k)
+    eval_scratch_[k] = values_[ins[k]];
+  return circuit::evaluate_cell(static_cast<CellKind>(node.kind),
+                                {eval_scratch_.data(), node.in_count});
+}
+
+void Simulator::evaluate_instance(InstanceId id, std::uint64_t now) {
+  const SimGraph::Node& node = nodes_[id];
+  const Logic out = evaluate(node);
+  if (node.lut != SimGraph::kNoLut)
+    ++lut_evals_;
+  else
+    ++generic_evals_;
   if (out == scheduled_[node.output]) return;
   schedule(node.output, out, now + delay_[id]);
 }
@@ -213,10 +231,13 @@ std::uint64_t Simulator::drain_events() {
   const std::uint64_t budget = config_.max_events_per_settle;
   while (!queue_.empty()) {
     const CalendarQueue::Entry e = queue_.pop();
-    apply_event(e.net, e.value, queue_.time());
+    apply_event(e.net(), e.value(), queue_.time());
     if (++processed > budget)
       throw u::Error("Simulator: event budget exceeded (oscillation?)");
   }
+  // Every drain starts at tick 0, so sim.wheel_wraps is a per-drain sum
+  // whatever state the simulator was seated on.
+  queue_.rebase();
   if (obs::enabled()) {
     c_events().add(processed);
     c_lut_evals().add(lut_evals_);
@@ -302,6 +323,27 @@ void Simulator::reset_flops(Logic value) {
   }
   drain_events();
   sync_settled();
+}
+
+void Simulator::seat(const circuit::Bus& bus, std::uint64_t value) {
+  u::require(queue_.empty() && dirty_nets_.empty(),
+             "Simulator: seat needs a quiescent simulator");
+  u::require(graph_->sequential_instances().empty(),
+             "Simulator: seat needs a combinational netlist");
+  const auto place = [this](NetId net, Logic v) {
+    values_[net] = v;
+    scheduled_[net] = v;
+    settled_[net] = v;
+  };
+  unpack_bus(bus, value, "Simulator: seat", [&](NetId net, Logic v) {
+    if (!graph_->is_primary_input(net)) {
+      const auto& n = netlist().net(net);  // throws for out-of-range nets
+      throw u::Error("Simulator: seat on non-input net '" + n.name + "'");
+    }
+    place(net, v);
+  });
+  for (const InstanceId id : netlist().topo_order())
+    place(nodes_[id].output, evaluate(nodes_[id]));
 }
 
 void Simulator::force_net(NetId net, Logic value) {

@@ -62,6 +62,10 @@ class ActivityStats {
 
   std::uint64_t total_transitions() const;
 
+  // Adds another run's counts (same netlist) into this one: the merge
+  // step of a replay split across simulators.
+  ActivityStats& operator+=(const ActivityStats& other);
+
   // Bulk-load counters (used by the activity text format in
   // sim/activity_io.hpp to rehydrate stats recorded in a previous run).
   void set_cycles(std::uint64_t cycles) { cycles_ = cycles; }
@@ -90,6 +94,9 @@ class Simulator {
   // over one netlist (sweeps, server sessions).
   explicit Simulator(std::shared_ptr<const SimGraph> graph,
                      SimConfig config = {});
+  // Copies share the graph and continue independently from the same
+  // state (the activity replay gives each worker a copy of one primed
+  // simulator).
 
   const circuit::Netlist& netlist() const { return graph_->netlist(); }
   const SimGraph& graph() const { return *graph_; }
@@ -115,6 +122,16 @@ class Simulator {
   // Forces all flop outputs (and their fanout cones) to a known state.
   void reset_flops(circuit::Logic value = circuit::Logic::zero);
 
+  // Seats a combinational simulator directly on the quiescent state that
+  // settling `bus` = `value` reaches (other primary inputs keep their
+  // present values): one levelized pass over the netlist's topological
+  // order through the same evaluation tables, with no events, no
+  // statistics and no obs traffic. A combinational netlist's settled
+  // state is a function of its inputs alone, so a seated simulator's
+  // next settle() is event-for-event the one a serial replay would run.
+  // Requires a quiescent simulator (no pending events, cycle closed).
+  void seat(const circuit::Bus& bus, std::uint64_t value);
+
   // Forces one net to a value and propagates its cone to quiescence
   // (fault injection / debug). The net keeps its driver, so a subsequent
   // driver re-evaluation can overwrite the forced value — a fault harness
@@ -133,6 +150,8 @@ class Simulator {
 
  private:
   void schedule(circuit::NetId net, circuit::Logic value, std::uint64_t time);
+  // The instance's output for the present net values (uncounted).
+  circuit::Logic evaluate(const SimGraph::Node& node);
   void evaluate_instance(circuit::InstanceId id, std::uint64_t now);
   void apply_event(circuit::NetId net, circuit::Logic value,
                    std::uint64_t time);

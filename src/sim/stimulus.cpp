@@ -1,7 +1,12 @@
 #include "sim/stimulus.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <limits>
+#include <mutex>
+#include <string>
 
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
 
@@ -139,6 +144,69 @@ void run_two_operand_workload(BitParallelSimulator& sim,
     sim.settle();
   }
   sim.set_active_lanes(kAllLanes);
+}
+
+ActivityStats replay_vectors(const Simulator& primed,
+                             const circuit::Bus& inputs,
+                             const std::vector<std::uint64_t>& vectors,
+                             const exec::ParallelOptions& options) {
+  const bool clocked = !primed.graph().sequential_instances().empty();
+  exec::ParallelOptions opt = options;
+  if (clocked)
+    opt.threads = 1;
+  else
+    primed.netlist().topo_order();  // build the lazy cache seat() reads
+                                    // before workers share it
+  constexpr std::size_t kUnknown = std::numeric_limits<std::size_t>::max();
+  struct Worker {
+    Simulator sim;
+    std::size_t next = 0;  // the index whose predecessor `sim` holds
+    std::uint64_t seats = 0;
+  };
+  std::deque<Worker> workers;  // stable addresses while workers join
+  std::mutex join_mu;
+  exec::parallel_for_stateful(
+      vectors.size(),
+      [&] {
+        Simulator sim = primed;
+        sim.clear_stats();
+        const std::lock_guard<std::mutex> lock{join_mu};
+        return &workers.emplace_back(Worker{std::move(sim)});
+      },
+      [&](Worker* w, std::size_t i) {
+        try {
+          if (w->next != i) {
+            w->sim.seat(inputs, vectors[i - 1]);
+            ++w->seats;
+          }
+          w->sim.set_bus(inputs, vectors[i]);
+          if (clocked)
+            w->sim.clock_cycle();
+          else
+            w->sim.settle();
+          w->next = i + 1;
+        } catch (const std::exception& e) {
+          // The simulator's state is unknown now; a later index reseats
+          // (and fails too if events are still pending). parallel_for
+          // reports the lowest failing index, as the serial loop would.
+          w->next = kUnknown;
+          throw u::Error("replay vector " + std::to_string(i) + ": " +
+                         e.what());
+        }
+      },
+      opt);
+  ActivityStats total{primed.graph().net_count()};
+  std::uint64_t seats = 0;
+  for (const Worker& w : workers) {
+    total += w.sim.stats();
+    seats += w.seats;
+  }
+  if (obs::enabled()) {
+    static auto& c_seats = obs::Registry::global().counter(
+        "sim.replay_seats", obs::Stability::scheduling);
+    c_seats.add(seats);
+  }
+  return total;
 }
 
 lv::util::Histogram activity_histogram(const circuit::Netlist& netlist,

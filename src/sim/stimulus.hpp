@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "exec/parallel.hpp"
 #include "sim/bp_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "util/statistics.hpp"
@@ -58,6 +59,31 @@ void run_two_operand_workload(BitParallelSimulator& sim,
                               const circuit::Bus& a, const circuit::Bus& b,
                               const std::vector<std::uint64_t>& a_vectors,
                               const std::vector<std::uint64_t>& b_vectors);
+
+// Activity replay of `vectors` on `inputs` (lvtool simulate / glitch):
+// vector i is driven onto the bus and settled, or clocked in on a
+// netlist with flops, and the returned ActivityStats count exactly those
+// vectors.size() cycles, bit-identical to running that loop serially on
+// a copy of `primed` with cleared statistics. `primed` holds the state
+// the replay starts from and is not modified.
+//
+// A combinational replay splits the indices over options.threads
+// workers (exec::parallel_for_stateful, guided claims), one copy of
+// `primed` per worker. A worker whose next index i does not follow the
+// one it just finished first seats its copy on the settled state of
+// vector i-1 (Simulator::seat); a combinational netlist's settled state
+// depends only on its inputs, so every counted settle sees the same
+// (previous, next) vector pair, and hence the same events, as the
+// serial loop. The workers' integer counts are summed at the end. A
+// clocked netlist carries flop state from vector to vector and always
+// replays at width 1, as does any call from inside a parallel region.
+// Width 1 seats nothing. Seats are counted in the scheduling-stability
+// counter sim.replay_seats. An error is rethrown as "replay vector i:
+// <what>" for the lowest failing index i, at any width.
+ActivityStats replay_vectors(const Simulator& primed,
+                             const circuit::Bus& inputs,
+                             const std::vector<std::uint64_t>& vectors,
+                             const exec::ParallelOptions& options = {});
 
 // Builds the Figs. 8-9 histogram: per-node transition probability
 // (toggles per cycle) over all gate-driven nets (primary inputs and the

@@ -116,12 +116,24 @@ store::Key128 process_memo_key(const Request& req, const std::string& name) {
   return h.digest();
 }
 
-// Random stimulus over all primary inputs; returns the simulator with
-// accumulated statistics. Runs over the design's shared compiled graph,
-// so a session's repeat simulations skip graph compilation.
-lv::sim::Simulator simulate_random(const Session::Design& design,
-                                   std::size_t vectors, std::uint64_t seed,
-                                   lv::sim::VcdRecorder* vcd = nullptr) {
+// `--vectors N`: a count, so an integer >= 0 (a coded cli.number input
+// error otherwise, never a silent truncation of 2.5 or a cast of -3).
+std::size_t vector_count(const Params& args, long long fallback) {
+  const long long n = args.integer("--vectors", fallback);
+  if (n < 0)
+    throw chk::InputError(chk::codes::cli_number,
+                          "--vectors must be >= 0, got " + std::to_string(n));
+  return static_cast<std::size_t>(n);
+}
+
+// Random stimulus over all primary inputs; returns the accumulated
+// statistics. Runs over the design's shared compiled graph, so a
+// session's repeat simulations skip graph compilation, and replays a
+// combinational design across the --threads workers
+// (lv::sim::replay_vectors; identical stats at any width).
+lv::sim::ActivityStats simulate_random(const Session::Design& design,
+                                       std::size_t vectors,
+                                       std::uint64_t seed) {
   const c::Netlist& nl = design.netlist();
   lv::sim::Simulator sim{design.graph()};
   const c::Bus inputs = nl.primary_inputs();
@@ -132,18 +144,10 @@ lv::sim::Simulator simulate_random(const Session::Design& design,
     sim.reset_flops(c::Logic::zero);
   sim.settle();
   sim.clear_stats();
-  const auto vecs = lv::sim::random_vectors(
-      vectors, static_cast<int>(inputs.size()), seed);
-  const bool clocked = !nl.sequential_instances().empty();
-  for (const auto v : vecs) {
-    sim.set_bus(inputs, v);
-    if (clocked)
-      sim.clock_cycle();
-    else
-      sim.settle();
-    if (vcd != nullptr) vcd->sample();
-  }
-  return sim;
+  return lv::sim::replay_vectors(
+      sim, inputs,
+      lv::sim::random_vectors(vectors, static_cast<int>(inputs.size()),
+                              seed));
 }
 
 // ---- operations -------------------------------------------------------
@@ -212,8 +216,7 @@ Response op_simulate(ServiceContext& ctx, const Request& req) {
   u::require(args.positional.size() == 1, "simulate needs <netlist>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
-  const auto vectors = static_cast<std::size_t>(
-      args.number("--vectors", 1000));
+  const std::size_t vectors = vector_count(args, 1000);
   const auto seed = static_cast<std::uint64_t>(args.number("--seed", 1));
 
   const auto kernel = args.text("--kernel").value_or("scalar");
@@ -242,7 +245,7 @@ Response op_simulate(ServiceContext& ctx, const Request& req) {
           std::vector<std::uint64_t>(vecs.size(), 0));
       return sim.stats();
     }
-    return simulate_random(*design, vectors, seed).stats();
+    return simulate_random(*design, vectors, seed);
   }();
   appendf(r.out,
           "simulated %llu cycles (%s kernel); total transitions %llu; "
@@ -441,14 +444,13 @@ Response op_glitch(ServiceContext& ctx, const Request& req) {
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
   const auto tech = load_process(ctx, req, args.positional[1]);
-  const auto vectors =
-      static_cast<std::size_t>(args.number("--vectors", 2000));
-  const auto sim = simulate_random(
+  const std::size_t vectors = vector_count(args, 2000);
+  const auto stats = simulate_random(
       *design, vectors, static_cast<std::uint64_t>(args.number("--seed", 1)));
   lv::power::OperatingPoint op;
   op.vdd = args.positive("--vdd", tech->vdd_nominal);
   const auto report =
-      lv::power::analyze_glitch_power(nl, *tech, op, sim.stats());
+      lv::power::analyze_glitch_power(nl, *tech, op, stats);
   appendf(r.out, "functional power: %.4g W\n", report.functional_power);
   appendf(r.out, "glitch power:     %.4g W (%.1f%% of switching)\n",
           report.glitch_power, report.glitch_fraction * 100.0);
@@ -466,8 +468,7 @@ Response op_faults(ServiceContext& ctx, const Request& req) {
   u::require(args.positional.size() == 1, "faults needs <netlist>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
-  const auto vectors =
-      static_cast<std::size_t>(args.number("--vectors", 256));
+  const std::size_t vectors = vector_count(args, 256);
   const auto vecs = lv::sim::random_vectors(
       vectors, static_cast<int>(nl.primary_inputs().size()),
       static_cast<std::uint64_t>(args.number("--seed", 1)));

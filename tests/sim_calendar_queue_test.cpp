@@ -1,9 +1,11 @@
 // Unit tests for the calendar-queue (timing-wheel) scheduler: the
 // (time, FIFO) ordering contract, wheel wrap-around, pushing into the
-// slot currently being drained, and lazy bucket clearing.
+// slot currently being drained, lazy bucket clearing, the rebase that
+// makes wrap counts per-drain, and the block-grown chunk pool.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "circuit/logic.hpp"
@@ -37,12 +39,12 @@ TEST(CalendarQueue, PopsInNondecreasingTimeOrder) {
   q.push(2, entry(20));
   q.push(0, entry(0));
   ASSERT_EQ(q.size(), 4u);
-  EXPECT_EQ(q.pop().net, 0u);
+  EXPECT_EQ(q.pop().net(), 0u);
   EXPECT_EQ(q.time(), 0u);
-  EXPECT_EQ(q.pop().net, 10u);
+  EXPECT_EQ(q.pop().net(), 10u);
   EXPECT_EQ(q.time(), 1u);
-  EXPECT_EQ(q.pop().net, 20u);
-  EXPECT_EQ(q.pop().net, 30u);
+  EXPECT_EQ(q.pop().net(), 20u);
+  EXPECT_EQ(q.pop().net(), 30u);
   EXPECT_EQ(q.time(), 3u);
   EXPECT_TRUE(q.empty());
 }
@@ -52,7 +54,7 @@ TEST(CalendarQueue, SameTimeEntriesPopInPushOrder) {
   // number — violating it would change ActivityStats glitch counts.
   CalendarQueue q{2};
   for (c::NetId n = 0; n < 6; ++n) q.push(1, entry(n));
-  for (c::NetId n = 0; n < 6; ++n) EXPECT_EQ(q.pop().net, n);
+  for (c::NetId n = 0; n < 6; ++n) EXPECT_EQ(q.pop().net(), n);
   EXPECT_TRUE(q.empty());
 }
 
@@ -61,11 +63,11 @@ TEST(CalendarQueue, PushIntoSlotBeingDrainedIsSeenSamePass) {
   // cursor-based consumption must see the appended entry before moving on.
   CalendarQueue q{0};  // capacity 2
   q.push(0, entry(1));
-  EXPECT_EQ(q.pop().net, 1u);
+  EXPECT_EQ(q.pop().net(), 1u);
   q.push(0, entry(2));  // same slot, mid-drain
   q.push(0, entry(3));
-  EXPECT_EQ(q.pop().net, 2u);
-  EXPECT_EQ(q.pop().net, 3u);
+  EXPECT_EQ(q.pop().net(), 2u);
+  EXPECT_EQ(q.pop().net(), 3u);
   EXPECT_TRUE(q.empty());
 }
 
@@ -75,15 +77,15 @@ TEST(CalendarQueue, WheelWrapAroundReusesSlots) {
   // cursor crossings of slot 0.
   CalendarQueue q{6};  // capacity 8
   q.push(6, entry(60));
-  EXPECT_EQ(q.pop().net, 60u);
+  EXPECT_EQ(q.pop().net(), 60u);
   EXPECT_EQ(q.time(), 6u);
   EXPECT_EQ(q.wraps(), 0u);
 
   q.push(13, entry(130));  // slot (13 & 7) = 5, one lap ahead
   q.push(7, entry(70));    // slot 7, still this lap
-  EXPECT_EQ(q.pop().net, 70u);
+  EXPECT_EQ(q.pop().net(), 70u);
   EXPECT_EQ(q.time(), 7u);
-  EXPECT_EQ(q.pop().net, 130u);
+  EXPECT_EQ(q.pop().net(), 130u);
   EXPECT_EQ(q.time(), 13u);
   EXPECT_EQ(q.wraps(), 1u);
   EXPECT_TRUE(q.empty());
@@ -97,7 +99,7 @@ TEST(CalendarQueue, LongRunManyWraps) {
   std::uint64_t t = 0;
   for (int lap = 0; lap < 64; ++lap) {
     q.push(t + 1, entry(static_cast<c::NetId>(lap)));
-    EXPECT_EQ(q.pop().net, static_cast<c::NetId>(lap));
+    EXPECT_EQ(q.pop().net(), static_cast<c::NetId>(lap));
     t = q.time();
     EXPECT_EQ(t, static_cast<std::uint64_t>(lap) + 1);
   }
@@ -116,4 +118,82 @@ TEST(CalendarQueue, SizeTracksPushesAndPops) {
   q.pop();
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(CalendarQueue, RebaseRestartsTheClockWithoutChangingOrder) {
+  // The same relative schedule drained after a rebase pops in the same
+  // order at the same relative times and counts the same wraps, however
+  // far the clock had run before.
+  const auto drain = [](CalendarQueue& q) {
+    const std::uint64_t start = q.time();
+    const std::uint64_t wraps = q.wraps();
+    q.push(start, entry(1));
+    q.push(start + 3, entry(2));
+    q.push(start + 3, entry(3));
+    std::vector<std::pair<std::uint64_t, c::NetId>> out;
+    while (!q.empty()) {
+      const c::NetId net = q.pop().net();
+      out.emplace_back(q.time() - start, net);
+      if (net == 1) q.push(q.time() + 5, entry(4));  // crosses slot 0
+    }
+    return std::make_pair(out, q.wraps() - wraps);
+  };
+  CalendarQueue fresh{6};  // capacity 8
+  const auto want = drain(fresh);
+  EXPECT_EQ(want.second, 0u);  // from tick 0, tick 5 is still lap 0
+
+  CalendarQueue q{6};
+  q.push(6, entry(9));  // run the clock to tick 13 (slot 5, one wrap)
+  q.pop();
+  q.push(13, entry(9));
+  q.pop();
+  ASSERT_EQ(q.time(), 13u);
+  // Without a rebase the same schedule crosses slot 0 once more.
+  EXPECT_NE(drain(q).second, want.second);
+  q.rebase();
+  EXPECT_EQ(q.time(), 0u);
+  EXPECT_EQ(drain(q), want);
+}
+
+TEST(CalendarQueue, PoolGrowsInBlocksAndRecyclesChunks) {
+  CalendarQueue q{2, 0};
+  const std::size_t block =
+      CalendarQueue::kBlockChunks * CalendarQueue::kChunkEntries;
+  EXPECT_EQ(q.pool_capacity(), block);
+  // Far more pending entries than one block holds: the pool adds whole
+  // blocks and keeps every entry in FIFO order.
+  const std::size_t n = 3 * block;
+  for (std::size_t i = 0; i < n; ++i)
+    q.push(1, entry(static_cast<c::NetId>(i)));
+  const std::size_t grown = q.pool_capacity();
+  EXPECT_EQ(grown % block, 0u);
+  EXPECT_GE(grown, n);
+  for (std::size_t i = 0; i < n; ++i)
+    ASSERT_EQ(q.pop().net(), static_cast<c::NetId>(i));
+  // A second round of the same size reuses the drained chunks.
+  for (std::size_t i = 0; i < n; ++i) q.push(q.time(), entry(7));
+  EXPECT_EQ(q.pool_capacity(), grown);
+}
+
+TEST(CalendarQueue, CopyKeepsPendingEntriesInOrder) {
+  CalendarQueue q{4};
+  q.push(0, entry(1));
+  EXPECT_EQ(q.pop().net(), 1u);
+  for (c::NetId n = 0; n < 40; ++n) q.push(1 + n % 4, entry(n));
+  CalendarQueue copy = q;
+  ASSERT_EQ(copy.size(), q.size());
+  while (!q.empty()) {
+    const c::NetId want = q.pop().net();
+    ASSERT_EQ(copy.pop().net(), want);
+    ASSERT_EQ(copy.time(), q.time());
+  }
+  EXPECT_TRUE(copy.empty());
+}
+
+TEST(CalendarQueue, ScalarEventPacksNetAndValue) {
+  const lv::sim::ScalarEvent e{(1u << 30) - 1, c::Logic::x};
+  EXPECT_EQ(e.net(), (1u << 30) - 1);
+  EXPECT_EQ(e.value(), c::Logic::x);
+  EXPECT_EQ(lv::sim::ScalarEvent(5, c::Logic::zero).value(), c::Logic::zero);
+  EXPECT_EQ(lv::sim::ScalarEvent(5, c::Logic::one).value(), c::Logic::one);
 }

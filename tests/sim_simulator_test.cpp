@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "check/codes.hpp"
+#include "check/diag.hpp"
 #include "circuit/generators.hpp"
 #include "util/error.hpp"
 
@@ -255,4 +257,17 @@ TEST(Simulator, SetInputRejectsInternalNet) {
   const auto w = nl.add_gate(c::CellKind::inv, "g", {a});
   s::Simulator sim{nl};
   EXPECT_THROW(sim.set_input(w, Logic::one), lv::util::Error);
+}
+
+TEST(SimGraph, RejectsNetCountsPastTheEventIdRange) {
+  // Scalar events carry 30-bit net ids; a larger netlist is a coded
+  // input error at compile time, never a silent id wrap.
+  EXPECT_NO_THROW(lv::sim::SimGraph::require_net_capacity(
+      lv::sim::SimGraph::kMaxNets - 1));
+  try {
+    lv::sim::SimGraph::require_net_capacity(lv::sim::SimGraph::kMaxNets);
+    FAIL() << "expected net.too_large";
+  } catch (const lv::check::InputError& e) {
+    EXPECT_EQ(e.code(), lv::check::codes::net_too_large);
+  }
 }

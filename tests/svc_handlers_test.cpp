@@ -186,3 +186,22 @@ TEST(SvcHandlers, RunRequestNeverThrows) {
     run(session, "profile", {"no-such-workload"});
   });
 }
+
+TEST(SvcHandlers, VectorCountMustBeANonNegativeInteger) {
+  // --vectors is a count: -3 or 2.5 is the caller's input error (exit 2,
+  // cli.number), never a cast to size_t.
+  svc::Session session{1};
+  for (const char* bad : {"-3", "2.5", "many"}) {
+    const svc::Response r =
+        run(session, "simulate", {"tiny.lvnet"}, {{"--vectors", bad}},
+            {{"netlist", kAndNetlist}});
+    EXPECT_EQ(r.exit_code, 2) << bad;
+    EXPECT_NE(r.err.find(chk::codes::cli_number), std::string::npos)
+        << bad << ": " << r.err;
+  }
+  const svc::Response ok =
+      run(session, "simulate", {"tiny.lvnet"}, {{"--vectors", "3"}},
+          {{"netlist", kAndNetlist}});
+  EXPECT_EQ(ok.exit_code, 0) << ok.err;
+  EXPECT_NE(ok.out.find("simulated 3 cycles"), std::string::npos) << ok.out;
+}

@@ -30,6 +30,18 @@ expect_match("${LAST_OUT}" "0 error")
 expect_exit(2 ${LVTOOL} power ${NETLIST} soi_low_vt --vdd oops)
 expect_match("${LAST_ERR}" "cli.number")
 
+# --vectors is a count: a negative or fractional value is an input error
+# (exit 2, cli.number) for every command that takes it, not a cast.
+foreach(bad -3 2.5)
+  expect_exit(2 ${LVTOOL} simulate ${NETLIST} --vectors ${bad})
+  expect_match("${LAST_ERR}" "cli.number")
+  expect_exit(2 ${LVTOOL} glitch ${NETLIST} soi_low_vt --vectors ${bad})
+  expect_match("${LAST_ERR}" "cli.number")
+  expect_exit(2 ${LVTOOL} faults ${NETLIST} --vectors ${bad})
+  expect_match("${LAST_ERR}" "cli.number")
+endforeach()
+expect_exit(0 ${LVTOOL} simulate ${NETLIST} --vectors 0)
+
 # Unreadable file: exit 2 with io.open.
 expect_exit(2 ${LVTOOL} check ${WORK}/no_such_file.lvnet)
 expect_match("${LAST_ERR}" "io.open")

@@ -23,16 +23,21 @@ file(MAKE_DIRECTORY ${WORK})
 
 set(FAILURES "")
 
-# run(name expected_rc arg1...): execute lvtool in ${WORK}, then record or
-# compare stdout + exit code. Paths printed by lvtool stay relative, so
-# fixtures carry no machine-specific prefixes.
-function(run name expected_rc)
+# run_as(name fixture expected_rc arg1...): execute lvtool in ${WORK},
+# then compare stdout + exit code against ${fixture}.out (recording it
+# when name == fixture). Paths printed by lvtool stay relative, so
+# fixtures carry no machine-specific prefixes. run(name ...) is
+# run_as(name name ...).
+function(run_as name fixture expected_rc)
   execute_process(COMMAND ${LVTOOL} ${ARGN}
                   WORKING_DIRECTORY ${WORK}
                   RESULT_VARIABLE rc
                   OUTPUT_VARIABLE out
                   ERROR_VARIABLE err)
   if(MODE STREQUAL "record")
+    if(NOT name STREQUAL fixture)
+      return()
+    endif()
     file(WRITE ${GOLDEN}/${name}.out "${out}")
     if(NOT rc EQUAL ${expected_rc})
       message(FATAL_ERROR "record ${name}: expected exit ${expected_rc}, "
@@ -45,7 +50,7 @@ function(run name expected_rc)
                  "(stderr: ${err})" PARENT_SCOPE)
     return()
   endif()
-  file(READ ${GOLDEN}/${name}.out want)
+  file(READ ${GOLDEN}/${fixture}.out want)
   if(NOT out STREQUAL want)
     file(WRITE ${WORK}/${name}.actual "${out}")
     set(FAILURES "${FAILURES};${name}: stdout differs from golden "
@@ -53,19 +58,31 @@ function(run name expected_rc)
   endif()
 endfunction()
 
-# check_file(name path): record or compare a produced artifact.
-function(check_file name path)
+macro(run name expected_rc)
+  run_as(${name} ${name} ${expected_rc} ${ARGN})
+endmacro()
+
+# check_file_as(name fixture path): compare a produced artifact against
+# ${fixture}.file (recording it when name == fixture); check_file(name
+# path) is check_file_as(name name path).
+function(check_file_as name fixture path)
   file(READ ${WORK}/${path} got)
   if(MODE STREQUAL "record")
-    file(WRITE ${GOLDEN}/${name}.file "${got}")
+    if(name STREQUAL fixture)
+      file(WRITE ${GOLDEN}/${name}.file "${got}")
+    endif()
     return()
   endif()
-  file(READ ${GOLDEN}/${name}.file want)
+  file(READ ${GOLDEN}/${fixture}.file want)
   if(NOT got STREQUAL want)
     set(FAILURES "${FAILURES};${name}: artifact ${path} differs from golden"
         PARENT_SCOPE)
   endif()
 endfunction()
+
+macro(check_file name path)
+  check_file_as(${name} ${name} ${path})
+endmacro()
 
 # ---- fixed inputs ------------------------------------------------------
 file(WRITE ${WORK}/gap.lvnet
@@ -91,6 +108,13 @@ run(optimize_vt 0 optimize-vt soi_low_vt --fclk 5e6 --activity 0.5)
 run(profile 0 profile crc32)
 run(techfile 0 techfile soias)
 run(glitch 0 glitch adder.lvnet soi_low_vt --vectors 200 --seed 3)
+# The activity replay splits the vectors over --threads workers; output
+# and artifact must not change.
+run_as(simulate_t4 simulate 0 simulate adder.lvnet --vectors 64 --seed 7
+       --activity-out act.lvact --threads 4)
+check_file_as(simulate_activity_t4 simulate_activity act.lvact)
+run_as(glitch_t4 glitch 0 glitch adder.lvnet soi_low_vt --vectors 200
+       --seed 3 --threads 4)
 run(faults_word 0 faults adder.lvnet --vectors 64 --seed 5)
 run(paths 0 paths adder.lvnet soi_low_vt --k 3)
 run(sizing 0 sizing adder.lvnet soi_low_vt)

@@ -212,8 +212,9 @@ void usage() {
       "tech = predefined name (soi_low_vt, soias, dual_vt_mtcmos,\n"
       "bulk_cmos_06um, bulk_body_bias) or a tech-file path.\n"
       "Every command accepts --threads N (default: LVSIM_THREADS or all\n"
-      "cores); sweeps and fault campaigns fan out across N workers with\n"
-      "results identical to --threads 1.\n"
+      "cores); sweeps, fault campaigns and the simulate/glitch replays\n"
+      "of combinational netlists fan out across N workers with results\n"
+      "identical to --threads 1.\n"
       "Every command also accepts --stats (run-metrics summary to stdout)\n"
       "and --stats-json <file> (lv-run-report/1 JSON). The `counters`\n"
       "section is bit-identical at any --threads width.\n"
