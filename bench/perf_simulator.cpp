@@ -11,6 +11,7 @@
 #include "exec/thread_pool.hpp"
 #include "isa/assembler.hpp"
 #include "isa/machine.hpp"
+#include "obs/metrics.hpp"
 #include "sim/bp_simulator.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulator.hpp"
@@ -158,6 +159,57 @@ void BM_ActivityReplay(benchmark::State& state, int width) {
 }
 BENCHMARK_CAPTURE(BM_ActivityReplay, mul8, 8)->ArgName("threads")
     ->Arg(1)->Arg(4)->UseRealTime();
+
+// Per-event cost of the scalar kernel: a single-thread replay of a
+// Wallace-tree multiplier (glitch-heavy, wide fanout), with the events
+// one replay drains as an inverted rate counter, so `events` reads as
+// seconds per event. The replay must reproduce a hand-written serial
+// settle loop's ActivityStats before anything is timed.
+void BM_ScalarReplayEvents(benchmark::State& state, int width) {
+  lv::circuit::Netlist nl;
+  lv::circuit::build_wallace_multiplier(nl, width);
+  const lv::circuit::Bus inputs = nl.primary_inputs();
+  lv::sim::Simulator start{nl};
+  start.set_bus(inputs, 0);
+  start.settle();
+  start.clear_stats();
+  const auto vecs =
+      lv::sim::random_vectors(200, static_cast<int>(inputs.size()), 9);
+  lv::sim::Simulator loop = start;
+  for (const auto v : vecs) {
+    loop.set_bus(inputs, v);
+    loop.settle();
+  }
+  const bool obs_was = lv::obs::enabled();
+  lv::obs::set_enabled(true);
+  auto& processed =
+      lv::obs::Registry::global().counter("sim.events_processed");
+  const std::uint64_t before = processed.value();
+  const auto replay =
+      lv::sim::replay_vectors(start, inputs, vecs, {.threads = 1});
+  const std::uint64_t events = processed.value() - before;
+  lv::obs::set_enabled(obs_was);
+  bool same = replay.cycles() == loop.stats().cycles();
+  for (lv::circuit::NetId n = 0; same && n < nl.net_count(); ++n)
+    same = replay.transitions(n) == loop.stats().transitions(n) &&
+           replay.settled_changes(n) == loop.stats().settled_changes(n);
+  if (!same) {
+    state.SkipWithError("the replay changed the activity");
+    return;
+  }
+  for (auto _ : state) {
+    const auto stats =
+        lv::sim::replay_vectors(start, inputs, vecs, {.threads = 1});
+    benchmark::DoNotOptimize(stats.cycles());
+  }
+  state.SetItemsProcessed(
+      state.iterations() * static_cast<std::int64_t>(vecs.size()));
+  state.counters["events"] = benchmark::Counter(
+      static_cast<double>(events),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_ScalarReplayEvents, wmul16, 16)->UseRealTime();
 
 void BM_MachineIdeaBlock(benchmark::State& state) {
   const auto workload = lv::workloads::idea_workload(1);

@@ -48,6 +48,10 @@ inline constexpr char act_count_order[] = "act.count_order";  // settled > trans
 inline constexpr char act_settled_exceeds_cycles[] = "act.settled_exceeds_cycles";
 inline constexpr char act_zero_cycles[] = "act.zero_cycles";  // counts with cycles == 0
 
+// ---- simulation --------------------------------------------------------
+inline constexpr char sim_event_budget[] =
+    "sim.event_budget";  // a settle ran past SimConfig::max_events_per_settle
+
 // ---- guarded numerics (analysis engines) ------------------------------
 inline constexpr char power_nonfinite[] = "power.nonfinite";
 inline constexpr char sta_nonfinite[] = "sta.nonfinite";

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "check/codes.hpp"
+#include "check/diag.hpp"
 #include "obs/metrics.hpp"
 #include "sim/bus_pack.hpp"
 #include "util/error.hpp"
@@ -161,8 +163,11 @@ void BitParallelSimulator::evaluate_instance(InstanceId id,
                                              std::uint64_t now) {
   const LogicW out = eval_.evaluate(id, values_.data());
   const NetId net = nodes_[id].output;
-  if (out == scheduled_[net]) return;
-  schedule(net, out, now + delay_[id]);
+  // Branch-free append, as in the scalar kernel: the candidate is kept
+  // only if it changes the net's scheduled word in some lane.
+  const bool changed = out != scheduled_[net];
+  scheduled_[net] = out;
+  queue_.append(now + delay_[id], {net, out}, changed);
 }
 
 void BitParallelSimulator::count_transitions(NetId net,
@@ -204,13 +209,15 @@ void BitParallelSimulator::apply_event(NetId net, LogicW value,
 std::uint64_t BitParallelSimulator::drain_events() {
   std::uint64_t processed = 0;
   const std::uint64_t budget = config_.max_events_per_settle;
-  while (!queue_.empty()) {
-    const WordEvent e = queue_.pop();
-    apply_event(e.net, e.value, queue_.time());
+  queue_.drain([&](const WordEvent& e, std::uint64_t now) {
+    apply_event(e.net, e.value, now);
+    queue_hwm_ = std::max<std::uint64_t>(queue_hwm_, queue_.size());
     if (++processed > budget)
-      throw u::Error(
-          "BitParallelSimulator: event budget exceeded (oscillation?)");
-  }
+      throw check::InputError(
+          check::codes::sim_event_budget,
+          "BitParallelSimulator: event budget exceeded: more than " +
+              std::to_string(budget) + " events in one settle (oscillation?)");
+  });
   const WordEvaluator::Counts evals = eval_.take_counts();
   if (obs::enabled()) {
     c_events().add(processed);

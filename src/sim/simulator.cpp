@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "check/codes.hpp"
+#include "check/diag.hpp"
 #include "obs/metrics.hpp"
 #include "sim/bus_pack.hpp"
 #include "util/error.hpp"
@@ -127,13 +129,16 @@ Simulator::Simulator(std::shared_ptr<const SimGraph> graph, SimConfig config)
       values_(graph_->net_count(), Logic::x),
       scheduled_(graph_->net_count(), Logic::x),
       settled_(graph_->net_count(), Logic::x),
+      // One spare entry: the branch-free append writes past the list.
+      dirty_nets_(graph_->net_count() + 1),
       dirty_flag_(graph_->net_count(), 0),
       flop_state_(graph_->instance_count(), Logic::x),
       // Pool hint: several events per net can be pending at once under
       // the load-delay model (a net rescheduled from differently-delayed
-      // paths holds one node per pending time; glitchy datapaths measure
-      // ~2-3). 4x net count keeps steady state allocation-free; the pool
-      // doubles past it if a pathological netlist needs more.
+      // paths holds one entry per pending time; glitchy datapaths measure
+      // ~2-3). 4x net count covers most netlists from the start; a glitch
+      // storm past it adds 16-page blocks once, and the warmed-up queue
+      // then recycles them without allocating.
       queue_{graph_->max_delay(config.delay_model), 4 * graph_->net_count()},
       stats_{graph_->net_count()} {
   nodes_ = graph_->nodes().data();
@@ -143,7 +148,6 @@ Simulator::Simulator(std::shared_ptr<const SimGraph> graph, SimConfig config)
   delay_ = graph_->delays(config_.delay_model).data();
   luts_ = graph_->luts().data();
   eval_scratch_.resize(graph_->max_input_count());
-  dirty_nets_.reserve(graph_->net_count());
   captures_.reserve(graph_->sequential_instances().size());
   // Tie cells establish constants immediately.
   for (const auto& tie : graph_->tie_inits())
@@ -182,7 +186,9 @@ void Simulator::schedule(NetId net, Logic value, std::uint64_t time) {
   if (queue_.size() > queue_hwm_) queue_hwm_ = queue_.size();
 }
 
-Logic Simulator::evaluate(const SimGraph::Node& node) {
+// evaluate, evaluate_instance and apply_event are `inline` so the whole
+// per-event path compiles into drain_events' loop.
+inline Logic Simulator::evaluate(const SimGraph::Node& node) {
   const NetId* ins = in_nets_ + node.in_begin;
   if (node.lut != SimGraph::kNoLut) {
     // Pack the 2-bit input codes into a table index: one shift/or per
@@ -198,18 +204,19 @@ Logic Simulator::evaluate(const SimGraph::Node& node) {
                                 {eval_scratch_.data(), node.in_count});
 }
 
-void Simulator::evaluate_instance(InstanceId id, std::uint64_t now) {
+inline void Simulator::evaluate_instance(InstanceId id, std::uint64_t now) {
   const SimGraph::Node& node = nodes_[id];
   const Logic out = evaluate(node);
-  if (node.lut != SimGraph::kNoLut)
-    ++lut_evals_;
-  else
-    ++generic_evals_;
-  if (out == scheduled_[node.output]) return;
-  schedule(node.output, out, now + delay_[id]);
+  if (node.lut == SimGraph::kNoLut) ++generic_evals_;
+  // The candidate always lands in the target slot; it is kept only if
+  // it changes what the net has scheduled (no data-dependent branch).
+  const bool changed = out != scheduled_[node.output];
+  scheduled_[node.output] = out;
+  queue_.append(now + delay_[id], {node.output, out}, changed);
 }
 
-void Simulator::apply_event(NetId net, Logic value, std::uint64_t time) {
+inline void Simulator::apply_event(NetId net, Logic value,
+                                   std::uint64_t time) {
   const Logic old = values_[net];
   if (old == value) return;
   values_[net] = value;
@@ -217,35 +224,43 @@ void Simulator::apply_event(NetId net, Logic value, std::uint64_t time) {
     ++stats_.transitions_[net];
     ++cycle_transitions_;
   }
-  if (dirty_flag_[net] == 0) {
-    dirty_flag_[net] = 1;
-    dirty_nets_.push_back(net);
-  }
+  // Branch-free: the entry past the list always takes the net, and
+  // the list only grows on the net's first change this cycle.
+  dirty_nets_[dirty_count_] = net;
+  dirty_count_ += dirty_flag_[net] ^ 1u;
+  dirty_flag_[net] = 1;
+  const std::uint32_t begin = eval_offsets_[net];
   const std::uint32_t end = eval_offsets_[net + 1];
-  for (std::uint32_t k = eval_offsets_[net]; k < end; ++k)
+  evals_ += end - begin;
+  for (std::uint32_t k = begin; k < end; ++k)
     evaluate_instance(eval_list_[k], time);
 }
 
 std::uint64_t Simulator::drain_events() {
   std::uint64_t processed = 0;
   const std::uint64_t budget = config_.max_events_per_settle;
-  while (!queue_.empty()) {
-    const CalendarQueue::Entry e = queue_.pop();
-    apply_event(e.net(), e.value(), queue_.time());
+  queue_.drain([&](CalendarQueue::Entry e, std::uint64_t now) {
+    apply_event(e.net(), e.value(), now);
+    // An event only appends, so the queue is deepest at its end: this
+    // max equals the one taken after every single append.
+    queue_hwm_ = std::max<std::uint64_t>(queue_hwm_, queue_.size());
     if (++processed > budget)
-      throw u::Error("Simulator: event budget exceeded (oscillation?)");
-  }
+      throw check::InputError(
+          check::codes::sim_event_budget,
+          "Simulator: event budget exceeded: more than " +
+              std::to_string(budget) + " events in one settle (oscillation?)");
+  });
   // Every drain starts at tick 0, so sim.wheel_wraps is a per-drain sum
   // whatever state the simulator was seated on.
   queue_.rebase();
   if (obs::enabled()) {
     c_events().add(processed);
-    c_lut_evals().add(lut_evals_);
+    c_lut_evals().add(evals_ - generic_evals_);
     c_generic_evals().add(generic_evals_);
     c_wheel_wraps().add(queue_.wraps() - wraps_flushed_);
     g_queue_hwm().update_max(static_cast<double>(queue_hwm_));
   }
-  lut_evals_ = 0;
+  evals_ = 0;
   generic_evals_ = 0;
   wraps_flushed_ = queue_.wraps();
   queue_hwm_ = 0;
@@ -254,7 +269,8 @@ std::uint64_t Simulator::drain_events() {
 
 void Simulator::finish_cycle() {
   std::uint64_t changed = 0;
-  for (const NetId n : dirty_nets_) {
+  for (std::size_t i = 0; i < dirty_count_; ++i) {
+    const NetId n = dirty_nets_[i];
     const Logic before = settled_[n];
     const Logic after = values_[n];
     if (circuit::is_known(before) && circuit::is_known(after) &&
@@ -265,7 +281,7 @@ void Simulator::finish_cycle() {
     settled_[n] = after;
     dirty_flag_[n] = 0;
   }
-  dirty_nets_.clear();
+  dirty_count_ = 0;
   ++stats_.cycles_;
   if (obs::enabled()) {
     c_cycles().add(1);
@@ -281,8 +297,9 @@ void Simulator::finish_cycle() {
 
 void Simulator::sync_settled() {
   std::copy(values_.begin(), values_.end(), settled_.begin());
-  for (const NetId n : dirty_nets_) dirty_flag_[n] = 0;
-  dirty_nets_.clear();
+  for (std::size_t i = 0; i < dirty_count_; ++i)
+    dirty_flag_[dirty_nets_[i]] = 0;
+  dirty_count_ = 0;
 }
 
 void Simulator::settle() {
@@ -326,7 +343,7 @@ void Simulator::reset_flops(Logic value) {
 }
 
 void Simulator::seat(const circuit::Bus& bus, std::uint64_t value) {
-  u::require(queue_.empty() && dirty_nets_.empty(),
+  u::require(queue_.empty() && dirty_count_ == 0,
              "Simulator: seat needs a quiescent simulator");
   u::require(graph_->sequential_instances().empty(),
              "Simulator: seat needs a combinational netlist");

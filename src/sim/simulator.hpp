@@ -180,9 +180,11 @@ class Simulator {
   // event and the net would settle to the wrong value.
   std::vector<circuit::Logic> scheduled_;
   std::vector<circuit::Logic> settled_;
-  // Nets whose visible value changed since the last finish_cycle()/sync;
-  // finish_cycle() walks only these (O(nets touched), not O(net_count)).
+  // Nets whose visible value changed since the last finish_cycle()/sync
+  // are dirty_nets_[0, dirty_count_); finish_cycle() walks only these
+  // (O(nets touched), not O(net_count)).
   std::vector<circuit::NetId> dirty_nets_;
+  std::size_t dirty_count_ = 0;
   std::vector<std::uint8_t> dirty_flag_;
   std::vector<circuit::Logic> flop_state_;
   CalendarQueue queue_;
@@ -197,7 +199,9 @@ class Simulator {
   // — the obs::enabled() check is hoisted out of the per-event path.
   std::uint64_t queue_hwm_ = 0;
   std::uint64_t cycle_transitions_ = 0;
-  std::uint64_t lut_evals_ = 0;
+  // All gate evaluations (bumped by the fanout count); the LUT ones
+  // are evals_ - generic_evals_.
+  std::uint64_t evals_ = 0;
   std::uint64_t generic_evals_ = 0;
   std::uint64_t wraps_flushed_ = 0;
 };

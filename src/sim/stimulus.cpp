@@ -6,6 +6,7 @@
 #include <mutex>
 #include <string>
 
+#include "check/diag.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
@@ -189,9 +190,13 @@ ActivityStats replay_vectors(const Simulator& primed,
           // The simulator's state is unknown now; a later index reseats
           // (and fails too if events are still pending). parallel_for
           // reports the lowest failing index, as the serial loop would.
+          // A coded error (sim.event_budget) keeps its code.
           w->next = kUnknown;
-          throw u::Error("replay vector " + std::to_string(i) + ": " +
-                         e.what());
+          std::string what = "replay vector " + std::to_string(i) + ": " +
+                             e.what();
+          if (const auto* coded = dynamic_cast<const check::InputError*>(&e))
+            throw check::InputError(coded->code(), std::move(what));
+          throw u::Error(std::move(what));
         }
       },
       opt);

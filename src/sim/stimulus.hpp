@@ -79,7 +79,8 @@ void run_two_operand_workload(BitParallelSimulator& sim,
 // replays at width 1, as does any call from inside a parallel region.
 // Width 1 seats nothing. Seats are counted in the scheduling-stability
 // counter sim.replay_seats. An error is rethrown as "replay vector i:
-// <what>" for the lowest failing index i, at any width.
+// <what>" for the lowest failing index i, at any width; a coded
+// check::InputError (sim.event_budget) keeps its code.
 ActivityStats replay_vectors(const Simulator& primed,
                              const circuit::Bus& inputs,
                              const std::vector<std::uint64_t>& vectors,

@@ -115,6 +115,39 @@ TEST(SimAllocation, CombinationalSettleSteadyStateAllocFree) {
   }
 }
 
+TEST(SimAllocation, GlitchHeavyMultiplierSteadyStateAllocFree) {
+  // An 8-bit array multiplier glitches hard (hundreds of events pending
+  // at once under the unit model), so the scheduler's runs cross page
+  // ends and pages cycle through the freelist on every settle. Warm-up
+  // is one pass over the measured vectors: it grows the page pool to the
+  // run's high-water mark, and the second pass must reuse it.
+  ObsOff off;
+  c::Netlist nl;
+  const auto ports = c::build_array_multiplier(nl, 8);
+  const auto a = s::random_vectors(96, 8, 15);
+  const auto b = s::random_vectors(96, 8, 16);
+
+  for (const auto model : {s::SimConfig::DelayModel::zero,
+                           s::SimConfig::DelayModel::unit,
+                           s::SimConfig::DelayModel::load}) {
+    s::Simulator sim{nl, s::SimConfig{model, 50'000'000}};
+    const auto pass = [&] {
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        sim.set_bus(ports.a, a[i]);
+        sim.set_bus(ports.b, b[i]);
+        sim.settle();
+      }
+    };
+    pass();
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    pass();
+    const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u)
+        << "allocations in steady state, delay model "
+        << static_cast<int>(model);
+  }
+}
+
 TEST(SimAllocation, SequentialClockingSteadyStateAllocFree) {
   ObsOff off;
   c::Netlist nl;

@@ -12,12 +12,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <type_traits>
 #include <vector>
 
+#include "check/diag.hpp"
 #include "circuit/generators.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/netlist_io.hpp"
 #include "exec/thread_pool.hpp"
+#include "obs/metrics.hpp"
 #include "reference_simulator.hpp"
 #include "sim/bp_simulator.hpp"
 #include "sim/fault.hpp"
@@ -460,4 +464,60 @@ TEST(SimBitParallel, RejectsBadLaneAndBusUsage) {
   EXPECT_THROW(sim.force_net(static_cast<c::NetId>(nl.net_count()),
                              c::Logic::one),
                lv::util::Error);
+}
+
+TEST(SimBitParallel, EventBudgetIsCodedAndTripsOnTheSameSettleAsScalar) {
+  // With every lane driven alike, a word settle processes exactly the
+  // scalar settle's events, so both kernels trip the same budget on the
+  // same settle, with the coded sim.event_budget diagnostic.
+  c::Netlist nl;
+  const auto ports = c::build_array_multiplier(nl, 6);
+  const auto drive = [&](auto& sim, std::uint64_t a, std::uint64_t b) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(sim)>, s::Simulator>) {
+      sim.set_bus(ports.a, a);
+      sim.set_bus(ports.b, b);
+    } else {
+      sim.set_bus_broadcast(ports.a, a);
+      sim.set_bus_broadcast(ports.b, b);
+    }
+    sim.settle();
+  };
+  // Events of the priming settle (0 x 0 from X) and of a glitchy next one.
+  std::uint64_t priming = 0, events = 0;
+  {
+    const bool was = lv::obs::enabled();
+    lv::obs::set_enabled(true);
+    auto& processed =
+        lv::obs::Registry::global().counter("sim.events_processed");
+    s::Simulator sim{nl};
+    std::uint64_t before = processed.value();
+    drive(sim, 0, 0);
+    priming = processed.value() - before;
+    before = processed.value();
+    drive(sim, 0x3f, 0x2b);
+    events = processed.value() - before;
+    lv::obs::set_enabled(was);
+  }
+  ASSERT_GT(events, priming);  // a budget of events - 1 passes priming
+  const auto outcome = [&](auto& sim) -> std::string {
+    try {
+      drive(sim, 0, 0);
+    } catch (const lv::check::InputError& e) {
+      return "priming: " + e.code();
+    }
+    try {
+      drive(sim, 0x3f, 0x2b);
+    } catch (const lv::check::InputError& e) {
+      return e.code();
+    }
+    return "ok";
+  };
+  for (const std::uint64_t budget : {events, events - 1}) {
+    const s::SimConfig config{s::SimConfig::DelayModel::unit, budget};
+    s::Simulator scalar{nl, config};
+    s::BitParallelSimulator word{nl, config};
+    const std::string want = budget == events ? "ok" : "sim.event_budget";
+    EXPECT_EQ(outcome(scalar), want) << "budget " << budget;
+    EXPECT_EQ(outcome(word), want) << "budget " << budget;
+  }
 }

@@ -1,7 +1,9 @@
 // Unit tests for the calendar-queue (timing-wheel) scheduler: the
-// (time, FIFO) ordering contract, wheel wrap-around, pushing into the
-// slot currently being drained, lazy bucket clearing, the rebase that
-// makes wrap counts per-drain, and the block-grown chunk pool.
+// (time, FIFO) ordering contract, wheel wrap-around, appending into the
+// slot currently being drained (also across page ends), runs that span
+// several pages, the branch-free append's dropped candidates, exact
+// size() across page boundaries, the rebase that makes wrap counts
+// per-drain, and the block-grown page pool.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -158,7 +160,7 @@ TEST(CalendarQueue, RebaseRestartsTheClockWithoutChangingOrder) {
 TEST(CalendarQueue, PoolGrowsInBlocksAndRecyclesChunks) {
   CalendarQueue q{2, 0};
   const std::size_t block =
-      CalendarQueue::kBlockChunks * CalendarQueue::kChunkEntries;
+      CalendarQueue::kBlockPages * CalendarQueue::kPageEntries;
   EXPECT_EQ(q.pool_capacity(), block);
   // Far more pending entries than one block holds: the pool adds whole
   // blocks and keeps every entry in FIFO order.
@@ -173,6 +175,105 @@ TEST(CalendarQueue, PoolGrowsInBlocksAndRecyclesChunks) {
   // A second round of the same size reuses the drained chunks.
   for (std::size_t i = 0; i < n; ++i) q.push(q.time(), entry(7));
   EXPECT_EQ(q.pool_capacity(), grown);
+}
+
+TEST(CalendarQueue, RunSpansSeveralPages) {
+  // One slot's run over three and a half pages, interleaved with a
+  // neighbouring slot: both drain in FIFO order, each at its own time.
+  constexpr std::size_t kPage = CalendarQueue::kPageEntries;
+  CalendarQueue q{2, 0};
+  const std::size_t n = 3 * kPage + kPage / 2;
+  for (std::size_t i = 0; i < n; ++i) {
+    q.push(1, entry(static_cast<c::NetId>(i)));
+    if (i % 7 == 0) q.push(2, entry(static_cast<c::NetId>(100000 + i)));
+  }
+  std::vector<std::pair<std::uint64_t, c::NetId>> got;
+  q.drain([&](CalendarQueue::Entry e, std::uint64_t t) {
+    got.emplace_back(t, e.net());
+  });
+  ASSERT_EQ(got.size(), n + (n + 6) / 7);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(got[i].first, 1u);
+    ASSERT_EQ(got[i].second, static_cast<c::NetId>(i));
+  }
+  for (std::size_t k = n, i = 0; k < got.size(); ++k, i += 7) {
+    ASSERT_EQ(got[k].first, 2u);
+    ASSERT_EQ(got[k].second, static_cast<c::NetId>(100000 + i));
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(CalendarQueue, SameSlotAppendOnAPageEndIsSeenSamePass) {
+  // The slot being drained is filled to one entry short of its tail
+  // page's end (starting at the page's start, and mid-page). A
+  // zero-delay append from the first entry takes that last entry,
+  // moving the tail to a fresh page while the drain still reads the old
+  // one; an append from that entry lands on the fresh page. The drain
+  // must see both, in order, in the same pass.
+  constexpr std::size_t kPage = CalendarQueue::kPageEntries;
+  for (const std::size_t warm : {std::size_t{0}, kPage / 3}) {
+    CalendarQueue q{0, 0};  // capacity 2
+    for (std::size_t i = 0; i < warm; ++i) q.push(0, entry(1));
+    while (!q.empty()) q.pop();  // the run now starts `warm` into its page
+    const std::uint64_t t0 = q.time();
+    const std::size_t fill = kPage - 1 - warm;
+    for (std::size_t i = 0; i < fill; ++i)
+      q.push(t0, entry(static_cast<c::NetId>(i)));
+    const auto page_end = static_cast<c::NetId>(fill);
+    const auto after = static_cast<c::NetId>(fill + 1);
+    std::vector<c::NetId> got;
+    q.drain([&](CalendarQueue::Entry e, std::uint64_t t) {
+      EXPECT_EQ(t, t0);
+      got.push_back(e.net());
+      if (got.size() == 1) q.push(t, entry(page_end));
+      if (e.net() == page_end) q.append(t, entry(after), true);
+      if (e.net() == after) q.append(t, entry(999), false);  // dropped
+    });
+    ASSERT_EQ(got.size(), fill + 2) << "warm " << warm;
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(got[i], static_cast<c::NetId>(i)) << "warm " << warm;
+    EXPECT_TRUE(q.empty());
+  }
+}
+
+TEST(CalendarQueue, SizeIsExactAcrossPageBoundaries) {
+  // size() after every append, dropped candidate, pop and drained
+  // entry, while runs cross several page ends in two slots.
+  constexpr std::size_t kPage = CalendarQueue::kPageEntries;
+  CalendarQueue q{1, 0};  // capacity 4
+  std::size_t want = 0;
+  for (std::size_t i = 0; i < 2 * kPage + 3; ++i) {
+    q.append(1 + i % 2, entry(static_cast<c::NetId>(i)), true);
+    ASSERT_EQ(q.size(), ++want);
+    q.append(1 + i % 2, entry(static_cast<c::NetId>(i)), false);
+    ASSERT_EQ(q.size(), want);
+  }
+  for (std::size_t i = 0; i < kPage + 1; ++i) {
+    q.pop();
+    ASSERT_EQ(q.size(), --want);
+  }
+  q.drain([&](CalendarQueue::Entry, std::uint64_t t) {
+    ASSERT_EQ(q.size(), --want);
+    if (want % 5 == 0 && t == 1) {  // zero- and unit-delay appends
+      q.push(t, entry(1));
+      q.push(t + 1, entry(2));
+      want += 2;
+      ASSERT_EQ(q.size(), want);
+    }
+  });
+  EXPECT_EQ(want, 0u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(CalendarQueue, DroppedCandidateIsOverwrittenByTheNextAppend) {
+  CalendarQueue q{2};
+  q.append(1, entry(10), false);
+  q.append(1, entry(11), true);
+  q.append(1, entry(12), false);
+  q.append(2, entry(20), false);
+  ASSERT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.pop().net(), 11u);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(CalendarQueue, CopyKeepsPendingEntriesInOrder) {

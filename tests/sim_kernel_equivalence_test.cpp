@@ -9,7 +9,9 @@
 // whole point of preserving (time, seq) event order is exact equality.
 //
 // Fixtures: the ripple-carry adder of Figs. 8-9, the array multiplier of
-// Tables 1-3, and the pipelined multiply-accumulate datapath (the
+// Tables 1-3, a Wallace-tree multiplier (glitch-heavy waves and wide
+// fanout, so the scheduler's runs cross page ends), and the pipelined
+// multiply-accumulate datapath (the
 // register-multiply-accumulate core that the IDEA workload profile
 // exercises), the last with clock gating toggled mid-run and a forced
 // internal net to cover the fault-injection path.
@@ -104,6 +106,22 @@ TEST(SimKernelEquivalence, ArrayMultiplierAllDelayModels) {
   const auto ports = c::build_array_multiplier(nl, 6);
   const auto a = s::random_vectors(96, 6, 21);
   const auto b = s::random_vectors(96, 6, 22);
+  for (const auto model : kModels) {
+    expect_bit_identical(nl, model, [&](auto& sim) {
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        sim.set_bus(ports.a, a[i]);
+        sim.set_bus(ports.b, b[i]);
+        sim.settle();
+      }
+    });
+  }
+}
+
+TEST(SimKernelEquivalence, WallaceMultiplierAllDelayModels) {
+  c::Netlist nl;
+  const auto ports = c::build_wallace_multiplier(nl, 8);
+  const auto a = s::random_vectors(64, 8, 41);
+  const auto b = s::random_vectors(64, 8, 42);
   for (const auto model : kModels) {
     expect_bit_identical(nl, model, [&](auto& sim) {
       for (std::size_t i = 0; i < a.size(); ++i) {

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "check/codes.hpp"
+#include "check/diag.hpp"
 #include "circuit/generators.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/netlist_io.hpp"
@@ -188,9 +190,12 @@ TEST_F(SimReplay, SerialCountersMatchAHandWrittenLoop) {
 }
 
 TEST_F(SimReplay, SeatsOnlyWhenSplitAcrossWorkers) {
+  // Seats happen only if a second worker claims vectors before the
+  // first has claimed them all, so the replay must outlast worker
+  // start-up on a loaded host: 20 000 vectors take tens of ms.
   c::Netlist nl;
   c::build_ripple_carry_adder(nl, 8);
-  const auto vecs = s::random_vectors(1000, 16, 3);
+  const auto vecs = s::random_vectors(20000, 16, 3);
   const s::Simulator start = primed(nl, {});
   s::replay_vectors(start, nl.primary_inputs(), vecs, {.threads = 1});
   EXPECT_EQ(seats(), 0u);
@@ -265,7 +270,8 @@ TEST_F(SimReplay, ErrorIsTheLowestFailingIndexAtEveryWidth) {
   while (events[first] <= budget) ++first;
   ASSERT_LT(first, vecs.size());
   const std::string want = "replay vector " + std::to_string(first) +
-                           ": Simulator: event budget exceeded";
+                           ": Simulator: event budget exceeded: more than " +
+                           std::to_string(budget) + " events in one settle";
 
   const s::Simulator start = primed(nl, {s::SimConfig::DelayModel::unit,
                                          budget});
@@ -274,7 +280,8 @@ TEST_F(SimReplay, ErrorIsTheLowestFailingIndexAtEveryWidth) {
     try {
       s::replay_vectors(start, nl.primary_inputs(), vecs, {.threads = width});
       FAIL() << "expected the budget to trip";
-    } catch (const lv::util::Error& e) {
+    } catch (const lv::check::InputError& e) {
+      EXPECT_EQ(e.code(), lv::check::codes::sim_event_budget);
       EXPECT_EQ(std::string{e.what()}.rfind(want, 0), 0u) << e.what();
     }
   }
