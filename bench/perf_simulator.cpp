@@ -233,18 +233,18 @@ void BM_Assembler(benchmark::State& state) {
 }
 BENCHMARK(BM_Assembler);
 
-// Stuck-at fault campaign (levelized 64-lane kernel) over an adder and a
-// multiplier, at the worker width given by the argument (/1 = serial
-// code path; results identical at every width).
-void BM_FaultCampaign(benchmark::State& state, bool multiplier) {
+// Stuck-at fault campaign (64 vectors per word, only disturbed gates
+// re-evaluated) at the worker width given by the argument (/1 = serial
+// code path; results identical at every width). mul12 with 256 vectors
+// is the shape of one perfbench fault_grade operation.
+void BM_FaultCampaign(benchmark::State& state,
+                      void (*build)(lv::circuit::Netlist&),
+                      std::size_t vectors) {
   lv::exec::set_thread_count(static_cast<std::size_t>(state.range(0)));
   lv::circuit::Netlist nl;
-  if (multiplier)
-    lv::circuit::build_array_multiplier(nl, 8);
-  else
-    lv::circuit::build_ripple_carry_adder(nl, 12);
+  build(nl);
   const auto vecs = lv::sim::random_vectors(
-      64, static_cast<int>(nl.primary_inputs().size()), 7);
+      vectors, static_cast<int>(nl.primary_inputs().size()), 7);
   for (auto _ : state) {
     const auto r = lv::sim::fault_coverage(nl, vecs);
     benchmark::DoNotOptimize(r.coverage);
@@ -253,10 +253,21 @@ void BM_FaultCampaign(benchmark::State& state, bool multiplier) {
       lv::sim::enumerate_faults(nl).size());
   lv::exec::set_thread_count(0);
 }
-BENCHMARK_CAPTURE(BM_FaultCampaign, rca12, false)->ArgName("threads")
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-BENCHMARK_CAPTURE(BM_FaultCampaign, mul8, true)->ArgName("threads")
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+void build_rca12(lv::circuit::Netlist& nl) {
+  lv::circuit::build_ripple_carry_adder(nl, 12);
+}
+void build_mul8(lv::circuit::Netlist& nl) {
+  lv::circuit::build_array_multiplier(nl, 8);
+}
+void build_mul12(lv::circuit::Netlist& nl) {
+  lv::circuit::build_array_multiplier(nl, 12);
+}
+BENCHMARK_CAPTURE(BM_FaultCampaign, rca12, build_rca12, 64)
+    ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK_CAPTURE(BM_FaultCampaign, mul8, build_mul8, 64)
+    ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK_CAPTURE(BM_FaultCampaign, mul12_v256, build_mul12, 256)
+    ->ArgName("threads")->Arg(1)->Arg(4)->UseRealTime();
 
 }  // namespace
 

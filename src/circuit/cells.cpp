@@ -43,11 +43,14 @@ constexpr std::array<CellInfo, kKindCount> kCatalog{{
     {"DFF_LCLR",   2, true,  1.0, 0.9,  4.5,  4.5, 2, 2, 2.0, 1.5},
 }};
 
-std::string to_lower(std::string_view s) {
-  std::string out{s};
-  for (char& ch : out)
-    ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
-  return out;
+bool equals_ignoring_case(std::string_view a, std::string_view b) {
+  const auto lower = [](char ch) {
+    return std::tolower(static_cast<unsigned char>(ch));
+  };
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (lower(a[i]) != lower(b[i])) return false;
+  return true;
 }
 
 }  // namespace
@@ -59,9 +62,8 @@ const CellInfo& cell_info(CellKind kind) {
 }
 
 CellKind cell_kind_from_name(std::string_view name) {
-  const std::string lowered = to_lower(name);
   for (std::size_t i = 0; i < kKindCount; ++i) {
-    if (to_lower(kCatalog[i].name) == lowered)
+    if (equals_ignoring_case(kCatalog[i].name, name))
       return static_cast<CellKind>(i);
   }
   return CellKind::kind_count;

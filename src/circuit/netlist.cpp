@@ -13,11 +13,10 @@ namespace u = lv::util;
 
 NetId Netlist::add_net(const std::string& name) {
   u::require(!name.empty(), "Netlist: net name must not be empty");
-  u::require(net_by_name_.find(name) == net_by_name_.end(),
-             "Netlist: duplicate net name '" + name + "'");
   const NetId id = static_cast<NetId>(nets_.size());
+  if (!net_by_name_.emplace(name, id).second)
+    throw u::Error("Netlist: duplicate net name '" + name + "'");
   nets_.push_back(Net{name, false, false, false, ~InstanceId{0}});
-  net_by_name_.emplace(name, id);
   invalidate_caches();
   return id;
 }
@@ -72,7 +71,7 @@ NetId Netlist::add_gate_onto(CellKind kind, const std::string& name,
   return out;
 }
 
-NetId Netlist::find_net(const std::string& name) const {
+NetId Netlist::find_net(std::string_view name) const {
   const auto it = net_by_name_.find(name);
   return it == net_by_name_.end() ? kInvalidNet : it->second;
 }
@@ -199,16 +198,19 @@ std::unordered_map<std::string, std::size_t> Netlist::kind_histogram() const {
 void Netlist::validate() const {
   for (const Instance& inst : instances_) {
     const CellInfo& info = cell_info(inst.kind);
-    u::require(inst.inputs.size() == static_cast<std::size_t>(info.input_count),
-               "Netlist: instance '" + inst.name + "' input count mismatch");
+    // Messages are built only on failure: validate runs per compile.
+    if (inst.inputs.size() != static_cast<std::size_t>(info.input_count))
+      throw u::Error("Netlist: instance '" + inst.name +
+                     "' input count mismatch");
     for (const NetId in : inst.inputs) {
       const Net& n = nets_.at(in);
-      u::require(n.driver != ~InstanceId{0} || n.is_primary_input || n.is_clock,
-                 "Netlist: net '" + n.name + "' used by '" + inst.name +
-                     "' is undriven");
+      if (n.driver == ~InstanceId{0} && !n.is_primary_input && !n.is_clock)
+        throw u::Error("Netlist: net '" + n.name + "' used by '" +
+                       inst.name + "' is undriven");
     }
-    u::require(inst.output < nets_.size(),
-               "Netlist: instance '" + inst.name + "' output out of range");
+    if (inst.output >= nets_.size())
+      throw u::Error("Netlist: instance '" + inst.name +
+                     "' output out of range");
   }
   // Sequential cells must be clocked by the clock net (pin 1 by convention).
   for (const InstanceId i : sequential_instances()) {

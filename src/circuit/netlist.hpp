@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -61,7 +62,7 @@ class Netlist {
   const Instance& instance(InstanceId id) const { return instances_.at(id); }
   const std::vector<Net>& nets() const { return nets_; }
   const std::vector<Instance>& instances() const { return instances_; }
-  NetId find_net(const std::string& name) const;  // kInvalidNet if absent
+  NetId find_net(std::string_view name) const;  // kInvalidNet if absent
 
   const std::vector<NetId>& primary_inputs() const { return inputs_; }
   const std::vector<NetId>& primary_outputs() const { return outputs_; }
@@ -107,7 +108,15 @@ class Netlist {
   std::vector<NetId> inputs_;
   std::vector<NetId> outputs_;
   NetId clock_ = kInvalidNet;
-  std::unordered_map<std::string, NetId> net_by_name_;
+  // Transparent hash: find_net looks names up by string_view.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  std::unordered_map<std::string, NetId, NameHash, std::equal_to<>>
+      net_by_name_;
   mutable std::vector<std::uint32_t> fanout_offsets_;
   mutable std::vector<InstanceId> fanout_list_;
   mutable std::vector<InstanceId> topo_cache_;

@@ -4,9 +4,9 @@
 #include <bit>
 #include <limits>
 
+#include "circuit/generators.hpp"  // circuit::Bus
 #include "exec/parallel.hpp"
 #include "obs/metrics.hpp"
-#include "sim/bus_pack.hpp"
 #include "sim/sim_graph.hpp"
 #include "sim/word_eval.hpp"
 #include "sim/word_logic.hpp"
@@ -32,138 +32,171 @@ namespace {
 
 constexpr std::size_t kNeverDetected = std::numeric_limits<std::size_t>::max();
 
-// Fault lanes per batch: lane 0 carries the good machine.
-constexpr std::size_t kFaultLanes = kLaneCount - 1;
-
-// Gate-word evaluations (batches x vectors x gates, summed over rounds):
-// Stability::exact, since batch packing is fixed by fault order and the
-// count is folded serially.
+// Gate-word evaluations: one good-machine pass per block plus every gate
+// a fault's propagation re-evaluated. Stability::exact, since each
+// fault's propagation depends only on (fault, block) and the count is
+// folded serially.
 lv::obs::Counter& c_word_evals() {
   static auto& c = lv::obs::Registry::global().counter("sim.fault_word_evals");
   return c;
 }
 
-// The lanes of one net held at a constant by one batch's faults.
-struct StuckLanes {
-  std::uint64_t held = 0;  // lanes stuck at either value
-  std::uint64_t ones = 0;  // the subset stuck at 1
-};
-
-constexpr LogicW apply_stuck(LogicW w, StuckLanes s) {
-  return {(w.one & ~s.held) | s.ones, w.x & ~s.held};
+// Lanes where two words disagree (either bitplane).
+constexpr std::uint64_t differs(LogicW a, LogicW b) {
+  return (a.one ^ b.one) | (a.x ^ b.x);
 }
 
-struct BatchResult {
-  // Per fault lane: first-detection index within the round's window, or
-  // kNeverDetected for lanes that survive the round.
-  std::vector<std::size_t> first;
-  std::uint64_t word_evals = 0;
+// The read-only view of one block that every fault is graded against.
+struct Block {
+  const SimGraph& graph;
+  const std::vector<circuit::InstanceId>& order;  // topological order
+  const std::vector<std::uint32_t>& position;     // instance -> order index
+  const std::vector<std::uint8_t>& is_output;     // per net
+  const std::vector<LogicW>& good;                // good machine, per net
+  std::uint64_t valid;                            // lanes holding a vector
 };
 
-// Batches of (1 good + up to 63 fault) machines share one 64-lane word
-// per net. Each vector is one levelized pass: primary inputs broadcast
-// to every lane, then every instance evaluated once in topological
-// order, its output word overridden in the faulty lanes before any
-// consumer reads it. Batches are independent, so they run in parallel.
-//
-// Batches are re-packed between rounds of geometrically growing vector
-// windows. fault_coverage treats the netlist combinationally, so a
-// lane's response to vector i is a function of (vector i, its fault)
-// alone — survivors of one round can be condensed into fewer, denser
-// batches that resume at the next vector with first-detection indices
-// unchanged. Without re-packing, one stubborn fault would drag its
-// whole batch through the entire vector set.
+// One worker's scratch: a private copy of the good words that a fault
+// overwrites on the nets it disturbs (restored before the next fault),
+// and a bitset over topological positions marking gates with a changed
+// input.
+struct Propagator {
+  explicit Propagator(const Block& block)
+      : eval{block.graph},
+        values{block.good},
+        pending((block.order.size() + 63) / 64, 0) {}
+
+  WordEvaluator eval;
+  std::vector<LogicW> values;
+  std::vector<std::uint64_t> pending;
+  std::vector<NetId> touched;
+};
+
+struct FaultOutcome {
+  std::uint64_t detected = 0;  // lanes whose vector exposes the fault
+  std::uint64_t evals = 0;     // gates re-evaluated
+};
+
+// Injects `fault` into every lane of the block and propagates it event-
+// wise in topological order: only gates with a disturbed input are
+// evaluated, each at most once. Lanes above the lowest detection so far
+// cannot change the fault's first detection, so they drop out of the
+// change test as soon as an output differs, and propagation stops once
+// no lane is left (a detection in lane 0).
+FaultOutcome propagate(const Block& b, Propagator& w, const Fault& fault) {
+  FaultOutcome out;
+  const LogicW stuck = broadcast(fault.stuck_at);
+  std::uint64_t lanes = differs(stuck, w.values[fault.net]) & b.valid;
+  if (lanes == 0) return out;  // never activated in this block
+
+  const SimGraph::Node* nodes = b.graph.nodes().data();
+  const std::uint32_t* fan_begin = b.graph.eval_offsets().data();
+  const circuit::InstanceId* fan = b.graph.eval_list().data();
+  std::uint64_t* pending = w.pending.data();
+  // Pending gates lie in words [word, end); empty when word >= end.
+  std::size_t word = w.pending.size();
+  std::size_t end = 0;
+  const auto disturb = [&](NetId net, LogicW value, std::uint64_t diff) {
+    w.values[net] = value;
+    w.touched.push_back(net);
+    if (b.is_output[net]) {
+      out.detected |= diff;
+      lanes &= (out.detected & -out.detected) - 1;
+    }
+    for (std::uint32_t k = fan_begin[net]; k < fan_begin[net + 1]; ++k) {
+      const std::uint32_t p = b.position[fan[k]];
+      pending[p / 64] |= std::uint64_t{1} << (p % 64);
+      word = std::min<std::size_t>(word, p / 64);
+      end = std::max<std::size_t>(end, p / 64 + 1);
+    }
+  };
+  disturb(fault.net, stuck, lanes);
+  while (word < end) {
+    const std::uint64_t bits = pending[word];
+    if (bits == 0) {
+      ++word;
+      continue;
+    }
+    if (lanes == 0) break;
+    pending[word] = bits & (bits - 1);
+    const circuit::InstanceId id =
+        b.order[word * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+    const NetId net = nodes[id].output;
+    const LogicW value = w.eval.evaluate(id, w.values.data());
+    ++out.evals;
+    const std::uint64_t diff = differs(value, w.values[net]) & lanes;
+    if (diff != 0) disturb(net, value, diff);
+  }
+  if (word < end) std::fill(pending + word, pending + end, 0);
+  for (const NetId net : w.touched) w.values[net] = b.good[net];
+  w.touched.clear();
+  return out;
+}
+
+// Parallel-pattern single-fault propagation. The 64 lanes of a word
+// carry 64 consecutive vectors: one levelized pass computes the good
+// machine for the block, then every surviving fault is propagated on
+// its own against it. The netlist is treated combinationally, so a
+// fault's response to vector i depends on (vector i, fault) alone and a
+// fault's first detection is its first detecting block's lowest
+// detecting lane. Detected faults drop out before the next block.
 std::vector<std::size_t> first_detections_word(
     const SimGraph& graph, const std::vector<Fault>& faults,
     const circuit::Bus& inputs, const circuit::Bus& outputs,
     const std::vector<std::uint64_t>& vectors) {
   // Resolved before the fan-out: the netlist builds its caches lazily.
   const auto& order = graph.netlist().topo_order();
-  const SimGraph::Node* nodes = graph.nodes().data();
+  std::vector<std::uint32_t> position(graph.instance_count());
+  for (std::size_t p = 0; p < order.size(); ++p)
+    position[order[p]] = static_cast<std::uint32_t>(p);
+  std::vector<std::uint8_t> is_output(graph.net_count(), 0);
+  for (const NetId net : outputs) is_output[net] = 1;
+
   std::vector<std::size_t> first(faults.size(), kNeverDetected);
-  // Undetected fault indices, kept in fault order so batch packing (and
-  // with it every lane assignment) is deterministic at any thread count.
-  std::vector<std::size_t> survivors(faults.size());
-  for (std::size_t k = 0; k < faults.size(); ++k) survivors[k] = k;
+  // Undetected fault indices, in fault order.
+  std::vector<std::size_t> live(faults.size());
+  for (std::size_t k = 0; k < faults.size(); ++k) live[k] = k;
+  WordEvaluator eval{graph};
+  std::vector<LogicW> good(graph.net_count());  // undriven nets stay X
   std::uint64_t word_evals = 0;
-  std::size_t begin = 0;
-  std::size_t window = 16;
-  while (!survivors.empty() && begin < vectors.size()) {
-    const std::size_t end = std::min(vectors.size(), begin + window);
-    const std::size_t batches =
-        (survivors.size() + kFaultLanes - 1) / kFaultLanes;
-    const auto round = exec::parallel_map<BatchResult>(
-        batches,
-        [&](std::size_t b) {
-          const std::size_t base = b * kFaultLanes;
-          const std::size_t count =
-              std::min(kFaultLanes, survivors.size() - base);
-          // Lanes 0..count inclusive are live: lane 0 = good machine,
-          // lane 1+f = faults[survivors[base + f]].
-          const std::uint64_t live =
-              count + 1 >= kLaneCount
-                  ? kAllLanes
-                  : (std::uint64_t{1} << (count + 1)) - 1;
-          WordEvaluator eval{graph};
-          std::vector<LogicW> values(graph.net_count());  // all lanes X
-          std::vector<StuckLanes> stuck(graph.net_count());
-          for (std::size_t f = 0; f < count; ++f) {
-            const Fault& fault = faults[survivors[base + f]];
-            const std::uint64_t lane = std::uint64_t{1} << (f + 1);
-            stuck[fault.net].held |= lane;
-            if (fault.stuck_at == Logic::one) stuck[fault.net].ones |= lane;
-          }
-          BatchResult out{std::vector<std::size_t>(count, kNeverDetected), 0};
-          std::size_t remaining = count;
-          for (std::size_t i = begin; i < end && remaining > 0; ++i) {
-            unpack_bus(inputs, vectors[i], "fault_coverage",
-                       [&](NetId net, Logic v) { values[net] = broadcast(v); });
-            for (const circuit::InstanceId id : order) {
-              const NetId net = nodes[id].output;
-              values[net] =
-                  apply_stuck(eval.evaluate(id, values.data()), stuck[net]);
-            }
-            out.word_evals += order.size();
-            // Detection mask: a lane detects when any output bit is X
-            // or disagrees with the good machine (lane 0).
-            std::uint64_t detected = 0;
-            for (const NetId net : outputs) {
-              const LogicW w = values[net];
-              if (w.x & 1)
-                throw lv::util::Error(
-                    "fault_coverage: X at outputs of the good machine");
-              const std::uint64_t good = (w.one & 1) ? kAllLanes : 0;
-              detected |= w.x | ((w.one ^ good) & ~w.x);
-            }
-            detected &= live & ~std::uint64_t{1};
-            while (detected != 0) {
-              const unsigned lane = static_cast<unsigned>(
-                  std::countr_zero(detected));
-              detected &= detected - 1;
-              if (out.first[lane - 1] == kNeverDetected) {
-                out.first[lane - 1] = i;
-                --remaining;
-              }
-            }
-          }
-          return out;
-        });
-    // Serial fold: record detections, condense survivors for the next
-    // (larger) window.
-    std::vector<std::size_t> next;
-    for (std::size_t b = 0; b < batches; ++b) {
-      const std::size_t base = b * kFaultLanes;
-      for (std::size_t f = 0; f < round[b].first.size(); ++f) {
-        if (round[b].first[f] == kNeverDetected)
-          next.push_back(survivors[base + f]);
-        else
-          first[survivors[base + f]] = round[b].first[f];
-      }
-      word_evals += round[b].word_evals;
+  for (std::size_t begin = 0; begin < vectors.size() && !live.empty();
+       begin += kLaneCount) {
+    const std::size_t count = std::min<std::size_t>(kLaneCount,
+                                                    vectors.size() - begin);
+    const std::uint64_t valid =
+        count == kLaneCount ? kAllLanes : (std::uint64_t{1} << count) - 1;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      std::uint64_t ones = 0;
+      for (std::size_t lane = 0; lane < count; ++lane)
+        ones |= ((vectors[begin + lane] >> i) & 1) << lane;
+      good[inputs[i]] = {ones, 0};
     }
-    survivors = std::move(next);
-    begin = end;
-    window *= 4;
+    for (const circuit::InstanceId id : order)
+      good[graph.nodes()[id].output] = eval.evaluate(id, good.data());
+    word_evals += order.size();
+    for (const NetId net : outputs)
+      if (good[net].x & valid)
+        throw lv::util::Error(
+            "fault_coverage: X at outputs of the good machine");
+
+    const Block block{graph, order, position, is_output, good, valid};
+    const auto outcomes = exec::parallel_map_stateful<FaultOutcome>(
+        live.size(), [&] { return Propagator{block}; },
+        [&](Propagator& w, std::size_t k) {
+          return propagate(block, w, faults[live[k]]);
+        });
+    // Serial fold in fault order.
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < live.size(); ++k) {
+      word_evals += outcomes[k].evals;
+      if (outcomes[k].detected != 0)
+        first[live[k]] =
+            begin + static_cast<std::size_t>(
+                        std::countr_zero(outcomes[k].detected));
+      else
+        live[kept++] = live[k];
+    }
+    live.resize(kept);
   }
   if (obs::enabled()) c_word_evals().add(word_evals);
   return first;

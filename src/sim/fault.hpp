@@ -5,17 +5,23 @@
 // stimulus generators (random vs counting coverage) and as a harness
 // robustness check: a bug in a generator shows up here first.
 //
-// Grading needs only *settled* outputs, so the kernel is levelized and
-// oblivious rather than event-driven: each batch packs the good machine
-// into lane 0 and up to 63 fault machines into lanes 1-63 of a LogicW
-// word per net, and every vector is one pass over the netlist's
-// topological order with no event queue. A fault is a stuck-at-0 or
-// stuck-at-1 lane mask applied to its net's word right after that net is
-// computed, so downstream gates see the stuck value in the faulty lane
-// only. Cost is O(batches x vectors x gates) whatever the logic depth or
-// glitch count. Detection is a word-level compare at the primary
-// outputs: a fault lane detects when any output bit is X or differs from
-// the lane-0 value.
+// The kernel is parallel-pattern single-fault propagation (PPSFP): the
+// 64 lanes of a LogicW word carry 64 consecutive *vectors*, not 64 fault
+// machines. Grading needs only settled outputs, so each 64-vector block
+// takes one levelized pass over the netlist's topological order for the
+// good machine, with no event queue. Every still-undetected fault is
+// then propagated on its own against that block: its stuck value is
+// written onto its net, and only gates with a disturbed input are re-
+// evaluated, in topological order, each at most once. A fault whose
+// stuck value equals the good word in every lane costs nothing. The
+// fault's detection mask (lanes where an output is X or differs from the
+// good machine) gives its first detecting vector as block * 64 + the
+// lowest set lane, and detected faults drop out before the next block.
+//
+// Cost is O(blocks x (gates + gates disturbed per live fault)). The
+// disturbed cone is usually a small share of the netlist, and most
+// faults are detected in the first block. Faults within a block are
+// independent, so they spread over the exec workers.
 #pragma once
 
 #include <cstdint>

@@ -84,42 +84,42 @@ verified_word_kinds() {
       const int n = info.input_count;
       int combos = 1;
       for (int p = 0; p < n; ++p) combos *= 3;
-      bool good = true;
-      for (int c = 0; c < combos && good; ++c) {
-        std::array<Logic, SimGraph::kMaxLutInputs> pins{};
-        std::array<LogicW, SimGraph::kMaxLutInputs> words{};
+      // Combination c assigns pin p the base-3 digit p of c. Its pins
+      // and scalar truth (at most 3^4 combinations) are computed once.
+      static_assert(SimGraph::kMaxLutInputs == 4);
+      std::array<std::array<Logic, SimGraph::kMaxLutInputs>, 81> pins{};
+      std::array<Logic, 81> want{};
+      for (int c = 0; c < combos; ++c) {
+        auto& combo = pins[static_cast<std::size_t>(c)];
         int rest = c;
         for (int p = 0; p < n; ++p) {
-          pins[static_cast<std::size_t>(p)] =
+          combo[static_cast<std::size_t>(p)] =
               codes[static_cast<std::size_t>(rest % 3)];
           rest /= 3;
         }
+        want[static_cast<std::size_t>(c)] = circuit::evaluate_cell(
+            kind, {combo.data(), static_cast<std::size_t>(n)});
+      }
+      bool good = true;
+      for (int c = 0; c < combos && good; ++c) {
         // Lane pattern: lane L holds the combination rotated by L, so
         // neighbouring lanes carry different combinations.
+        std::array<LogicW, SimGraph::kMaxLutInputs> words{};
         for (unsigned lane = 0; lane < kLaneCount; ++lane) {
-          int rc = (c + static_cast<int>(lane)) % combos;
-          for (int p = 0; p < n; ++p) {
+          const auto& combo = pins[static_cast<std::size_t>(
+              (c + static_cast<int>(lane)) % combos)];
+          for (int p = 0; p < n; ++p)
             words[static_cast<std::size_t>(p)] =
                 with_lane(words[static_cast<std::size_t>(p)], lane,
-                          codes[static_cast<std::size_t>(rc % 3)]);
-            rc /= 3;
-          }
+                          combo[static_cast<std::size_t>(p)]);
         }
         const LogicW got = word_evaluate_direct(kind, words.data());
-        // Every lane must match its own scalar evaluation; lane `c`'s
-        // rotation is 0, i.e. the combination under test.
-        for (unsigned lane = 0; lane < kLaneCount && good; ++lane) {
-          int rc = (c + static_cast<int>(lane)) % combos;
-          std::array<Logic, SimGraph::kMaxLutInputs> lane_pins{};
-          for (int p = 0; p < n; ++p) {
-            lane_pins[static_cast<std::size_t>(p)] =
-                codes[static_cast<std::size_t>(rc % 3)];
-            rc /= 3;
-          }
-          const Logic lane_want = circuit::evaluate_cell(
-              kind, {lane_pins.data(), static_cast<std::size_t>(n)});
-          good = lane_of(got, lane) == lane_want;
-        }
+        // Every lane must match its own combination's scalar truth; lane
+        // 0's rotation is 0, i.e. the combination under test.
+        for (unsigned lane = 0; lane < kLaneCount && good; ++lane)
+          good = lane_of(got, lane) ==
+                 want[static_cast<std::size_t>(
+                     (c + static_cast<int>(lane)) % combos)];
       }
       ok[k] = good;
     }

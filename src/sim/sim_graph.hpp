@@ -25,8 +25,8 @@
 //
 // A graph is immutable after compile() and safe to share across threads
 // and simulators — the fault campaign compiles one graph and grades
-// every fault batch against it instead of re-validating and re-deriving
-// per batch.
+// every fault against it instead of re-validating and re-deriving per
+// fault.
 #pragma once
 
 #include <array>

@@ -2,8 +2,9 @@
 //
 // Shared by the two word kernels: the event-driven BitParallelSimulator
 // evaluates an instance whenever one of its inputs changes, and the
-// levelized fault kernel (fault.cpp) evaluates every instance once per
-// vector in topological order. Both read gate inputs from a flat
+// fault kernel (fault.cpp) evaluates every instance once per 64-vector
+// block for the good machine, then only the instances a fault disturbs.
+// Both read gate inputs from a flat
 // per-net LogicW array, so the evaluation itself — the verified direct
 // word operator, or the per-lane LUT / generic fallback — lives here
 // once.

@@ -20,4 +20,10 @@ inline void require(bool condition, const std::string& message) {
   if (!condition) throw Error(message);
 }
 
+// Literal-message overload: builds the message only when the check
+// fails, so a passing check costs no allocation.
+inline void require(bool condition, const char* message) {
+  if (!condition) throw Error(message);
+}
+
 }  // namespace lv::util

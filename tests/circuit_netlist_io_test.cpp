@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "check/codes.hpp"
+#include "check/diag.hpp"
 #include "circuit/generators.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
@@ -88,4 +90,37 @@ TEST(NetlistIo, CommentsIgnored) {
   const auto nl = c::parse_netlist_text(
       "# header comment\nlvnet 1\ninput a  # the input\ngate g INV w a\n");
   EXPECT_EQ(nl.instance_count(), 1u);
+}
+
+TEST(NetlistIo, WhitespaceCaseAndCommentsParseToCanonicalNetlist) {
+  // Tabs, CR-LF line ends, runs of blanks, trailing comments and
+  // mixed-case cell names all read as the canonical text does.
+  const std::string canonical =
+      "lvnet 1\n"
+      "input a\ninput b\nnet n\nnet y\n"
+      "gate g1 NAND2 n a b module=alu\n"
+      "gate g2 XOR2 y n a\n"
+      "output y\n";
+  const std::string messy =
+      "  lvnet\t1   # header\r\n"
+      "input a\r\n\tinput  b\n"
+      "net n\t\t# internal\nnet y \r\n"
+      "\r\n   \t\n"
+      "gate\tg1 nand2   n a\tb module=alu  # first gate\r\n"
+      "gate g2\txOr2 y n a#no blank before the comment\n"
+      "output y\r\n";
+  const c::Netlist want = c::parse_netlist_text(canonical);
+  const c::Netlist got = c::parse_netlist_text(messy);
+  EXPECT_EQ(c::to_netlist_text(got), c::to_netlist_text(want));
+  EXPECT_EQ(c::to_netlist_text(want), canonical);
+
+  // Diagnostics keep their code, line number and text.
+  try {
+    c::parse_netlist_text("lvnet 1\r\ninput a\n\tgate g Bogus w a\r\n");
+    FAIL() << "expected throw";
+  } catch (const lv::check::InputError& e) {
+    EXPECT_STREQ(e.what(), "netlist line 3: unknown cell 'Bogus'");
+    EXPECT_EQ(e.code(), lv::check::codes::net_unknown_cell);
+    EXPECT_EQ(e.line(), 3);
+  }
 }

@@ -304,13 +304,21 @@ TEST_F(Obs, FaultCampaignCountersAreWidthInvariant) {
   EXPECT_GT(r.counters.at("sim.fault_word_evals"), 0u);
   EXPECT_EQ(r.scheduling_counters.count("sim.fault_word_evals"), 0u);
 
-  // One vector: every batch evaluates every gate exactly once.
+  // A chain of N BUFs under the all-zero vector: the good pass evaluates
+  // N gates, every stuck-at-0 fault matches the good machine and costs
+  // nothing, and stuck-at-1 on chain net k re-evaluates the N - k gates
+  // below it: N + N(N-1)/2 in all.
+  constexpr std::size_t kChain = 12;
+  lv::circuit::Netlist chain;
+  lv::circuit::NetId net = chain.add_input("a");
+  for (std::size_t k = 0; k < kChain; ++k)
+    net = chain.add_gate(lv::circuit::CellKind::buf,
+                         "b" + std::to_string(k), {net});
+  chain.mark_output(net);
   o::Registry::global().reset();
-  lv::sim::fault_coverage(nl, {0});
-  const std::size_t batches =
-      (lv::sim::enumerate_faults(nl).size() + 62) / 63;
+  lv::sim::fault_coverage(chain, {0});
   EXPECT_EQ(o::Registry::global().counter("sim.fault_word_evals").value(),
-            batches * nl.instance_count());
+            kChain + kChain * (kChain - 1) / 2);
 }
 
 namespace {

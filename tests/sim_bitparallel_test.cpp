@@ -7,10 +7,11 @@
 // X-carrying lanes, and both word evaluation paths (verified direct
 // operators and the per-lane LUT fallback). No tolerances: the word
 // kernel shares the scalar kernel's (time, seq) event order, so equality
-// is exact, not statistical. The levelized fault kernel, which shares
-// the word evaluation, is pinned against a serial interpreted oracle.
+// is exact, not statistical. The fault kernel, which shares the word
+// evaluation, is pinned against a serial interpreted oracle.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <type_traits>
@@ -287,21 +288,26 @@ s::CoverageResult oracle_coverage(const c::Netlist& nl,
 }  // namespace
 
 TEST(SimBitParallel, FaultKernelsAgreeExactly) {
-  // The levelized 64-lane campaign must reproduce the serial interpreted
-  // oracle verbatim: counts, undetected list, and the per-vector
-  // first-detection profile.
+  // The 64-vector-per-word campaign must reproduce the serial
+  // interpreted oracle verbatim: counts, undetected list, and the
+  // per-vector first-detection profile. The vector counts straddle the
+  // 64-vector block boundary (partial first block, exactly one block,
+  // one vector into the second, a partial third block).
   struct Case {
     const char* name;
     c::Netlist nl;
     std::vector<std::uint64_t> vecs;
   };
   std::vector<Case> cases;
+  constexpr std::array<std::size_t, 6> kCounts{1, 40, 63, 64, 65, 130};
   const auto random_case = [&](const char* name, auto build) {
-    Case k{name, {}, {}};
-    build(k.nl);
-    k.vecs = s::random_vectors(
-        40, static_cast<int>(k.nl.primary_inputs().size()), 17);
-    cases.push_back(std::move(k));
+    for (const std::size_t n : kCounts) {
+      Case k{name, {}, {}};
+      build(k.nl);
+      k.vecs = s::random_vectors(
+          n, static_cast<int>(k.nl.primary_inputs().size()), 17);
+      cases.push_back(std::move(k));
+    }
   };
   random_case("rca8",
               [](c::Netlist& nl) { c::build_ripple_carry_adder(nl, 8); });
@@ -319,7 +325,8 @@ TEST(SimBitParallel, FaultKernelsAgreeExactly) {
   const char* rev =
       "lvnet 1\ninput a\ninput b\nnet y\nnet m\n"
       "gate g1 AND2 m a b\ngate g2 BUF y m\noutput y\n";
-  for (const std::size_t n : {std::size_t{16}, std::size_t{64}})
+  for (const std::size_t n : {std::size_t{16}, std::size_t{64},
+                              std::size_t{65}})
     cases.push_back({"rev", c::parse_netlist_text(rev),
                      s::random_vectors(n, 2, 3)});
 

@@ -77,3 +77,33 @@ TEST(FaultCoverage, RejectsSequentialNetlists) {
   c::build_register_bank(nl, c::CellKind::dff, 4);
   EXPECT_THROW(s::fault_coverage(nl, {0}), lv::util::Error);
 }
+
+TEST(FaultCoverage, UndrivenOutputIsAnXInTheGoodMachine) {
+  // An output net nothing drives reads X in the good machine, so no fault
+  // can be graded against it.
+  c::Netlist nl;
+  const auto a = nl.add_input("a");
+  nl.mark_output(nl.add_gate(c::CellKind::inv, "g", {a}));
+  nl.mark_output(nl.add_net("floating"));
+  try {
+    s::fault_coverage(nl, {0, 1});
+    FAIL() << "expected throw";
+  } catch (const lv::util::Error& e) {
+    EXPECT_STREQ(e.what(), "fault_coverage: X at outputs of the good machine");
+  }
+}
+
+TEST(FaultCoverage, GatelessNetlistLeavesAnUnusedNetUndetected) {
+  // No gates, one undriven net that nothing reads: its faults are
+  // activated (the good word is X) but reach no output.
+  c::Netlist nl;
+  nl.mark_output(nl.add_input("a"));
+  const auto n = nl.add_net("n");
+  const auto result = s::fault_coverage(nl, {0, 1});
+  EXPECT_EQ(result.total_faults, 2u);
+  EXPECT_EQ(result.detected, 0u);
+  ASSERT_EQ(result.undetected.size(), 2u);
+  EXPECT_EQ(result.undetected[0].net, n);
+  EXPECT_EQ(result.undetected[1].net, n);
+  EXPECT_EQ(result.coverage, 0.0);
+}
