@@ -53,11 +53,6 @@ lv::obs::Counter& c_lut_lane_evals() {
       lv::obs::Registry::global().counter("sim.word_lut_lane_evals");
   return c;
 }
-lv::obs::Counter& c_generic_lane_evals() {
-  static auto& c =
-      lv::obs::Registry::global().counter("sim.word_generic_lane_evals");
-  return c;
-}
 lv::obs::Counter& c_wheel_wraps() {
   static auto& c = lv::obs::Registry::global().counter("sim.word_wheel_wraps");
   return c;
@@ -85,15 +80,14 @@ BitParallelSimulator::BitParallelSimulator(
       settled_(graph_->net_count()),
       dirty_flag_(graph_->net_count(), 0),
       flop_state_(graph_->instance_count()),
-      // Same pool-sizing rationale as the scalar kernel: a handful of
-      // pending events per net under the load model; words don't change
-      // the event population shape, only their payload width.
-      queue_{graph_->max_delay(config.delay_model), 4 * graph_->net_count()},
+      // Same horizon and pool-sizing rationale as the scalar kernel:
+      // words don't change the event population shape, only their
+      // payload width.
+      queue_{1, 4 * graph_->net_count()},
       stats_{graph_->net_count()} {
   nodes_ = graph_->nodes().data();
   eval_offsets_ = graph_->eval_offsets().data();
   eval_list_ = graph_->eval_list().data();
-  delay_ = graph_->delays(config_.delay_model).data();
   dirty_nets_.reserve(graph_->net_count());
   captures_.reserve(graph_->sequential_instances().size());
   if (options_.per_lane_stats) {
@@ -167,7 +161,7 @@ void BitParallelSimulator::evaluate_instance(InstanceId id,
   // only if it changes the net's scheduled word in some lane.
   const bool changed = out != scheduled_[net];
   scheduled_[net] = out;
-  queue_.append(now + delay_[id], {net, out}, changed);
+  queue_.append(now + 1, {net, out}, changed);
 }
 
 void BitParallelSimulator::count_transitions(NetId net,
@@ -223,7 +217,6 @@ std::uint64_t BitParallelSimulator::drain_events() {
     c_events().add(processed);
     c_direct_evals().add(evals.direct);
     c_lut_lane_evals().add(evals.lut_lanes);
-    c_generic_lane_evals().add(evals.generic_lanes);
     c_wheel_wraps().add(queue_.wraps() - wraps_flushed_);
     g_queue_hwm().update_max(static_cast<double>(queue_hwm_));
   }

@@ -5,7 +5,7 @@
 // net holds a LogicW (two bitplanes, one lane per bit; see word_logic.hpp)
 // and every evaluation, event, and statistics update operates on all 64
 // lanes at once. The kernel shares the scalar engine's machinery — the
-// same SimGraph CSR arrays and delays, the same calendar-queue scheduler
+// same SimGraph CSR arrays and unit delay, the same calendar-queue scheduler
 // (instantiated over WordEvent), the same dirty-net cycle accounting —
 // and therefore the same (time, sequence) event order.
 //
@@ -136,7 +136,6 @@ class BitParallelSimulator {
   const SimGraph::Node* nodes_ = nullptr;
   const std::uint32_t* eval_offsets_ = nullptr;
   const circuit::InstanceId* eval_list_ = nullptr;
-  const std::uint32_t* delay_ = nullptr;
   // Gate evaluation (direct word operators or the per-lane fallback).
   WordEvaluator eval_;
 

@@ -1,22 +1,22 @@
 // Calendar-queue (timing-wheel) event scheduler.
 //
-// The event kernel's delays are small bounded integers (zero / unit /
-// load-proportional ticks), so a binary-heap priority queue is overkill:
-// a wheel of 2^k slots, each holding a FIFO run of entries, gives O(1)
-// append and O(1) consumption. Slot index is `time & mask`; because
-// every pending time t satisfies now <= t <= now + horizon and the wheel
-// is sized past the horizon (capacity >= max_delay + 2), distinct
-// pending times can never collide in a slot, so no overflow list is
-// needed.
+// The event kernels append every evaluation one tick ahead (unit
+// delay), so a binary-heap priority queue is overkill: a wheel of 2^k
+// slots, each holding a FIFO run of entries, gives O(1) append and O(1)
+// consumption. Slot index is `time & mask`; because every pending time
+// t satisfies now <= t <= now + horizon + 1 and the wheel is sized past
+// that (capacity >= horizon + 2), distinct pending times can never
+// collide in a slot, so no overflow list is needed. The kernels build
+// their queues with horizon 1 (a 4-slot wheel).
 //
 // Ordering contract (what keeps ActivityStats bit-identical to the
 // heap-based kernel): entries are consumed in strictly non-decreasing
 // time, and same-time entries in append (FIFO) order — exactly the
 // (time, seq) order the heap's global sequence-number tie-break
-// produced, without storing either field. Appending to the slot being
-// drained (zero-delay evaluation chains) is explicitly supported: the
-// drain re-reads the slot's tail after every entry, so an appended
-// entry is seen in the same pass.
+// produced, without storing either field. The kernels append at
+// time() + 1 while draining; appending to the slot being drained is
+// supported too (the drain re-reads the slot's tail after every entry,
+// so such an entry is seen in the same pass).
 //
 // Consumption has one shape: drain(fn) walks the current slot's run in
 // place, page by page, calls fn(entry, time) for each entry, and moves
@@ -69,13 +69,12 @@ class WheelQueue {
       std::max<std::size_t>(2, (1024 - sizeof(void*)) / sizeof(Entry)));
   static constexpr std::size_t kBlockPages = 16;
 
-  // `max_delay` bounds append times relative to the current time:
-  // appends must satisfy time() <= t <= time() + max_delay + 1 (the +1
+  // `horizon` bounds append times relative to the current time:
+  // appends must satisfy time() <= t <= time() + horizon + 1 (the +1
   // admits the clock edge, scheduled one tick after quiescence).
-  explicit WheelQueue(std::uint64_t max_delay,
-                      std::size_t reserve_hint = 0) {
+  explicit WheelQueue(std::uint64_t horizon, std::size_t reserve_hint = 0) {
     std::uint64_t capacity = 2;
-    while (capacity < max_delay + 2) capacity <<= 1;
+    while (capacity < horizon + 2) capacity <<= 1;
     mask_ = capacity - 1;
     // One page per slot, plus full pages for the hinted entries.
     while (pool_capacity() < reserve_hint + capacity * kPageEntries)

@@ -33,12 +33,6 @@ struct GraphAccess {
   static std::vector<circuit::InstanceId>& eval_list(SimGraph& g) {
     return g.eval_list_;
   }
-  static std::vector<std::uint32_t>& delays(SimGraph& g, std::size_t model) {
-    return g.delays_[model];
-  }
-  static std::uint64_t& max_delay(SimGraph& g, std::size_t model) {
-    return g.max_delay_[model];
-  }
   static std::vector<SimGraph::Lut>& luts(SimGraph& g) { return g.luts_; }
   static std::vector<std::uint8_t>& word_ops(SimGraph& g) {
     return g.word_ops_;
@@ -54,9 +48,6 @@ struct GraphAccess {
   }
   static const std::vector<std::uint8_t>& net_is_input(const SimGraph& g) {
     return g.net_is_input_;
-  }
-  static std::size_t& max_input_count(SimGraph& g) {
-    return g.max_input_count_;
   }
 
   // The per-process static compile tables (defined in sim_graph.cpp):

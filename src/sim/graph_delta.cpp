@@ -98,29 +98,17 @@ std::shared_ptr<const SimGraph> recompile_incremental(
   GA::input_nets(*g) = base_graph.input_nets();
   GA::eval_offsets(*g) = base_graph.eval_offsets();
   GA::eval_list(*g) = base_graph.eval_list();
-  for (std::size_t m = 0; m < 3; ++m) {
-    GA::delays(*g, m) =
-        base_graph.delays(static_cast<SimConfig::DelayModel>(m));
-    GA::max_delay(*g, m) =
-        base_graph.max_delay(static_cast<SimConfig::DelayModel>(m));
-  }
   GA::luts(*g) = GA::builtin_luts();
   GA::word_ops(*g) = base_graph.word_ops();
   GA::sequential(*g) = base_graph.sequential_instances();
   GA::tie_inits(*g) = base_graph.tie_inits();
   GA::net_is_input(*g) = GA::net_is_input(base_graph);
-  GA::max_input_count(*g) = base_graph.max_input_count();
 
   auto& nodes = GA::nodes(*g);
   for (const InstanceId i : delta.changed) {
     const auto& inst = edited.instance(i);
     const CellInfo& info = circuit::cell_info(inst.kind);
-    auto& node = nodes[i];
-    node.kind = static_cast<std::uint8_t>(inst.kind);
-    node.lut =
-        (!info.sequential && info.input_count <= SimGraph::kMaxLutInputs)
-            ? static_cast<std::uint8_t>(inst.kind)
-            : SimGraph::kNoLut;
+    nodes[i].kind = static_cast<std::uint8_t>(inst.kind);
     GA::word_ops(*g)[i] = info.sequential ? SimGraph::kWordSequential
                           : GA::word_direct_verified(inst.kind)
                               ? static_cast<std::uint8_t>(inst.kind)
@@ -132,16 +120,13 @@ std::shared_ptr<const SimGraph> recompile_incremental(
     // exactly as a full compile would.
     auto& input_nets = GA::input_nets(*g);
     input_nets.clear();
-    std::size_t max_in = 0;
     for (InstanceId i = 0; i < edited.instance_count(); ++i) {
       const auto& inst = edited.instance(i);
       nodes[i].in_begin = static_cast<std::uint32_t>(input_nets.size());
       nodes[i].in_count = static_cast<std::uint8_t>(inst.inputs.size());
       input_nets.insert(input_nets.end(), inst.inputs.begin(),
                         inst.inputs.end());
-      max_in = std::max(max_in, inst.inputs.size());
     }
-    GA::max_input_count(*g) = max_in;
   } else if (rewired) {
     // Same arity everywhere: patch the changed instances' pin spans in
     // place.
@@ -170,47 +155,6 @@ std::shared_ptr<const SimGraph> recompile_incremental(
       }
       eval_offsets[n + 1] = static_cast<std::uint32_t>(eval_list.size());
     }
-  }
-
-  // Load-model delays change where the edit touched either the driver's
-  // drive strength (kind change) or a net's pin count (rewiring): the
-  // affected cone is the changed instances plus the drivers of every
-  // net whose consumer pins moved.
-  {
-    auto& load = GA::delays(
-        *g, static_cast<std::size_t>(SimConfig::DelayModel::load));
-    std::vector<InstanceId> affected = delta.changed;
-    if (rewired) {
-      std::vector<NetId> touched_nets;
-      for (const InstanceId i : delta.changed) {
-        const auto& old_in = base.instance(i).inputs;
-        const auto& new_in = edited.instance(i).inputs;
-        touched_nets.insert(touched_nets.end(), old_in.begin(), old_in.end());
-        touched_nets.insert(touched_nets.end(), new_in.begin(), new_in.end());
-      }
-      std::sort(touched_nets.begin(), touched_nets.end());
-      touched_nets.erase(
-          std::unique(touched_nets.begin(), touched_nets.end()),
-          touched_nets.end());
-      for (const NetId n : touched_nets) {
-        const InstanceId driver = edited.net(n).driver;
-        if (driver != ~InstanceId{0}) affected.push_back(driver);
-      }
-      std::sort(affected.begin(), affected.end());
-      affected.erase(std::unique(affected.begin(), affected.end()),
-                     affected.end());
-    }
-    for (const InstanceId i : affected) {
-      const auto& inst = edited.instance(i);
-      const CellInfo& info = circuit::cell_info(inst.kind);
-      const double pins =
-          static_cast<double>(edited.fanout_pins(inst.output));
-      load[i] = 1 + static_cast<std::uint32_t>(pins / (2.0 * info.drive_mult));
-    }
-    std::uint64_t max = 0;
-    for (const std::uint32_t d : load) max = std::max<std::uint64_t>(max, d);
-    GA::max_delay(*g,
-                  static_cast<std::size_t>(SimConfig::DelayModel::load)) = max;
   }
 
   if (tie_changed) {

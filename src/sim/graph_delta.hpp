@@ -6,9 +6,9 @@
 // *aligned* — same nets (names and roles) and same instances (names,
 // outputs, modules) — the only differences are per-instance cell kinds
 // and input wiring, and the compiled graph can be produced by copying
-// the base graph's arrays and patching exactly the touched fanout
-// cones: the changed instances plus the drivers whose load (and
-// therefore load-model delay) their rewiring altered. Everything
+// the base graph's arrays and patching exactly what the edit touched:
+// the changed instances' nodes and word plan, their pin spans, and —
+// when wiring moved — the combinational-consumer CSR. Everything
 // untouched is carried over verbatim, which is what makes the result
 // bit-identical to a from-scratch compile (pinned by
 // sim_incremental_test).

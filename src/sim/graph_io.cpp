@@ -15,7 +15,8 @@ namespace {
 // corrupt graph blob as "recompile from the netlist", never an error.
 lv::failpoint::Site fp_graph_decode{"sim.graph_decode"};
 
-constexpr std::uint32_t kGraphVersion = 1;
+// A blob of any other version is refused; callers recompile.
+constexpr std::uint32_t kGraphVersion = 2;
 
 void put_u32_vec(util::ByteWriter& w, const std::vector<std::uint32_t>& v) {
   w.u64(v.size());
@@ -42,20 +43,13 @@ std::string encode_graph(const SimGraph& g) {
     w.u32(node.output);
     w.u32(node.in_begin);
     w.u8(node.in_count);
-    w.u8(node.lut);
     w.u8(node.kind);
-    w.u8(node.sequential);
   }
   put_u32_vec(w, g.input_nets());
   put_u32_vec(w, g.eval_offsets());
   put_u32_vec(w, g.eval_list());
-  for (std::size_t m = 0; m < 3; ++m) {
-    put_u32_vec(w, g.delays(static_cast<SimConfig::DelayModel>(m)));
-    w.u64(g.max_delay(static_cast<SimConfig::DelayModel>(m)));
-  }
   w.u64(g.word_ops().size());
   for (const std::uint8_t op : g.word_ops()) w.u8(op);
-  put_u32_vec(w, g.sequential_instances());
   w.u64(g.tie_inits().size());
   for (const auto& tie : g.tie_inits()) {
     w.u32(tie.net);
@@ -64,7 +58,6 @@ std::string encode_graph(const SimGraph& g) {
   const auto& is_input = detail::GraphAccess::net_is_input(g);
   w.u64(is_input.size());
   for (const std::uint8_t b : is_input) w.u8(b);
-  w.u64(g.max_input_count());
   return w.take();
 }
 
@@ -91,19 +84,27 @@ std::shared_ptr<const SimGraph> decode_graph(const circuit::Netlist& netlist,
 
   auto& nodes = GA::nodes(*g);
   nodes.resize(static_cast<std::size_t>(inst_count));
+  auto& sequential = GA::sequential(*g);
   constexpr auto kind_count =
       static_cast<std::uint8_t>(circuit::CellKind::kind_count);
-  for (auto& node : nodes) {
+  for (circuit::InstanceId i = 0; i < nodes.size(); ++i) {
+    auto& node = nodes[i];
     node.output = r.u32();
     node.in_begin = r.u32();
     node.in_count = r.u8();
-    node.lut = r.u8();
     node.kind = r.u8();
-    node.sequential = r.u8();
     require(node.output < net_count, "graph_io: node output out of range");
     require(node.kind < kind_count, "graph_io: node kind out of range");
-    require(node.lut == SimGraph::kNoLut || node.lut < kind_count,
-            "graph_io: node lut out of range");
+    // The kind decides everything else about the node, as in compile:
+    // its arity (which keeps a LUT index inside its 256-entry table),
+    // its table (luts()[kind]) and whether it is a flop that
+    // clock_cycle() samples.
+    const circuit::CellInfo& info =
+        circuit::cell_info(static_cast<circuit::CellKind>(node.kind));
+    require(node.in_count == info.input_count,
+            "graph_io: node input count differs from its cell's arity");
+    node.sequential = info.sequential ? 1 : 0;
+    if (info.sequential) sequential.push_back(i);
   }
 
   auto& input_nets = GA::input_nets(*g);
@@ -130,30 +131,22 @@ std::shared_ptr<const SimGraph> decode_graph(const circuit::Netlist& netlist,
   for (const auto inst : eval_list)
     require(inst < inst_count, "graph_io: eval consumer out of range");
 
-  for (std::size_t m = 0; m < 3; ++m) {
-    auto& delays = GA::delays(*g, m);
-    delays = get_u32_vec(r, 1u << 28);
-    require(delays.size() == inst_count, "graph_io: delay size mismatch");
-    GA::max_delay(*g, m) = r.u64();
-  }
-
   auto& word_ops = GA::word_ops(*g);
   {
     const std::uint64_t n = r.u64();
     require(n == inst_count, "graph_io: word plan size mismatch");
     word_ops.resize(static_cast<std::size_t>(n));
-    for (auto& op : word_ops) {
-      op = r.u8();
-      require(op < kind_count || op == SimGraph::kWordLut ||
-                  op == SimGraph::kWordSequential,
-              "graph_io: word plan op out of range");
+    for (std::size_t i = 0; i < word_ops.size(); ++i) {
+      // A node's word op is its own kind or the LUT fallback, or the
+      // sequential marker exactly when the node is sequential.
+      const std::uint8_t op = word_ops[i] = r.u8();
+      const SimGraph::Node& node = nodes[i];
+      require(node.sequential != 0
+                  ? op == SimGraph::kWordSequential
+                  : op == node.kind || op == SimGraph::kWordLut,
+              "graph_io: word plan op does not fit its node");
     }
   }
-
-  auto& sequential = GA::sequential(*g);
-  sequential = get_u32_vec(r, 1u << 28);
-  for (const auto inst : sequential)
-    require(inst < inst_count, "graph_io: sequential id out of range");
 
   auto& tie_inits = GA::tie_inits(*g);
   {
@@ -180,7 +173,6 @@ std::shared_ptr<const SimGraph> decode_graph(const circuit::Netlist& netlist,
     }
   }
 
-  GA::max_input_count(*g) = static_cast<std::size_t>(r.u64());
   require(r.done(), "graph_io: trailing bytes");
 
   // The LUT bank is per-process static content, identical for every

@@ -1,12 +1,18 @@
 // SimGraph serialization — the artifact-store payload for compiled
-// graphs (lv-graph/1, layout in docs/FORMATS.md).
+// graphs (lv-graph/2, layout in docs/FORMATS.md).
 //
-// encode_graph flattens every compiled array except the LUT bank (which
-// is a per-process static shared by all graphs and reinstalled on
-// decode). decode_graph bounds-checks everything against the netlist it
-// is being attached to and throws util::Error on any inconsistency —
-// the store treats that as a corrupt entry (miss + delete), so a stale
-// or damaged blob can cost a recompile, never an out-of-bounds index.
+// encode_graph flattens the compiled arrays except what the nodes' cell
+// kinds already determine: the LUT bank (a per-process static shared by
+// all graphs, reinstalled on decode), each node's sequential flag and
+// the list of sequential instances (derived from the kinds on decode,
+// as compile does). decode_graph
+// checks every index against the netlist it is being attached to and
+// each node's input count against its cell's arity, and throws
+// util::Error on any inconsistency — the caller treats that as a stale
+// entry and recompiles, so a stale or damaged blob can cost a
+// recompile, never an out-of-bounds index. The checks are structural:
+// a blob that stays in bounds but rewires the graph still decodes, and
+// pairing it with the right netlist is the caller's job (below).
 //
 // The caller owns pairing: a decoded graph holds a reference to
 // `netlist`, which must be the same design the blob was encoded from

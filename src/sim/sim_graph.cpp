@@ -1,6 +1,5 @@
 #include "sim/sim_graph.hpp"
 
-#include <algorithm>
 #include <array>
 #include <bitset>
 #include <string>
@@ -10,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "sim/graph_access.hpp"
 #include "sim/word_logic.hpp"
+#include "util/error.hpp"
 
 namespace lv::sim {
 
@@ -30,7 +30,10 @@ lv::obs::Timer& t_graph_compile() {
 // process through circuit::evaluate_cell so LUT evaluation is
 // bit-identical to interpreted evaluation by construction. Entries whose
 // decoded pins include the unused code 3 are never indexed (values_ only
-// ever holds codes 0..2); they are filled with X for determinism.
+// ever holds codes 0..2); they are filled with X for determinism, as are
+// the never-read tables of sequential kinds. The kernels have no other
+// evaluation path, so a combinational cell too wide for a table is a
+// library error, reported here before any graph is built.
 const std::vector<SimGraph::Lut>& kind_luts() {
   static const std::vector<SimGraph::Lut> tables = [] {
     constexpr auto kind_count = static_cast<std::size_t>(CellKind::kind_count);
@@ -39,8 +42,10 @@ const std::vector<SimGraph::Lut>& kind_luts() {
       const auto kind = static_cast<CellKind>(k);
       const CellInfo& info = circuit::cell_info(kind);
       out[k].fill(Logic::x);
-      if (info.sequential || info.input_count > SimGraph::kMaxLutInputs)
-        continue;
+      if (info.sequential) continue;
+      lv::util::require(info.input_count <= SimGraph::kMaxLutInputs,
+                        "SimGraph: combinational cell has more inputs "
+                        "than a LUT holds");
       const int entries = 1 << (2 * info.input_count);
       for (int idx = 0; idx < entries; ++idx) {
         std::array<Logic, SimGraph::kMaxLutInputs> pins{};
@@ -172,9 +177,6 @@ SimGraph::SimGraph(const circuit::Netlist& netlist) : netlist_{netlist} {
     node.in_count = static_cast<std::uint8_t>(inst.inputs.size());
     node.kind = static_cast<std::uint8_t>(inst.kind);
     node.sequential = info.sequential ? 1 : 0;
-    node.lut = (!info.sequential && info.input_count <= kMaxLutInputs)
-                   ? static_cast<std::uint8_t>(inst.kind)
-                   : kNoLut;
     // Word plan: direct bitwise evaluation for verified kinds, per-lane
     // LUT fallback otherwise; flops are not event-evaluated.
     if (info.sequential)
@@ -185,7 +187,6 @@ SimGraph::SimGraph(const circuit::Netlist& netlist) : netlist_{netlist} {
       word_ops_[i] = kWordLut;
     input_nets_.insert(input_nets_.end(), inst.inputs.begin(),
                        inst.inputs.end());
-    max_input_count_ = std::max(max_input_count_, inst.inputs.size());
     if (info.sequential) sequential_.push_back(i);
     if (inst.kind == CellKind::tie0)
       tie_inits_.push_back({inst.output, Logic::zero});
@@ -207,22 +208,6 @@ SimGraph::SimGraph(const circuit::Netlist& netlist) : netlist_{netlist} {
     }
     eval_offsets_[n + 1] = static_cast<std::uint32_t>(eval_list_.size());
   }
-
-  // Delays for all three models. The load model reproduces the historical
-  // per-event formula exactly: 1 + floor(fanout_pins / (2 * drive_mult)),
-  // with fanout_pins counting *all* consumer pins (sequential included).
-  for (auto& d : delays_) d.assign(inst_count, 0);
-  for (InstanceId i = 0; i < inst_count; ++i) {
-    const auto& inst = netlist.instance(i);
-    const CellInfo& info = circuit::cell_info(inst.kind);
-    delays_[static_cast<std::size_t>(SimConfig::DelayModel::unit)][i] = 1;
-    const double load = static_cast<double>(netlist.fanout_pins(inst.output));
-    delays_[static_cast<std::size_t>(SimConfig::DelayModel::load)][i] =
-        1 + static_cast<std::uint32_t>(load / (2.0 * info.drive_mult));
-  }
-  for (std::size_t m = 0; m < 3; ++m)
-    for (InstanceId i = 0; i < inst_count; ++i)
-      max_delay_[m] = std::max<std::uint64_t>(max_delay_[m], delays_[m][i]);
 
   net_is_input_.assign(net_count_, 0);
   for (const NetId n : netlist.primary_inputs()) net_is_input_[n] = 1;

@@ -2,26 +2,26 @@
 // flat arrays the event kernel actually touches per event.
 //
 // The interpreted kernel paid per event for work that is invariant per
-// netlist: cell_info() lookups, fanout vector-of-vectors chasing, delay
-// recomputation (a double divide per evaluation under the load model),
-// and a heap-allocated input-value vector per gate evaluation. SimGraph
-// hoists all of it to compile time:
+// netlist: cell_info() lookups, fanout vector-of-vectors chasing, and a
+// heap-allocated input-value vector per gate evaluation. SimGraph hoists
+// all of it to compile time:
 //
 //   * CSR fanout restricted to *combinational* consumers (flops never
 //     react to data-input events, so they are filtered out of the
 //     event-propagation graph entirely instead of being skipped by a
 //     per-event branch);
 //   * CSR input-pin arrays (flat NetId storage, one span per instance);
-//   * per-instance integer delays, precomputed for all three
-//     SimConfig::DelayModel settings so a Simulator just indexes the
-//     array for its model;
-//   * truth-table LUT evaluation for combinational cells with <= 4
-//     inputs: three-valued inputs pack into 2-bit codes (Logic's own
-//     integer values), so a gate evaluation is a shift/or gather plus
-//     one 256-byte table lookup. Wider or exotic cells fall back to
-//     circuit::evaluate_cell; the tables themselves are *built* through
-//     evaluate_cell, which is what makes the LUT path bit-identical to
-//     the interpreted kernel by construction.
+//   * truth-table LUT evaluation for every combinational cell: each
+//     library cell has at most 4 inputs, and three-valued inputs pack
+//     into 2-bit codes (Logic's own integer values), so a gate
+//     evaluation is a shift/or gather plus one 256-byte table lookup.
+//     The tables are *built* through circuit::evaluate_cell, which is
+//     what makes the LUT path bit-identical to the interpreted kernel by
+//     construction.
+//
+// Every gate has unit delay: an evaluation at tick t schedules its
+// output at t + 1, so glitches come from path-depth imbalance alone
+// (Section 5.3, Figs. 8-9).
 //
 // A graph is immutable after compile() and safe to share across threads
 // and simulators — the fault campaign compiles one graph and grades
@@ -43,12 +43,6 @@ struct GraphAccess;
 }
 
 struct SimConfig {
-  enum class DelayModel {
-    zero,  // all gates settle instantaneously (no glitches modelled)
-    unit,  // every gate = 1 tick (glitches from path-depth imbalance)
-    load,  // gate delay = 1 + fanout_pins/drive (heavier loads slower)
-  };
-  DelayModel delay_model = DelayModel::unit;
   // Safety valve: maximum events processed per settle() call.
   std::uint64_t max_events_per_settle = 50'000'000;
 };
@@ -57,8 +51,8 @@ class SimGraph {
  public:
   // Inputs to a LUT-evaluated cell pack into 2 bits each (Logic::zero=0,
   // Logic::one=1, Logic::x=2), so 4 inputs index a 256-entry table.
+  // Every combinational library cell fits (kind_luts() enforces it).
   static constexpr int kMaxLutInputs = 4;
-  static constexpr std::uint8_t kNoLut = 0xff;
   using Lut = std::array<circuit::Logic, 256>;
 
   // The scalar event queue packs net ids into 30 bits
@@ -80,9 +74,8 @@ class SimGraph {
   struct Node {
     circuit::NetId output = circuit::kInvalidNet;
     std::uint32_t in_begin = 0;  // index into input_nets()
-    std::uint8_t in_count = 0;
-    std::uint8_t lut = kNoLut;   // index into luts(); kNoLut = generic path
-    std::uint8_t kind = 0;       // circuit::CellKind, for the generic path
+    std::uint8_t in_count = 0;   // the cell's arity
+    std::uint8_t kind = 0;       // circuit::CellKind; also its index in luts()
     std::uint8_t sequential = 0;
   };
 
@@ -118,15 +111,7 @@ class SimGraph {
     return eval_list_;
   }
 
-  // Per-instance delay under `model`, and its maximum over the netlist
-  // (bounds the scheduler's timing-wheel horizon).
-  const std::vector<std::uint32_t>& delays(SimConfig::DelayModel model) const {
-    return delays_[static_cast<std::size_t>(model)];
-  }
-  std::uint64_t max_delay(SimConfig::DelayModel model) const {
-    return max_delay_[static_cast<std::size_t>(model)];
-  }
-
+  // One table per CellKind (sequential kinds' tables are never read).
   const std::vector<Lut>& luts() const { return luts_; }
 
   // Per-instance word-level plan (see kWordLut / kWordSequential above).
@@ -142,9 +127,6 @@ class SimGraph {
   bool is_primary_input(circuit::NetId net) const {
     return net < net_count_ && net_is_input_[net] != 0;
   }
-
-  // Widest input count of any instance (sizes the generic-path scratch).
-  std::size_t max_input_count() const { return max_input_count_; }
 
   SimGraph(const SimGraph&) = delete;
   SimGraph& operator=(const SimGraph&) = delete;
@@ -165,14 +147,11 @@ class SimGraph {
   std::vector<circuit::NetId> input_nets_;
   std::vector<std::uint32_t> eval_offsets_;
   std::vector<circuit::InstanceId> eval_list_;
-  std::vector<std::uint32_t> delays_[3];
-  std::uint64_t max_delay_[3] = {0, 0, 0};
   std::vector<Lut> luts_;
   std::vector<std::uint8_t> word_ops_;
   std::vector<circuit::InstanceId> sequential_;
   std::vector<TieInit> tie_inits_;
   std::vector<std::uint8_t> net_is_input_;
-  std::size_t max_input_count_ = 0;
 };
 
 }  // namespace lv::sim

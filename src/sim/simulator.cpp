@@ -11,7 +11,6 @@
 namespace lv::sim {
 
 namespace u = lv::util;
-using circuit::CellKind;
 using circuit::InstanceId;
 using circuit::Logic;
 using circuit::NetId;
@@ -53,10 +52,6 @@ lv::obs::Counter& c_glitches() {
 }
 lv::obs::Counter& c_lut_evals() {
   static auto& c = lv::obs::Registry::global().counter("sim.lut_evals");
-  return c;
-}
-lv::obs::Counter& c_generic_evals() {
-  static auto& c = lv::obs::Registry::global().counter("sim.generic_evals");
   return c;
 }
 lv::obs::Counter& c_wheel_wraps() {
@@ -133,21 +128,19 @@ Simulator::Simulator(std::shared_ptr<const SimGraph> graph, SimConfig config)
       dirty_nets_(graph_->net_count() + 1),
       dirty_flag_(graph_->net_count(), 0),
       flop_state_(graph_->instance_count(), Logic::x),
-      // Pool hint: several events per net can be pending at once under
-      // the load-delay model (a net rescheduled from differently-delayed
-      // paths holds one entry per pending time; glitchy datapaths measure
-      // ~2-3). 4x net count covers most netlists from the start; a glitch
-      // storm past it adds 16-page blocks once, and the warmed-up queue
-      // then recycles them without allocating.
-      queue_{graph_->max_delay(config.delay_model), 4 * graph_->net_count()},
+      // Horizon 1: an evaluation appends at now + 1. Pool hint: a net
+      // whose driver re-evaluates several times in one tick holds one
+      // pending entry per changed result. 4x net count covers most
+      // netlists from the start; a glitch storm past it adds 16-page
+      // blocks once, and the warmed-up queue then recycles them without
+      // allocating.
+      queue_{1, 4 * graph_->net_count()},
       stats_{graph_->net_count()} {
   nodes_ = graph_->nodes().data();
   in_nets_ = graph_->input_nets().data();
   eval_offsets_ = graph_->eval_offsets().data();
   eval_list_ = graph_->eval_list().data();
-  delay_ = graph_->delays(config_.delay_model).data();
   luts_ = graph_->luts().data();
-  eval_scratch_.resize(graph_->max_input_count());
   captures_.reserve(graph_->sequential_instances().size());
   // Tie cells establish constants immediately.
   for (const auto& tie : graph_->tie_inits())
@@ -188,31 +181,24 @@ void Simulator::schedule(NetId net, Logic value, std::uint64_t time) {
 
 // evaluate, evaluate_instance and apply_event are `inline` so the whole
 // per-event path compiles into drain_events' loop.
-inline Logic Simulator::evaluate(const SimGraph::Node& node) {
+inline Logic Simulator::evaluate(const SimGraph::Node& node) const {
+  // Pack the 2-bit input codes into a table index: one shift/or per
+  // pin, no allocation, no cell_info lookup.
   const NetId* ins = in_nets_ + node.in_begin;
-  if (node.lut != SimGraph::kNoLut) {
-    // Pack the 2-bit input codes into a table index: one shift/or per
-    // pin, no allocation, no cell_info lookup.
-    unsigned idx = 0;
-    for (unsigned k = 0; k < node.in_count; ++k)
-      idx |= static_cast<unsigned>(values_[ins[k]]) << (2u * k);
-    return luts_[node.lut][idx];
-  }
+  unsigned idx = 0;
   for (unsigned k = 0; k < node.in_count; ++k)
-    eval_scratch_[k] = values_[ins[k]];
-  return circuit::evaluate_cell(static_cast<CellKind>(node.kind),
-                                {eval_scratch_.data(), node.in_count});
+    idx |= static_cast<unsigned>(values_[ins[k]]) << (2u * k);
+  return luts_[node.kind][idx];
 }
 
 inline void Simulator::evaluate_instance(InstanceId id, std::uint64_t now) {
   const SimGraph::Node& node = nodes_[id];
   const Logic out = evaluate(node);
-  if (node.lut == SimGraph::kNoLut) ++generic_evals_;
   // The candidate always lands in the target slot; it is kept only if
   // it changes what the net has scheduled (no data-dependent branch).
   const bool changed = out != scheduled_[node.output];
   scheduled_[node.output] = out;
-  queue_.append(now + delay_[id], {node.output, out}, changed);
+  queue_.append(now + 1, {node.output, out}, changed);
 }
 
 inline void Simulator::apply_event(NetId net, Logic value,
@@ -255,13 +241,11 @@ std::uint64_t Simulator::drain_events() {
   queue_.rebase();
   if (obs::enabled()) {
     c_events().add(processed);
-    c_lut_evals().add(evals_ - generic_evals_);
-    c_generic_evals().add(generic_evals_);
+    c_lut_evals().add(evals_);
     c_wheel_wraps().add(queue_.wraps() - wraps_flushed_);
     g_queue_hwm().update_max(static_cast<double>(queue_hwm_));
   }
   evals_ = 0;
-  generic_evals_ = 0;
   wraps_flushed_ = queue_.wraps();
   queue_hwm_ = 0;
   return processed;

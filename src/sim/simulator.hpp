@@ -3,18 +3,19 @@
 // activity; "our experiences with switch-level simulators shows that the
 // estimated switched capacitance ... fits measured results within 10%").
 //
-// The simulator is delay-annotated, so unequal path depths produce the
+// Every gate has unit delay, so unequal path depths produce the
 // spurious intermediate transitions (glitches) of real static CMOS —
 // Figs. 8-9's histograms explicitly include them. Per-net statistics
 // separate total transitions from settled-value changes, making the
-// glitch component directly observable.
+// glitch component directly observable (the settled changes are the
+// zero-delay activity).
 //
 // The engine is *compiled*: a sim::SimGraph lowers the netlist once into
-// CSR fanout/input arrays, per-instance delays, and truth-table LUTs
-// (see sim_graph.hpp), and a calendar-queue scheduler replaces the
-// binary heap (see calendar_queue.hpp). Both preserve the historical
-// (time, sequence) event order exactly, so ActivityStats is bit-identical
-// to the interpreted kernel on every netlist and delay model (pinned by
+// CSR fanout/input arrays and truth-table LUTs (see sim_graph.hpp), and
+// a calendar-queue scheduler replaces the binary heap (see
+// calendar_queue.hpp). Both preserve the historical (time, sequence)
+// event order exactly, so ActivityStats is bit-identical to the
+// interpreted kernel on every netlist (pinned by
 // tests/sim_kernel_equivalence_test.cpp against a retained copy of the
 // interpreted engine).
 #pragma once
@@ -151,7 +152,7 @@ class Simulator {
  private:
   void schedule(circuit::NetId net, circuit::Logic value, std::uint64_t time);
   // The instance's output for the present net values (uncounted).
-  circuit::Logic evaluate(const SimGraph::Node& node);
+  circuit::Logic evaluate(const SimGraph::Node& node) const;
   void evaluate_instance(circuit::InstanceId id, std::uint64_t now);
   void apply_event(circuit::NetId net, circuit::Logic value,
                    std::uint64_t time);
@@ -170,7 +171,6 @@ class Simulator {
   const circuit::NetId* in_nets_ = nullptr;
   const std::uint32_t* eval_offsets_ = nullptr;
   const circuit::InstanceId* eval_list_ = nullptr;
-  const std::uint32_t* delay_ = nullptr;
   const SimGraph::Lut* luts_ = nullptr;
 
   std::vector<circuit::Logic> values_;
@@ -193,16 +193,13 @@ class Simulator {
   // Reused scratch buffers (no per-event or per-cycle heap allocation in
   // steady state — pinned by tests/sim_alloc_test.cpp).
   std::vector<std::pair<circuit::InstanceId, circuit::Logic>> captures_;
-  std::vector<circuit::Logic> eval_scratch_;
   // Observability accumulators. Maintained unconditionally (cheap plain
   // increments) and flushed to the lv::obs registry once per drain/cycle
   // — the obs::enabled() check is hoisted out of the per-event path.
   std::uint64_t queue_hwm_ = 0;
   std::uint64_t cycle_transitions_ = 0;
-  // All gate evaluations (bumped by the fanout count); the LUT ones
-  // are evals_ - generic_evals_.
+  // Gate evaluations (bumped by the fanout count).
   std::uint64_t evals_ = 0;
-  std::uint64_t generic_evals_ = 0;
   std::uint64_t wraps_flushed_ = 0;
 };
 

@@ -6,8 +6,7 @@
 // block for the good machine, then only the instances a fault disturbs.
 // Both read gate inputs from a flat
 // per-net LogicW array, so the evaluation itself — the verified direct
-// word operator, or the per-lane LUT / generic fallback — lives here
-// once.
+// word operator, or the per-lane LUT fallback — lives here once.
 #pragma once
 
 #include <cstdint>
@@ -23,9 +22,8 @@ class WordEvaluator {
  public:
   // Evaluations taken by each path since the last take_counts().
   struct Counts {
-    std::uint64_t direct = 0;         // whole-word direct operators
-    std::uint64_t lut_lanes = 0;      // per-lane LUT lookups
-    std::uint64_t generic_lanes = 0;  // per-lane circuit::evaluate_cell
+    std::uint64_t direct = 0;     // whole-word direct operators
+    std::uint64_t lut_lanes = 0;  // per-lane LUT lookups
   };
 
   // `force_lut_fallback` routes every combinational cell through the
@@ -58,6 +56,7 @@ class WordEvaluator {
   }
 
  private:
+  // Per-lane LUT fallback: the scalar kernel's tables, lane by lane.
   LogicW evaluate_per_lane(const SimGraph::Node& node, const LogicW* values);
 
   const SimGraph::Node* nodes_;
@@ -67,9 +66,6 @@ class WordEvaluator {
   // Word plan with every combinational instance demoted to the LUT path
   // (force_lut_fallback only).
   std::vector<std::uint8_t> forced_plan_;
-  // Reused scratch for the per-lane paths (no allocation per evaluation).
-  std::vector<LogicW> word_scratch_;
-  std::vector<circuit::Logic> lane_scratch_;
   Counts counts_;
 };
 

@@ -3,9 +3,10 @@
 // (sim::SimGraph + CalendarQueue) replaced. It exists solely as the
 // golden oracle for tests/sim_kernel_equivalence_test.cpp: the compiled
 // kernel must reproduce this engine's ActivityStats bit-for-bit on every
-// netlist and delay model. Kept deliberately close to the original
-// source (per-event cell_info lookups, vector-per-evaluation, O(nets)
-// finish_cycle) — do not "optimize" it; its slowness is its value.
+// netlist, with every gate at unit delay. Kept deliberately close to the
+// original source (per-event cell_info lookups, vector-per-evaluation,
+// O(nets) finish_cycle) — do not "optimize" it; its slowness is its
+// value.
 #pragma once
 
 #include <algorithm>
@@ -136,23 +137,6 @@ class ReferenceSimulator {
     }
   };
 
-  std::uint64_t gate_delay(circuit::InstanceId id) const {
-    switch (config_.delay_model) {
-      case SimConfig::DelayModel::zero:
-        return 0;
-      case SimConfig::DelayModel::unit:
-        return 1;
-      case SimConfig::DelayModel::load: {
-        const auto& inst = netlist_.instance(id);
-        const auto& info = circuit::cell_info(inst.kind);
-        const double load =
-            static_cast<double>(netlist_.fanout_pins(inst.output));
-        return 1 + static_cast<std::uint64_t>(load / (2.0 * info.drive_mult));
-      }
-    }
-    return 1;
-  }
-
   void schedule(circuit::NetId net, circuit::Logic value, std::uint64_t time) {
     scheduled_[net] = value;
     queue_.push(Event{time, seq_++, net, value});
@@ -167,7 +151,7 @@ class ReferenceSimulator {
     for (const circuit::NetId in : inst.inputs) ins.push_back(values_[in]);
     const circuit::Logic out = circuit::evaluate_cell(inst.kind, ins);
     if (out == scheduled_[inst.output]) return;
-    schedule(inst.output, out, now + gate_delay(id));
+    schedule(inst.output, out, now + 1);
   }
 
   void apply_event(const Event& event) {

@@ -83,36 +83,30 @@ TEST(SimAllocation, CombinationalSettleSteadyStateAllocFree) {
   const auto a = s::random_vectors(128, 16, 5);
   const auto b = s::random_vectors(128, 16, 6);
 
-  for (const auto model : {s::SimConfig::DelayModel::zero,
-                           s::SimConfig::DelayModel::unit,
-                           s::SimConfig::DelayModel::load}) {
-    s::Simulator sim{nl, s::SimConfig{model, 50'000'000}};
-    // Warm-up: buckets, scratch, and dirty list grow to their high-water
-    // marks during the first settles. Full-bus toggles first — the
-    // all-ones/all-zeros flip propagates the longest carry chains and
-    // touches every net, so later random vectors stay under the
-    // capacities established here.
-    for (int i = 0; i < 8; ++i) {
-      sim.set_bus(ports.a, (i & 1) ? 0xffffu : 0u);
-      sim.set_bus(ports.b, (i & 1) ? 0u : 0xffffu);
-      sim.settle();
-    }
-    for (std::size_t i = 0; i < 64; ++i) {
-      sim.set_bus(ports.a, a[i]);
-      sim.set_bus(ports.b, b[i]);
-      sim.settle();
-    }
-    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-    for (std::size_t i = 64; i < 128; ++i) {
-      sim.set_bus(ports.a, a[i]);
-      sim.set_bus(ports.b, b[i]);
-      sim.settle();
-    }
-    const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u)
-        << "allocations in steady state, delay model "
-        << static_cast<int>(model);
+  s::Simulator sim{nl};
+  // Warm-up: buckets, scratch, and dirty list grow to their high-water
+  // marks during the first settles. Full-bus toggles first — the
+  // all-ones/all-zeros flip propagates the longest carry chains and
+  // touches every net, so later random vectors stay under the
+  // capacities established here.
+  for (int i = 0; i < 8; ++i) {
+    sim.set_bus(ports.a, (i & 1) ? 0xffffu : 0u);
+    sim.set_bus(ports.b, (i & 1) ? 0u : 0xffffu);
+    sim.settle();
   }
+  for (std::size_t i = 0; i < 64; ++i) {
+    sim.set_bus(ports.a, a[i]);
+    sim.set_bus(ports.b, b[i]);
+    sim.settle();
+  }
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (std::size_t i = 64; i < 128; ++i) {
+    sim.set_bus(ports.a, a[i]);
+    sim.set_bus(ports.b, b[i]);
+    sim.settle();
+  }
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "allocations in steady state";
 }
 
 TEST(SimAllocation, GlitchHeavyMultiplierSteadyStateAllocFree) {
@@ -127,25 +121,19 @@ TEST(SimAllocation, GlitchHeavyMultiplierSteadyStateAllocFree) {
   const auto a = s::random_vectors(96, 8, 15);
   const auto b = s::random_vectors(96, 8, 16);
 
-  for (const auto model : {s::SimConfig::DelayModel::zero,
-                           s::SimConfig::DelayModel::unit,
-                           s::SimConfig::DelayModel::load}) {
-    s::Simulator sim{nl, s::SimConfig{model, 50'000'000}};
-    const auto pass = [&] {
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        sim.set_bus(ports.a, a[i]);
-        sim.set_bus(ports.b, b[i]);
-        sim.settle();
-      }
-    };
-    pass();
-    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-    pass();
-    const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u)
-        << "allocations in steady state, delay model "
-        << static_cast<int>(model);
-  }
+  s::Simulator sim{nl};
+  const auto pass = [&] {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      sim.set_bus(ports.a, a[i]);
+      sim.set_bus(ports.b, b[i]);
+      sim.settle();
+    }
+  };
+  pass();
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  pass();
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "allocations in steady state";
 }
 
 TEST(SimAllocation, SequentialClockingSteadyStateAllocFree) {
@@ -155,8 +143,7 @@ TEST(SimAllocation, SequentialClockingSteadyStateAllocFree) {
   const auto a = s::random_vectors(128, 8, 7);
   const auto b = s::random_vectors(128, 8, 8);
 
-  s::Simulator sim{nl, s::SimConfig{s::SimConfig::DelayModel::load,
-                                    50'000'000}};
+  s::Simulator sim{nl};
   sim.reset_flops(c::Logic::zero);
   for (int i = 0; i < 8; ++i) {
     sim.set_bus(ports.a, (i & 1) ? 0xffu : 0u);

@@ -3,7 +3,7 @@
 // The contract under test is *per-lane bit-exactness*: every lane of a
 // BitParallelSimulator must reproduce, exactly, the trajectory and
 // activity accounting that a scalar Simulator produces when fed that
-// lane's stimulus alone — on every fixture, every delay model, with
+// lane's stimulus alone — on every fixture, with
 // X-carrying lanes, and both word evaluation paths (verified direct
 // operators and the per-lane LUT fallback). No tolerances: the word
 // kernel shares the scalar kernel's (time, seq) event order, so equality
@@ -35,21 +35,6 @@ namespace s = lv::sim;
 
 namespace {
 
-const s::SimConfig::DelayModel kModels[] = {
-    s::SimConfig::DelayModel::zero,
-    s::SimConfig::DelayModel::unit,
-    s::SimConfig::DelayModel::load,
-};
-
-const char* model_name(s::SimConfig::DelayModel m) {
-  switch (m) {
-    case s::SimConfig::DelayModel::zero: return "zero";
-    case s::SimConfig::DelayModel::unit: return "unit";
-    case s::SimConfig::DelayModel::load: return "load";
-  }
-  return "?";
-}
-
 // Per-lane two-operand streams: streams[lane][step].
 using LaneStreams = std::vector<std::vector<std::uint64_t>>;
 
@@ -74,22 +59,17 @@ std::vector<std::uint64_t> step_values(const LaneStreams& streams,
 // value and the full per-net activity accounting.
 void expect_lane_matches_scalar(const c::Netlist& nl,
                                 const s::BitParallelSimulator& word,
-                                unsigned lane, const s::Simulator& scalar,
-                                s::SimConfig::DelayModel model) {
+                                unsigned lane, const s::Simulator& scalar) {
   const s::ActivityStats lane_stats = word.lane_stats(lane);
   const auto& want = scalar.stats();
-  ASSERT_EQ(lane_stats.cycles(), want.cycles())
-      << "lane " << lane << " model " << model_name(model);
+  ASSERT_EQ(lane_stats.cycles(), want.cycles()) << "lane " << lane;
   for (c::NetId n = 0; n < nl.net_count(); ++n) {
     ASSERT_EQ(word.value(n, lane), scalar.value(n))
-        << "net '" << nl.net(n).name << "' lane " << lane << " model "
-        << model_name(model);
+        << "net '" << nl.net(n).name << "' lane " << lane;
     ASSERT_EQ(lane_stats.transitions(n), want.transitions(n))
-        << "net '" << nl.net(n).name << "' lane " << lane << " model "
-        << model_name(model);
+        << "net '" << nl.net(n).name << "' lane " << lane;
     ASSERT_EQ(lane_stats.settled_changes(n), want.settled_changes(n))
-        << "net '" << nl.net(n).name << "' lane " << lane << " model "
-        << model_name(model);
+        << "net '" << nl.net(n).name << "' lane " << lane;
   }
 }
 
@@ -97,29 +77,26 @@ void expect_lane_matches_scalar(const c::Netlist& nl,
 
 TEST(SimBitParallel, SixtyFourLanesMatchScalarPerLane_Adder) {
   // 64 distinct random streams through one word simulator; every lane
-  // must equal a scalar run of its own stream, for all delay models.
+  // must equal a scalar run of its own stream.
   c::Netlist nl;
   const auto ports = c::build_ripple_carry_adder(nl, 16);
   constexpr std::size_t kSteps = 24;
   const auto a = random_lane_streams(s::kLaneCount, kSteps, 16, 1000);
   const auto b = random_lane_streams(s::kLaneCount, kSteps, 16, 2000);
-  for (const auto model : kModels) {
-    const s::SimConfig config{model, 50'000'000};
-    s::BitParallelSimulator word{nl, config, {.per_lane_stats = true}};
+  s::BitParallelSimulator word{nl, {}, {.per_lane_stats = true}};
+  for (std::size_t i = 0; i < kSteps; ++i) {
+    word.set_bus(ports.a, step_values(a, i));
+    word.set_bus(ports.b, step_values(b, i));
+    word.settle();
+  }
+  for (unsigned lane = 0; lane < s::kLaneCount; ++lane) {
+    s::Simulator scalar{nl};
     for (std::size_t i = 0; i < kSteps; ++i) {
-      word.set_bus(ports.a, step_values(a, i));
-      word.set_bus(ports.b, step_values(b, i));
-      word.settle();
+      scalar.set_bus(ports.a, a[lane][i]);
+      scalar.set_bus(ports.b, b[lane][i]);
+      scalar.settle();
     }
-    for (unsigned lane = 0; lane < s::kLaneCount; ++lane) {
-      s::Simulator scalar{nl, config};
-      for (std::size_t i = 0; i < kSteps; ++i) {
-        scalar.set_bus(ports.a, a[lane][i]);
-        scalar.set_bus(ports.b, b[lane][i]);
-        scalar.settle();
-      }
-      expect_lane_matches_scalar(nl, word, lane, scalar, model);
-    }
+    expect_lane_matches_scalar(nl, word, lane, scalar);
   }
 }
 
@@ -129,24 +106,21 @@ TEST(SimBitParallel, MultiplierLanesMatchScalarPerLane) {
   constexpr std::size_t kSteps = 16;
   const auto a = random_lane_streams(s::kLaneCount, kSteps, 6, 3000);
   const auto b = random_lane_streams(s::kLaneCount, kSteps, 6, 4000);
-  for (const auto model : kModels) {
-    const s::SimConfig config{model, 50'000'000};
-    s::BitParallelSimulator word{nl, config, {.per_lane_stats = true}};
+  s::BitParallelSimulator word{nl, {}, {.per_lane_stats = true}};
+  for (std::size_t i = 0; i < kSteps; ++i) {
+    word.set_bus(ports.a, step_values(a, i));
+    word.set_bus(ports.b, step_values(b, i));
+    word.settle();
+  }
+  // Spot-check a spread of lanes (the adder test sweeps all 64).
+  for (const unsigned lane : {0u, 1u, 7u, 31u, 62u, 63u}) {
+    s::Simulator scalar{nl};
     for (std::size_t i = 0; i < kSteps; ++i) {
-      word.set_bus(ports.a, step_values(a, i));
-      word.set_bus(ports.b, step_values(b, i));
-      word.settle();
+      scalar.set_bus(ports.a, a[lane][i]);
+      scalar.set_bus(ports.b, b[lane][i]);
+      scalar.settle();
     }
-    // Spot-check a spread of lanes (the adder test sweeps all 64).
-    for (const unsigned lane : {0u, 1u, 7u, 31u, 62u, 63u}) {
-      s::Simulator scalar{nl, config};
-      for (std::size_t i = 0; i < kSteps; ++i) {
-        scalar.set_bus(ports.a, a[lane][i]);
-        scalar.set_bus(ports.b, b[lane][i]);
-        scalar.settle();
-      }
-      expect_lane_matches_scalar(nl, word, lane, scalar, model);
-    }
+    expect_lane_matches_scalar(nl, word, lane, scalar);
   }
 }
 
@@ -158,33 +132,30 @@ TEST(SimBitParallel, PipelinedMacClockGatingLanesMatchScalarPerLane) {
   constexpr std::size_t kSteps = 32;
   const auto a = random_lane_streams(s::kLaneCount, kSteps, 8, 5000);
   const auto b = random_lane_streams(s::kLaneCount, kSteps, 8, 6000);
-  for (const auto model : kModels) {
-    const s::SimConfig config{model, 50'000'000};
-    s::BitParallelSimulator word{nl, config, {.per_lane_stats = true}};
-    word.reset_flops(c::Logic::zero);
-    for (std::size_t i = 0; i < kSteps; ++i) {
-      if (i == 10) word.set_module_clock_enable("mac.acc", false);
-      if (i == 16) word.set_module_clock_enable("mac.acc", true);
-      word.set_bus(ports.a, step_values(a, i));
-      word.set_bus(ports.b, step_values(b, i));
-      word.clock_cycle();
-    }
-    word.force_net(ports.accumulator[0], c::Logic::one);
+  s::BitParallelSimulator word{nl, {}, {.per_lane_stats = true}};
+  word.reset_flops(c::Logic::zero);
+  for (std::size_t i = 0; i < kSteps; ++i) {
+    if (i == 10) word.set_module_clock_enable("mac.acc", false);
+    if (i == 16) word.set_module_clock_enable("mac.acc", true);
+    word.set_bus(ports.a, step_values(a, i));
+    word.set_bus(ports.b, step_values(b, i));
     word.clock_cycle();
-    for (const unsigned lane : {0u, 5u, 33u, 63u}) {
-      s::Simulator scalar{nl, config};
-      scalar.reset_flops(c::Logic::zero);
-      for (std::size_t i = 0; i < kSteps; ++i) {
-        if (i == 10) scalar.set_module_clock_enable("mac.acc", false);
-        if (i == 16) scalar.set_module_clock_enable("mac.acc", true);
-        scalar.set_bus(ports.a, a[lane][i]);
-        scalar.set_bus(ports.b, b[lane][i]);
-        scalar.clock_cycle();
-      }
-      scalar.force_net(ports.accumulator[0], c::Logic::one);
+  }
+  word.force_net(ports.accumulator[0], c::Logic::one);
+  word.clock_cycle();
+  for (const unsigned lane : {0u, 5u, 33u, 63u}) {
+    s::Simulator scalar{nl};
+    scalar.reset_flops(c::Logic::zero);
+    for (std::size_t i = 0; i < kSteps; ++i) {
+      if (i == 10) scalar.set_module_clock_enable("mac.acc", false);
+      if (i == 16) scalar.set_module_clock_enable("mac.acc", true);
+      scalar.set_bus(ports.a, a[lane][i]);
+      scalar.set_bus(ports.b, b[lane][i]);
       scalar.clock_cycle();
-      expect_lane_matches_scalar(nl, word, lane, scalar, model);
     }
+    scalar.force_net(ports.accumulator[0], c::Logic::one);
+    scalar.clock_cycle();
+    expect_lane_matches_scalar(nl, word, lane, scalar);
   }
 }
 
@@ -210,34 +181,31 @@ TEST(SimBitParallel, XCarryingLanesStayLaneExact) {
       default: return c::from_bool(bit);
     }
   };
-  for (const auto model : kModels) {
-    const s::SimConfig config{model, 50'000'000};
-    s::BitParallelSimulator word{nl, config, {.per_lane_stats = true}};
-    for (std::size_t i = 0; i < base.size(); ++i) {
-      for (std::size_t j = 0; j < ports.a.size(); ++j) {
-        s::LogicW w{0, 0};
-        for (unsigned lane = 0; lane < 4; ++lane)
-          w = s::with_lane(w, lane, lane_value(lane, i, j));
-        word.set_input(ports.a[j], w);
-      }
-      word.set_bus_broadcast(ports.b, base[i] ^ 0x3c);
-      word.settle();
+  s::BitParallelSimulator word{nl, {}, {.per_lane_stats = true}};
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    for (std::size_t j = 0; j < ports.a.size(); ++j) {
+      s::LogicW w{0, 0};
+      for (unsigned lane = 0; lane < 4; ++lane)
+        w = s::with_lane(w, lane, lane_value(lane, i, j));
+      word.set_input(ports.a[j], w);
     }
-    for (unsigned lane = 0; lane < 4; ++lane) {
-      s::Simulator scalar{nl, config};
-      for (std::size_t i = 0; i < base.size(); ++i) {
-        for (std::size_t j = 0; j < ports.a.size(); ++j)
-          scalar.set_input(ports.a[j], lane_value(lane, i, j));
-        scalar.set_bus(ports.b, base[i] ^ 0x3c);
-        scalar.settle();
-      }
-      expect_lane_matches_scalar(nl, word, lane, scalar, model);
-    }
-    // An all-X operand must leave lane 2's sum X but lane 0's known.
-    std::uint64_t out = 0;
-    EXPECT_TRUE(word.read_bus(ports.sum, 0, out));
-    EXPECT_FALSE(word.read_bus(ports.sum, 2, out));
+    word.set_bus_broadcast(ports.b, base[i] ^ 0x3c);
+    word.settle();
   }
+  for (unsigned lane = 0; lane < 4; ++lane) {
+    s::Simulator scalar{nl};
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      for (std::size_t j = 0; j < ports.a.size(); ++j)
+        scalar.set_input(ports.a[j], lane_value(lane, i, j));
+      scalar.set_bus(ports.b, base[i] ^ 0x3c);
+      scalar.settle();
+    }
+    expect_lane_matches_scalar(nl, word, lane, scalar);
+  }
+  // An all-X operand must leave lane 2's sum X but lane 0's known.
+  std::uint64_t out = 0;
+  EXPECT_TRUE(word.read_bus(ports.sum, 0, out));
+  EXPECT_FALSE(word.read_bus(ports.sum, 2, out));
 }
 
 namespace {
@@ -370,29 +338,25 @@ TEST(SimBitParallel, LutFallbackMatchesDirectOperators) {
   const auto ports = c::build_array_multiplier(nl, 5);
   const auto a = random_lane_streams(s::kLaneCount, 12, 5, 7000);
   const auto b = random_lane_streams(s::kLaneCount, 12, 5, 8000);
-  for (const auto model : kModels) {
-    const s::SimConfig config{model, 50'000'000};
-    s::BitParallelSimulator direct{nl, config, {.per_lane_stats = true}};
-    s::BitParallelSimulator fallback{
-        nl, config,
-        {.per_lane_stats = true, .force_lut_fallback = true}};
-    for (std::size_t i = 0; i < 12; ++i) {
-      for (auto* sim : {&direct, &fallback}) {
-        sim->set_bus(ports.a, step_values(a, i));
-        sim->set_bus(ports.b, step_values(b, i));
-        sim->settle();
-      }
+  s::BitParallelSimulator direct{nl, {}, {.per_lane_stats = true}};
+  s::BitParallelSimulator fallback{
+      nl, {}, {.per_lane_stats = true, .force_lut_fallback = true}};
+  for (std::size_t i = 0; i < 12; ++i) {
+    for (auto* sim : {&direct, &fallback}) {
+      sim->set_bus(ports.a, step_values(a, i));
+      sim->set_bus(ports.b, step_values(b, i));
+      sim->settle();
     }
-    EXPECT_EQ(direct.stats().cycles(), fallback.stats().cycles());
-    for (c::NetId n = 0; n < nl.net_count(); ++n) {
-      ASSERT_EQ(direct.value(n), fallback.value(n))
-          << "net '" << nl.net(n).name << "' model " << model_name(model);
-      ASSERT_EQ(direct.stats().transitions(n), fallback.stats().transitions(n))
-          << "net '" << nl.net(n).name << "' model " << model_name(model);
-      ASSERT_EQ(direct.stats().settled_changes(n),
-                fallback.stats().settled_changes(n))
-          << "net '" << nl.net(n).name << "' model " << model_name(model);
-    }
+  }
+  EXPECT_EQ(direct.stats().cycles(), fallback.stats().cycles());
+  for (c::NetId n = 0; n < nl.net_count(); ++n) {
+    ASSERT_EQ(direct.value(n), fallback.value(n))
+        << "net '" << nl.net(n).name << "'";
+    ASSERT_EQ(direct.stats().transitions(n), fallback.stats().transitions(n))
+        << "net '" << nl.net(n).name << "'";
+    ASSERT_EQ(direct.stats().settled_changes(n),
+              fallback.stats().settled_changes(n))
+        << "net '" << nl.net(n).name << "'";
   }
 }
 
@@ -520,7 +484,7 @@ TEST(SimBitParallel, EventBudgetIsCodedAndTripsOnTheSameSettleAsScalar) {
     return "ok";
   };
   for (const std::uint64_t budget : {events, events - 1}) {
-    const s::SimConfig config{s::SimConfig::DelayModel::unit, budget};
+    const s::SimConfig config{budget};
     s::Simulator scalar{nl, config};
     s::BitParallelSimulator word{nl, config};
     const std::string want = budget == events ? "ok" : "sim.event_budget";

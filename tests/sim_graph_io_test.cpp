@@ -1,8 +1,8 @@
-// SimGraph serialization (lv-graph/1): a decoded graph must be
+// SimGraph serialization (lv-graph/2): a decoded graph must be
 // bit-identical to the compile it was encoded from — pinned by
 // re-encoding (every serialized array compared at once) and by running
-// both through the simulator. Damaged blobs must throw util::Error, the
-// signal the artifact store turns into miss-and-delete.
+// both through the simulator. Damaged, forged and version-1 blobs must
+// throw util::Error, the signal a caller turns into a recompile.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 
 #include "check/ingest.hpp"
 #include "circuit/generators.hpp"
+#include "graph_blob_v1.hpp"
 #include "circuit/netlist.hpp"
 #include "sim/graph_io.hpp"
 #include "sim/sim_graph.hpp"
@@ -42,8 +43,8 @@ const char* kSequentialNetlist =
     "output y\n";
 
 // decode(encode(g)) must re-encode to the identical byte string: that
-// compares every serialized field (nodes, CSRs, all three delay arrays,
-// word ops, tie inits, bitmaps) in one shot.
+// compares every serialized field (nodes, CSRs, word ops, tie inits,
+// bitmaps) in one shot.
 void expect_round_trip_identical(const c::Netlist& nl) {
   const auto compiled = s::SimGraph::compile(nl);
   const std::string blob = s::encode_graph(*compiled);
@@ -55,8 +56,12 @@ void expect_round_trip_identical(const c::Netlist& nl) {
   ASSERT_EQ(decoded->luts().size(), compiled->luts().size());
   for (std::size_t i = 0; i < decoded->luts().size(); ++i)
     EXPECT_EQ(decoded->luts()[i], compiled->luts()[i]) << "lut " << i;
-  EXPECT_EQ(decoded->max_delay(s::SimConfig::DelayModel::load),
-            compiled->max_delay(s::SimConfig::DelayModel::load));
+  // Derived on decode, not serialized: must match the compiled graph's.
+  for (std::size_t i = 0; i < compiled->instance_count(); ++i)
+    EXPECT_EQ(decoded->nodes()[i].sequential, compiled->nodes()[i].sequential)
+        << "node " << i;
+  EXPECT_EQ(decoded->sequential_instances(),
+            compiled->sequential_instances());
 }
 
 }  // namespace
@@ -78,10 +83,8 @@ TEST(SimGraphIo, DecodedGraphSimulatesIdentically) {
   const auto compiled = s::SimGraph::compile(nl);
   const auto decoded = s::decode_graph(nl, s::encode_graph(*compiled));
 
-  s::SimConfig config;
-  config.delay_model = s::SimConfig::DelayModel::load;
-  s::Simulator a{compiled, config};
-  s::Simulator b{decoded, config};
+  s::Simulator a{compiled};
+  s::Simulator b{decoded};
   u::Xoshiro256 rng{42};
   for (int i = 0; i < 200; ++i) {
     const std::uint64_t va = rng.next_u64() & 0xff;
@@ -99,7 +102,7 @@ TEST(SimGraphIo, DecodedGraphSimulatesIdentically) {
     EXPECT_EQ(sa, sb) << "inputs " << va << " + " << vb;
     EXPECT_EQ(sa & 0xff, (va + vb) & 0xff);
   }
-  // Transition statistics ride on the same delay arrays — glitch counts
+  // Transition statistics ride on the same CSR arrays — glitch counts
   // must match too, not just settled values.
   for (c::NetId n = 0; n < nl.net_count(); ++n)
     EXPECT_EQ(a.stats().transitions(n), b.stats().transitions(n)) << n;
@@ -122,6 +125,64 @@ TEST(SimGraphIo, RejectsVersionBump) {
   std::string blob = s::encode_graph(*s::SimGraph::compile(nl));
   blob[0] = static_cast<char>(blob[0] + 1);  // version is the first u32
   EXPECT_THROW(s::decode_graph(nl, blob), u::Error);
+  // A store filled by an older build still holds lv-graph/1 blobs, whose
+  // delay tables and max_input_count the old decoder installed
+  // unchecked. They are refused whole; the caller recompiles.
+  EXPECT_THROW(
+      s::decode_graph(nl, s::testing::encode_graph_v1(s::SimGraph{nl})),
+      u::Error);
+}
+
+TEST(SimGraphIo, RejectsNodeInputCountOtherThanItsArity) {
+  // Forged input counts that still fit the pin array. One pin too many
+  // gathers a LUT index past the cell's table entries, and five pins
+  // index past all 256; one too few reads the wrong entry.
+  c::Netlist nl;
+  c::build_ripple_carry_adder(nl, 4);
+  const auto graph = s::SimGraph::compile(nl);
+  const std::string blob = s::encode_graph(*graph);
+  // The first two-input node. Its in_count follows the header (version,
+  // net and instance counts), the 10-byte nodes before it, and its own
+  // output and in_begin.
+  std::size_t node = 0;
+  while (graph->nodes()[node].in_count != 2) ++node;
+  const std::size_t in_count_at = 4 + 8 + 8 + 10 * node + 4 + 4;
+  ASSERT_EQ(blob[in_count_at], 2);
+  for (const int forged : {0, 1, 3, 5}) {
+    std::string mutated = blob;
+    mutated[in_count_at] = static_cast<char>(forged);
+    EXPECT_THROW(s::decode_graph(nl, mutated), u::Error)
+        << "node " << node << " claims " << forged << " inputs";
+  }
+}
+
+TEST(SimGraphIo, RejectsWordOpThatDoesNotFitItsNode) {
+  // A direct word operator evaluates its own kind's pins, so a forged op
+  // of a wider kind would read pins the node does not have; a flop's op
+  // must stay the sequential marker.
+  const c::Netlist nl = lv::check::require_netlist(kSequentialNetlist);
+  const auto graph = s::SimGraph::compile(nl);
+  const std::string blob = s::encode_graph(*graph);
+  // Header and 10-byte nodes, three u32 arrays (u64 size + entries), the
+  // word plan's size; then one op byte per node.
+  const std::size_t first_op =
+      4 + 8 + 8 + 10 * graph->instance_count() +
+      8 + 4 * graph->input_nets().size() +
+      8 + 4 * graph->eval_offsets().size() +
+      8 + 4 * graph->eval_list().size() + 8;
+  const auto& nodes = graph->nodes();
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    ASSERT_EQ(static_cast<std::uint8_t>(blob[first_op + i]),
+              graph->word_ops()[i]);
+    const std::uint8_t forged =
+        nodes[i].sequential != 0
+            ? s::SimGraph::kWordLut
+            : static_cast<std::uint8_t>(c::CellKind::nand4);
+    if (forged == nodes[i].kind) continue;
+    std::string mutated = blob;
+    mutated[first_op + i] = static_cast<char>(forged);
+    EXPECT_THROW(s::decode_graph(nl, mutated), u::Error) << "node " << i;
+  }
 }
 
 TEST(SimGraphIo, RejectsBlobForDifferentNetlist) {

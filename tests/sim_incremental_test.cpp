@@ -36,8 +36,8 @@ std::uint64_t sched_counter(const std::string& name) {
 }
 
 // A small design with fanout structure: g0's output feeds two consumers,
-// so rewiring/resizing changes load-model delays of *driver* instances,
-// not just the edited one.
+// so rewiring moves entries of other nets' consumer lists, not just the
+// edited instance's.
 const char* kBaseNetlist =
     "lvnet 1\n"
     "input a\n"
@@ -99,7 +99,7 @@ TEST(SimIncremental, KindSwapSameArity) {
 
 TEST(SimIncremental, InputRewire) {
   // g2 reads (t0, b) -> (t0, a): a's fanout grows, b's shrinks, so the
-  // drivers' load delays and the eval CSR both shift.
+  // eval CSR shifts.
   expect_incremental_identical(
       with_line("gate g2 XOR2 t2 t0 b", "gate g2 XOR2 t2 t0 a"), 1);
 }
@@ -158,7 +158,7 @@ TEST(SimIncremental, TieSwap) {
 
 TEST(SimIncremental, PatchedGraphSimulatesIdentically) {
   // Belt and braces on top of the byte-identity pin: run the patched and
-  // fresh graphs side by side under the load delay model.
+  // fresh graphs side by side.
   const std::string edited_text =
       with_line("gate g1 NAND2 t1 t0 c", "gate g1 NOR2 t1 t0 c");
   const c::Netlist base = lv::check::require_netlist(kBaseNetlist);
@@ -168,10 +168,8 @@ TEST(SimIncremental, PatchedGraphSimulatesIdentically) {
       *base_graph, edited, s::diff_netlists(base, edited));
   ASSERT_NE(patched, nullptr);
 
-  s::SimConfig config;
-  config.delay_model = s::SimConfig::DelayModel::load;
-  s::Simulator p{patched, config};
-  s::Simulator f{s::SimGraph::compile(edited), config};
+  s::Simulator p{patched};
+  s::Simulator f{s::SimGraph::compile(edited)};
   const c::NetId na = edited.find_net("a");
   const c::NetId nb = edited.find_net("b");
   const c::NetId nc = edited.find_net("c");

@@ -5,7 +5,7 @@
 // accounting to the retained interpreted engine
 // (tests/reference_simulator.hpp) — same per-net transition counts, same
 // settled-change counts, same glitch fractions, same final net values —
-// on every fixture and every delay model. No tolerances anywhere: the
+// on every fixture. No tolerances anywhere: the
 // whole point of preserving (time, seq) event order is exact equality.
 //
 // Fixtures: the ripple-carry adder of Figs. 8-9, the array multiplier of
@@ -34,42 +34,25 @@ namespace s = lv::sim;
 
 namespace {
 
-const s::SimConfig::DelayModel kModels[] = {
-    s::SimConfig::DelayModel::zero,
-    s::SimConfig::DelayModel::unit,
-    s::SimConfig::DelayModel::load,
-};
-
-const char* model_name(s::SimConfig::DelayModel m) {
-  switch (m) {
-    case s::SimConfig::DelayModel::zero: return "zero";
-    case s::SimConfig::DelayModel::unit: return "unit";
-    case s::SimConfig::DelayModel::load: return "load";
-  }
-  return "?";
-}
-
-// Runs `stimulus` against both engines at `model` and requires exact
-// equality of the full activity accounting and of every net value.
+// Runs `stimulus` against both engines and requires exact equality of
+// the full activity accounting and of every net value.
 template <class Stimulus>
-void expect_bit_identical(const c::Netlist& nl, s::SimConfig::DelayModel model,
-                          Stimulus&& stimulus) {
-  const s::SimConfig config{model, 50'000'000};
-  s::Simulator compiled{nl, config};
-  s::testing::ReferenceSimulator reference{nl, config};
+void expect_bit_identical(const c::Netlist& nl, Stimulus&& stimulus) {
+  s::Simulator compiled{nl};
+  s::testing::ReferenceSimulator reference{nl};
   stimulus(compiled);
   stimulus(reference);
 
   const auto& got = compiled.stats();
   const auto& want = reference.stats();
-  ASSERT_EQ(got.cycles(), want.cycles) << model_name(model);
+  ASSERT_EQ(got.cycles(), want.cycles);
   for (c::NetId n = 0; n < nl.net_count(); ++n) {
     ASSERT_EQ(got.transitions(n), want.transitions[n])
-        << "net '" << nl.net(n).name << "' model " << model_name(model);
+        << "net '" << nl.net(n).name << "'";
     ASSERT_EQ(got.settled_changes(n), want.settled_changes[n])
-        << "net '" << nl.net(n).name << "' model " << model_name(model);
+        << "net '" << nl.net(n).name << "'";
     ASSERT_EQ(compiled.value(n), reference.value(n))
-        << "net '" << nl.net(n).name << "' model " << model_name(model);
+        << "net '" << nl.net(n).name << "'";
     // glitch_fraction is derived from the two counters; require the
     // doubles to agree exactly too (operator==, no tolerance).
     const auto toggles = want.transitions[n];
@@ -78,7 +61,7 @@ void expect_bit_identical(const c::Netlist& nl, s::SimConfig::DelayModel model,
       const double ref_frac = static_cast<double>(toggles - necessary) /
                               static_cast<double>(toggles);
       ASSERT_EQ(got.glitch_fraction(n), ref_frac)
-          << "net '" << nl.net(n).name << "' model " << model_name(model);
+          << "net '" << nl.net(n).name << "'";
     }
   }
 }
@@ -90,15 +73,13 @@ TEST(SimKernelEquivalence, RippleCarryAdderAllDelayModels) {
   const auto ports = c::build_ripple_carry_adder(nl, 16);
   const auto a = s::random_vectors(128, 16, 11);
   const auto b = s::random_vectors(128, 16, 12);
-  for (const auto model : kModels) {
-    expect_bit_identical(nl, model, [&](auto& sim) {
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        sim.set_bus(ports.a, a[i]);
-        sim.set_bus(ports.b, b[i]);
-        sim.settle();
-      }
-    });
-  }
+  expect_bit_identical(nl, [&](auto& sim) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      sim.set_bus(ports.a, a[i]);
+      sim.set_bus(ports.b, b[i]);
+      sim.settle();
+    }
+  });
 }
 
 TEST(SimKernelEquivalence, ArrayMultiplierAllDelayModels) {
@@ -106,15 +87,13 @@ TEST(SimKernelEquivalence, ArrayMultiplierAllDelayModels) {
   const auto ports = c::build_array_multiplier(nl, 6);
   const auto a = s::random_vectors(96, 6, 21);
   const auto b = s::random_vectors(96, 6, 22);
-  for (const auto model : kModels) {
-    expect_bit_identical(nl, model, [&](auto& sim) {
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        sim.set_bus(ports.a, a[i]);
-        sim.set_bus(ports.b, b[i]);
-        sim.settle();
-      }
-    });
-  }
+  expect_bit_identical(nl, [&](auto& sim) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      sim.set_bus(ports.a, a[i]);
+      sim.set_bus(ports.b, b[i]);
+      sim.settle();
+    }
+  });
 }
 
 TEST(SimKernelEquivalence, WallaceMultiplierAllDelayModels) {
@@ -122,15 +101,13 @@ TEST(SimKernelEquivalence, WallaceMultiplierAllDelayModels) {
   const auto ports = c::build_wallace_multiplier(nl, 8);
   const auto a = s::random_vectors(64, 8, 41);
   const auto b = s::random_vectors(64, 8, 42);
-  for (const auto model : kModels) {
-    expect_bit_identical(nl, model, [&](auto& sim) {
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        sim.set_bus(ports.a, a[i]);
-        sim.set_bus(ports.b, b[i]);
-        sim.settle();
-      }
-    });
-  }
+  expect_bit_identical(nl, [&](auto& sim) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      sim.set_bus(ports.a, a[i]);
+      sim.set_bus(ports.b, b[i]);
+      sim.settle();
+    }
+  });
 }
 
 TEST(SimKernelEquivalence, PipelinedMacWithClockGatingAllDelayModels) {
@@ -138,26 +115,24 @@ TEST(SimKernelEquivalence, PipelinedMacWithClockGatingAllDelayModels) {
   const auto ports = c::build_pipelined_mac(nl, 8, "mac");
   const auto a = s::random_vectors(64, 8, 31);
   const auto b = s::random_vectors(64, 8, 32);
-  for (const auto model : kModels) {
-    expect_bit_identical(nl, model, [&](auto& sim) {
-      sim.reset_flops(c::Logic::zero);
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        // Toggle gated clocks mid-run (paper Fig. 7 shutdown) so the
-        // module-freeze path is part of the contract.
-        if (i == 20) sim.set_module_clock_enable("mac.acc", false);
-        if (i == 30) sim.set_module_clock_enable("mac.acc", true);
-        if (i == 40) sim.set_module_clock_enable("mac.in_regs_a", false);
-        if (i == 50) sim.set_module_clock_enable("mac.in_regs_a", true);
-        sim.set_bus(ports.a, a[i]);
-        sim.set_bus(ports.b, b[i]);
-        sim.clock_cycle();
-      }
-      // Fault-injection path: force an internal net, propagate, resume.
-      sim.force_net(ports.accumulator[0], c::Logic::one);
+  expect_bit_identical(nl, [&](auto& sim) {
+    sim.reset_flops(c::Logic::zero);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      // Toggle gated clocks mid-run (paper Fig. 7 shutdown) so the
+      // module-freeze path is part of the contract.
+      if (i == 20) sim.set_module_clock_enable("mac.acc", false);
+      if (i == 30) sim.set_module_clock_enable("mac.acc", true);
+      if (i == 40) sim.set_module_clock_enable("mac.in_regs_a", false);
+      if (i == 50) sim.set_module_clock_enable("mac.in_regs_a", true);
+      sim.set_bus(ports.a, a[i]);
+      sim.set_bus(ports.b, b[i]);
       sim.clock_cycle();
-      sim.clock_cycle();
-    });
-  }
+    }
+    // Fault-injection path: force an internal net, propagate, resume.
+    sim.force_net(ports.accumulator[0], c::Logic::one);
+    sim.clock_cycle();
+    sim.clock_cycle();
+  });
 }
 
 TEST(SimKernelEquivalence, SettleWithoutChangesKeepsAccountingAligned) {
@@ -166,13 +141,11 @@ TEST(SimKernelEquivalence, SettleWithoutChangesKeepsAccountingAligned) {
   // against the reference's O(nets) scan when the dirty set is empty).
   c::Netlist nl;
   const auto ports = c::build_ripple_carry_adder(nl, 8);
-  for (const auto model : kModels) {
-    expect_bit_identical(nl, model, [&](auto& sim) {
-      sim.set_bus(ports.a, 0x5a);
-      sim.set_bus(ports.b, 0xa5);
-      for (int i = 0; i < 5; ++i) sim.settle();
-    });
-  }
+  expect_bit_identical(nl, [&](auto& sim) {
+    sim.set_bus(ports.a, 0x5a);
+    sim.set_bus(ports.b, 0xa5);
+    for (int i = 0; i < 5; ++i) sim.settle();
+  });
 }
 
 TEST(SimKernelEquivalence, WordKernelXLanesMatchInterpretedOraclePerLane) {
@@ -196,50 +169,42 @@ TEST(SimKernelEquivalence, WordKernelXLanesMatchInterpretedOraclePerLane) {
       default: return c::from_bool(bit);
     }
   };
-  for (const auto model : kModels) {
-    const s::SimConfig config{model, 50'000'000};
-    s::BitParallelSimulator word{nl, config, {.per_lane_stats = true}};
-    for (std::size_t i = 0; i < base.size(); ++i) {
-      for (std::size_t j = 0; j < ports.a.size(); ++j) {
-        s::LogicW w{0, 0};
-        for (unsigned lane = 0; lane < 4; ++lane)
-          w = s::with_lane(w, lane, lane_value(lane, i, j));
-        word.set_input(ports.a[j], w);
-      }
-      word.set_bus_broadcast(ports.b, base[i]);
-      word.settle();
+  s::BitParallelSimulator word{nl, {}, {.per_lane_stats = true}};
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    for (std::size_t j = 0; j < ports.a.size(); ++j) {
+      s::LogicW w{0, 0};
+      for (unsigned lane = 0; lane < 4; ++lane)
+        w = s::with_lane(w, lane, lane_value(lane, i, j));
+      word.set_input(ports.a[j], w);
     }
-    for (unsigned lane = 0; lane < 4; ++lane) {
-      const s::SimConfig cfg{model, 50'000'000};
-      s::Simulator compiled{nl, cfg};
-      s::testing::ReferenceSimulator oracle{nl, cfg};
-      const auto drive = [&](auto& sim) {
-        for (std::size_t i = 0; i < base.size(); ++i) {
-          for (std::size_t j = 0; j < ports.a.size(); ++j)
-            sim.set_input(ports.a[j], lane_value(lane, i, j));
-          sim.set_bus(ports.b, base[i]);
-          sim.settle();
-        }
-      };
-      drive(compiled);
-      drive(oracle);
-      const s::ActivityStats lane_stats = word.lane_stats(lane);
-      ASSERT_EQ(lane_stats.cycles(), oracle.stats().cycles);
-      for (c::NetId n = 0; n < nl.net_count(); ++n) {
-        ASSERT_EQ(word.value(n, lane), oracle.value(n))
-            << "net '" << nl.net(n).name << "' lane " << lane << " model "
-            << model_name(model);
-        ASSERT_EQ(word.value(n, lane), compiled.value(n))
-            << "net '" << nl.net(n).name << "' lane " << lane << " model "
-            << model_name(model);
-        ASSERT_EQ(lane_stats.transitions(n), oracle.stats().transitions[n])
-            << "net '" << nl.net(n).name << "' lane " << lane << " model "
-            << model_name(model);
-        ASSERT_EQ(lane_stats.settled_changes(n),
-                  oracle.stats().settled_changes[n])
-            << "net '" << nl.net(n).name << "' lane " << lane << " model "
-            << model_name(model);
+    word.set_bus_broadcast(ports.b, base[i]);
+    word.settle();
+  }
+  for (unsigned lane = 0; lane < 4; ++lane) {
+    s::Simulator compiled{nl};
+    s::testing::ReferenceSimulator oracle{nl};
+    const auto drive = [&](auto& sim) {
+      for (std::size_t i = 0; i < base.size(); ++i) {
+        for (std::size_t j = 0; j < ports.a.size(); ++j)
+          sim.set_input(ports.a[j], lane_value(lane, i, j));
+        sim.set_bus(ports.b, base[i]);
+        sim.settle();
       }
+    };
+    drive(compiled);
+    drive(oracle);
+    const s::ActivityStats lane_stats = word.lane_stats(lane);
+    ASSERT_EQ(lane_stats.cycles(), oracle.stats().cycles);
+    for (c::NetId n = 0; n < nl.net_count(); ++n) {
+      ASSERT_EQ(word.value(n, lane), oracle.value(n))
+          << "net '" << nl.net(n).name << "' lane " << lane;
+      ASSERT_EQ(word.value(n, lane), compiled.value(n))
+          << "net '" << nl.net(n).name << "' lane " << lane;
+      ASSERT_EQ(lane_stats.transitions(n), oracle.stats().transitions[n])
+          << "net '" << nl.net(n).name << "' lane " << lane;
+      ASSERT_EQ(lane_stats.settled_changes(n),
+                oracle.stats().settled_changes[n])
+          << "net '" << nl.net(n).name << "' lane " << lane;
     }
   }
 }

@@ -120,36 +120,31 @@ std::uint64_t seats() {
 TEST_F(SimReplay, StatsAndCounterSectionMatchOracleAtEveryWidth) {
   for (const Fixture& f : fixtures()) {
     const auto bits = static_cast<int>(f.nl.primary_inputs().size());
-    for (const auto model :
-         {s::SimConfig::DelayModel::unit, s::SimConfig::DelayModel::load}) {
-      const s::SimConfig config{model, 50'000'000};
-      for (const std::size_t n : kCounts) {
-        SCOPED_TRACE(::testing::Message()
-                     << f.name << " model " << static_cast<int>(model)
-                     << " n " << n);
-        const auto vecs = s::random_vectors(n, bits, 17 + n);
-        const auto want = oracle(f.nl, config, vecs);
-        const s::Simulator start = primed(f.nl, config);
-        o::RunReport serial;
-        for (const std::size_t width : kWidths) {
-          SCOPED_TRACE(::testing::Message() << "width " << width);
-          o::Registry::global().reset();
-          const s::ActivityStats got = s::replay_vectors(
-              start, f.nl.primary_inputs(), vecs, {.threads = width});
-          expect_equal(got, want);
-          const o::RunReport r = o::Registry::global().report();
-          if (width == 1) {
-            serial = r;
-            EXPECT_EQ(seats(), 0u);
-            continue;
-          }
-          EXPECT_EQ(r.counters, serial.counters);
-          ASSERT_EQ(r.histograms.size(), serial.histograms.size());
-          for (const auto& [name, h] : serial.histograms) {
-            ASSERT_EQ(r.histograms.count(name), 1u) << name;
-            EXPECT_EQ(r.histograms.at(name).counts, h.counts) << name;
-            EXPECT_EQ(r.histograms.at(name).total, h.total) << name;
-          }
+    const s::SimConfig config;
+    for (const std::size_t n : kCounts) {
+      SCOPED_TRACE(::testing::Message() << f.name << " n " << n);
+      const auto vecs = s::random_vectors(n, bits, 17 + n);
+      const auto want = oracle(f.nl, config, vecs);
+      const s::Simulator start = primed(f.nl, config);
+      o::RunReport serial;
+      for (const std::size_t width : kWidths) {
+        SCOPED_TRACE(::testing::Message() << "width " << width);
+        o::Registry::global().reset();
+        const s::ActivityStats got = s::replay_vectors(
+            start, f.nl.primary_inputs(), vecs, {.threads = width});
+        expect_equal(got, want);
+        const o::RunReport r = o::Registry::global().report();
+        if (width == 1) {
+          serial = r;
+          EXPECT_EQ(seats(), 0u);
+          continue;
+        }
+        EXPECT_EQ(r.counters, serial.counters);
+        ASSERT_EQ(r.histograms.size(), serial.histograms.size());
+        for (const auto& [name, h] : serial.histograms) {
+          ASSERT_EQ(r.histograms.count(name), 1u) << name;
+          EXPECT_EQ(r.histograms.at(name).counts, h.counts) << name;
+          EXPECT_EQ(r.histograms.at(name).total, h.total) << name;
         }
       }
     }
@@ -273,8 +268,7 @@ TEST_F(SimReplay, ErrorIsTheLowestFailingIndexAtEveryWidth) {
                            ": Simulator: event budget exceeded: more than " +
                            std::to_string(budget) + " events in one settle";
 
-  const s::Simulator start = primed(nl, {s::SimConfig::DelayModel::unit,
-                                         budget});
+  const s::Simulator start = primed(nl, s::SimConfig{budget});
   for (const std::size_t width : kWidths) {
     SCOPED_TRACE(::testing::Message() << "width " << width);
     try {

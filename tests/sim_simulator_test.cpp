@@ -4,6 +4,7 @@
 
 #include "check/codes.hpp"
 #include "check/diag.hpp"
+#include "circuit/cells.hpp"
 #include "circuit/generators.hpp"
 #include "util/error.hpp"
 
@@ -257,6 +258,18 @@ TEST(Simulator, SetInputRejectsInternalNet) {
   const auto w = nl.add_gate(c::CellKind::inv, "g", {a});
   s::Simulator sim{nl};
   EXPECT_THROW(sim.set_input(w, Logic::one), lv::util::Error);
+}
+
+TEST(SimGraph, EveryCombinationalCellFitsALut) {
+  // Both kernels evaluate every combinational cell through a 256-entry
+  // LUT and have no other path: a wider cell must fail here, loudly.
+  for (std::size_t k = 0;
+       k < static_cast<std::size_t>(c::CellKind::kind_count); ++k) {
+    const auto& info = c::cell_info(static_cast<c::CellKind>(k));
+    if (!info.sequential) {
+      EXPECT_LE(info.input_count, s::SimGraph::kMaxLutInputs) << info.name;
+    }
+  }
 }
 
 TEST(SimGraph, RejectsNetCountsPastTheEventIdRange) {

@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "check/ingest.hpp"
+#include "graph_blob_v1.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "sim/graph_io.hpp"
@@ -21,6 +23,7 @@
 #include "store/artifact_store.hpp"
 #include "store/design_codec.hpp"
 #include "svc/session.hpp"
+#include "util/binio.hpp"
 
 namespace fs = std::filesystem;
 namespace st = lv::store;
@@ -193,6 +196,52 @@ TEST(SvcSession, WarmRestartSkipsParseAndCompile) {
   // And the decoded graph is bit-identical to the one the cold session
   // compiled.
   EXPECT_EQ(lv::sim::encode_graph(*graph), cold_blob);
+}
+
+TEST(SvcSession, VersionOneGraphBlobIsRecompiledAndRepublished) {
+  // A design entry as an older build left it: the netlist is current,
+  // its graph blob is lv-graph/1 (the graph blob is the entry's last
+  // field).
+  StoreDir dir;
+  {
+    st::ArtifactStore store{{dir.path()}};
+    const lv::circuit::Netlist nl = lv::check::require_netlist(kNetA);
+    std::string payload = st::encode_design(kNetA, nl, nullptr);
+    payload.resize(payload.size() - 4);  // the empty blob's u32 length
+    lv::util::ByteWriter blob;
+    blob.str(lv::sim::testing::encode_graph_v1(lv::sim::SimGraph{nl}));
+    payload += blob.take();
+    const auto stale = st::decode_design(payload);
+    ASSERT_TRUE(stale.has_value());
+    ASSERT_EQ(stale->graph_blob.front(), '\x01');  // version 1, LE u32
+    ASSERT_TRUE(store.put("design", st::design_key(kNetA), payload));
+  }
+
+  // The request is served: one compile, and the entry is republished
+  // with the current graph blob.
+  std::string fresh_blob;
+  {
+    st::ArtifactStore store{{dir.path()}};
+    svc::Session session{1, svc::Session::Options{&store}};
+    const std::uint64_t compiles0 = timer_calls("sim.graph_compile_ns");
+    const auto design = session.netlist(kNetA, "");
+    ASSERT_NE(design, nullptr);
+    fresh_blob = lv::sim::encode_graph(*design->graph());
+    EXPECT_EQ(timer_calls("sim.graph_compile_ns"), compiles0 + 1);
+    const auto entry = store.get("design", st::design_key(kNetA));
+    ASSERT_TRUE(entry.has_value());
+    const auto republished = st::decode_design(*entry);
+    ASSERT_TRUE(republished.has_value());
+    EXPECT_EQ(republished->graph_blob, fresh_blob);
+  }
+
+  // A second session over the same store decodes it: zero compiles.
+  st::ArtifactStore store{{dir.path()}};
+  svc::Session session{2, svc::Session::Options{&store}};
+  const std::uint64_t compiles0 = timer_calls("sim.graph_compile_ns");
+  const auto design = session.netlist(kNetA, "");
+  EXPECT_EQ(lv::sim::encode_graph(*design->graph()), fresh_blob);
+  EXPECT_EQ(timer_calls("sim.graph_compile_ns"), compiles0);
 }
 
 TEST(SvcSession, PoisonedStoreEntryCostsAReparseNeverAWrongDesign) {
