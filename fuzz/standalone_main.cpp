@@ -1,7 +1,8 @@
 // Standalone driver for the fuzz targets when libFuzzer is unavailable
 // (the default local build: GCC has no -fsanitize=fuzzer). Replays every
 // file in the given corpus directories through LLVMFuzzerTestOneInput,
-// then optionally runs cheap deterministic byte mutations of each seed:
+// then optionally runs cheap deterministic mutations of each seed (mostly
+// length-preserving, so binary seeds keep their field layout):
 //
 //   fuzz_netlist <corpus-dir-or-file>... [--mutations N] [--seed S]
 //               [--artifact PATH]
@@ -17,6 +18,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -44,29 +46,63 @@ void save_artifact(const std::string& artifact,
             static_cast<std::streamsize>(bytes.size()));
 }
 
-void mutate(std::vector<std::uint8_t>& bytes, lv::util::Xoshiro256& rng) {
-  if (bytes.empty()) {
-    bytes.push_back(static_cast<std::uint8_t>(rng.next_u64()));
-    return;
+// Length-preserving mutation: a bit flip (half the draws: a flip in the
+// low byte of an index field is what most often still decodes), a byte
+// overwrite, or an overwrite of four bytes at any offset with a 32-bit
+// little-endian word, half the time a boundary value such as 0, 1 or
+// 0xffffffff (when the four bytes happen to cover a u32 field, that
+// value reaches count and index checks that random words overshoot).
+// Every later field of a binary blob stays where its decoder expects it.
+void mutate_in_place(std::vector<std::uint8_t>& bytes,
+                     lv::util::Xoshiro256& rng) {
+  const auto draw = rng.next_below(4);
+  const auto choice = draw <= 1 ? 0 : bytes.size() >= 4 ? draw - 1 : 1;
+  if (choice == 0) {  // flip a bit
+    bytes[rng.next_below(bytes.size())] ^=
+        static_cast<std::uint8_t>(1u << rng.next_below(8));
+  } else if (choice == 1) {  // overwrite a byte
+    bytes[rng.next_below(bytes.size())] =
+        static_cast<std::uint8_t>(rng.next_u64());
+  } else {  // overwrite a word
+    static constexpr std::uint32_t kBoundary[] = {
+        0u, 1u, 2u, 3u, 4u, 0x7fu, 0xffu, 0x7fffffffu, 0x80000000u,
+        0xffffffffu};
+    const std::uint32_t word =
+        rng.next_below(2) == 0
+            ? kBoundary[rng.next_below(std::size(kBoundary))]
+            : static_cast<std::uint32_t>(rng.next_u64());
+    const std::size_t at = rng.next_below(bytes.size() - 3);
+    for (std::size_t b = 0; b < 4; ++b)
+      bytes[at + b] = static_cast<std::uint8_t>(word >> (8 * b));
   }
-  switch (rng.next_below(4)) {
-    case 0:  // flip a bit
-      bytes[rng.next_below(bytes.size())] ^=
-          static_cast<std::uint8_t>(1u << rng.next_below(8));
-      break;
-    case 1:  // overwrite a byte
-      bytes[rng.next_below(bytes.size())] =
-          static_cast<std::uint8_t>(rng.next_u64());
-      break;
-    case 2:  // insert a byte
-      bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(
-                                       rng.next_below(bytes.size() + 1)),
-                   static_cast<std::uint8_t>(rng.next_u64()));
-      break;
-    default:  // delete a byte
-      bytes.erase(bytes.begin() +
-                  static_cast<std::ptrdiff_t>(rng.next_below(bytes.size())));
-      break;
+}
+
+// Insert or delete one byte: shifts every later field, so a stacked run
+// applies at most one of these.
+void mutate_length(std::vector<std::uint8_t>& bytes,
+                   lv::util::Xoshiro256& rng) {
+  if (bytes.empty() || rng.next_below(2) == 0) {
+    bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(
+                                     rng.next_below(bytes.size() + 1)),
+                 static_cast<std::uint8_t>(rng.next_u64()));
+  } else {
+    bytes.erase(bytes.begin() +
+                static_cast<std::ptrdiff_t>(rng.next_below(bytes.size())));
+  }
+}
+
+// One stacked run: 1-4 length-preserving mutations (1 in half the runs,
+// each further one half as likely: the strict decoders reject most
+// single mutations already, so deep stacks rarely decode), and in one
+// run of eight a single insert or delete at a random place in the stack.
+void mutate(std::vector<std::uint8_t>& bytes, lv::util::Xoshiro256& rng) {
+  std::uint64_t stack = 1;
+  while (stack < 4 && rng.next_below(2) == 0) ++stack;
+  const bool resize = bytes.empty() || rng.next_below(8) == 0;
+  const auto resize_at = rng.next_below(stack);
+  for (std::uint64_t s = 0; s < stack; ++s) {
+    if (resize && s == resize_at) mutate_length(bytes, rng);
+    if (!bytes.empty()) mutate_in_place(bytes, rng);
   }
 }
 
@@ -119,8 +155,7 @@ int main(int argc, char** argv) {
     for (int m = 0; m < mutations; ++m) {
       auto mutated = original;
       // A few stacked mutations per run reaches deeper than single flips.
-      const auto stack = 1 + rng.next_below(4);
-      for (std::uint64_t s = 0; s < stack; ++s) mutate(mutated, rng);
+      mutate(mutated, rng);
       save_artifact(artifact, mutated);
       LLVMFuzzerTestOneInput(mutated.data(), mutated.size());
       ++runs;

@@ -156,12 +156,7 @@ const AnalysisContext::DriveParams& AnalysisContext::drive_params(
   const auto p = process_.make_pmos(1.0, vt_shift);
   dp.unit_drive = 0.5 * (n.on_current(op_.vdd, 0.0, process_.temp_k) +
                          p.on_current(op_.vdd, 0.0, process_.temp_k));
-  const device::CapacitanceModel ncap = process_.nmos_caps(1.0);
-  const device::CapacitanceModel pcap = process_.pmos_caps(1.0);
-  dp.fo1_cap = ncap.input_cap_effective(op_.vdd) +
-               pcap.input_cap_effective(op_.vdd) +
-               ncap.drive_parasitic_effective(op_.vdd) +
-               pcap.drive_parasitic_effective(op_.vdd);
+  dp.fo1_cap = process_.unit_inverter_caps(op_.vdd).fo1_load();
   return drive_memo_.emplace(key, dp).first->second;
 }
 

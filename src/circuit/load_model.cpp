@@ -50,12 +50,9 @@ void LoadModel::refresh_net(NetId n) {
 void LoadModel::retarget(double new_vdd) {
   lv::util::require(new_vdd > 0.0, "LoadModel: vdd must be > 0");
   vdd_ = new_vdd;
-  const device::CapacitanceModel ncap = process_.nmos_caps(1.0);
-  const device::CapacitanceModel pcap = process_.pmos_caps(1.0);
-  unit_input_cap_ =
-      ncap.input_cap_effective(vdd_) + pcap.input_cap_effective(vdd_);
-  unit_parasitic_cap_ = ncap.drive_parasitic_effective(vdd_) +
-                        pcap.drive_parasitic_effective(vdd_);
+  const device::InverterCaps unit = process_.unit_inverter_caps(vdd_);
+  unit_input_cap_ = unit.n_input + unit.p_input;
+  unit_parasitic_cap_ = unit.n_parasitic + unit.p_parasitic;
   for (NetId n = 0; n < netlist_.net_count(); ++n) evaluate_net(n);
 }
 

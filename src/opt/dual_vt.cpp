@@ -22,18 +22,27 @@ double total_leakage(const circuit::Netlist& netlist,
   // Average of N and P network off-currents per instance, weighted by the
   // catalog widths; consistent with PowerEstimator's state averaging but
   // kept local so lv_opt does not depend on activity statistics.
-  // Per-instance terms are pure device-model evaluations; parallel_sum
-  // folds them in instance order, matching the serial accumulation bit
-  // for bit.
+  // `shifts` holds only 0 (low VT) and high_vt_offset (high VT), so each
+  // flavour's unit off-currents are evaluated once per call. parallel_sum
+  // folds the per-instance terms in instance order, matching the serial
+  // accumulation bit for bit.
+  struct Flavour {
+    double n_off;
+    double p_off;
+  };
+  auto flavour = [&](double shift) {
+    return Flavour{
+        process.make_nmos(1.0, shift).off_current(vdd, 0.0, process.temp_k),
+        process.make_pmos(1.0, shift).off_current(vdd, 0.0, process.temp_k)};
+  };
+  const Flavour low = flavour(0.0);
+  const Flavour high = flavour(process.high_vt_offset);
   return exec::parallel_sum(netlist.instance_count(), [&](std::size_t idx) {
     const auto i = static_cast<InstanceId>(idx);
     const auto& info = circuit::cell_info(netlist.instance(i).kind);
-    const auto n = process.make_nmos(1.0, shifts[i]);
-    const auto p = process.make_pmos(1.0, shifts[i]);
-    return 0.5 * (n.off_current(vdd, 0.0, process.temp_k) *
-                      info.n_width_total / info.n_stack +
-                  p.off_current(vdd, 0.0, process.temp_k) *
-                      info.p_width_total / info.p_stack);
+    const Flavour& f = shifts[i] == 0.0 ? low : high;
+    return 0.5 * (f.n_off * info.n_width_total / info.n_stack +
+                  f.p_off * info.p_width_total / info.p_stack);
   });
 }
 

@@ -1,8 +1,10 @@
 #include "opt/voltage_opt.hpp"
 
 #include <cmath>
+#include <unordered_map>
 
 #include "exec/parallel.hpp"
+#include "obs/metrics.hpp"
 #include "util/numeric.hpp"
 
 namespace lv::opt {
@@ -18,56 +20,115 @@ double shift_for_vt(const tech::Process& process, double vt) {
   return vt - process.nmos.vt0;
 }
 
+// FO1-memo traffic (lv::obs). Stability::scheduling: each exec worker
+// owns a memo, so how often a supply repeats within one memo depends on
+// how the thresholds split across workers; the values never do.
+void note_fo1_memo(bool hit) {
+  if (!lv::obs::enabled()) return;
+  using lv::obs::Registry;
+  using lv::obs::Stability;
+  static auto& hits =
+      Registry::global().counter("opt.fo1_memo.hits", Stability::scheduling);
+  static auto& misses =
+      Registry::global().counter("opt.fo1_memo.misses", Stability::scheduling);
+  (hit ? hits : misses).add(1);
+}
+
+// The ring as one solve sees it, with the stage's FO1 load memoized by
+// supply. The load depends on V_DD only, not on V_T, and every bisection
+// starts from the same [0.05 V, vdd_max] bracket and so walks the same
+// dyadic tree: in a 26-point optimize_vt about half of the 1 224
+// supplies visited repeat. The memo is exact (keyed on the double V_DD,
+// always finite and > 0 here), so a hit returns the bits a recomputation
+// would. One solver per exec worker; it is never shared.
+class IsoDelaySolver {
+ public:
+  IsoDelaySolver(const tech::Process& process,
+                 const timing::RingOscillator& ring)
+      : process_{process}, ring_{ring} {}
+
+  std::optional<double> iso_delay_vdd(double vt, double target_stage_delay) {
+    const double shift = shift_for_vt(process_, vt);
+    auto mismatch = [&](double vdd) {
+      return stage_delay(vdd, shift) - target_stage_delay;
+    };
+    const double lo = 0.05;
+    const double hi = process_.vdd_max;
+    // Delay decreases monotonically with vdd; a bracket requires the
+    // target to be achievable at hi and exceeded at lo.
+    if (mismatch(hi) > 0.0) return std::nullopt;  // too slow even at max vdd
+    if (mismatch(lo) < 0.0) return lo;            // already fast at the floor
+    const auto solved = u::bisect(mismatch, lo, hi, 1e-6);
+    if (!solved || !solved->converged) return std::nullopt;
+    return solved->x;
+  }
+
+  EnergyPoint energy_at_vt(double vt, double f_clk, double activity) {
+    EnergyPoint pt;
+    pt.vt = vt;
+    const double t_cycle = 1.0 / f_clk;
+    const double target_stage = t_cycle / (2.0 * ring_.stages);
+    const auto vdd = iso_delay_vdd(vt, target_stage);
+    if (!vdd) return pt;  // infeasible
+    pt.vdd = *vdd;
+    pt.feasible = true;
+    const double shift = shift_for_vt(process_, vt);
+    // Switched capacitance per period: every stage's FO1 load charges and
+    // discharges once.
+    pt.switching_energy =
+        activity * (ring_.stages * fo1_load(pt.vdd)) * pt.vdd * pt.vdd;
+    pt.leakage_energy =
+        ring_.leakage_current(process_, pt.vdd, shift) * pt.vdd * t_cycle;
+    pt.total_energy = pt.switching_energy + pt.leakage_energy;
+    return pt;
+  }
+
+ private:
+  double fo1_load(double vdd) {
+    const auto it = fo1_.find(vdd);
+    note_fo1_memo(it != fo1_.end());
+    if (it != fo1_.end()) return it->second;
+    const double load = process_.unit_inverter_caps(vdd).fo1_load();
+    fo1_.emplace(vdd, load);
+    return load;
+  }
+
+  // RingOscillator::stage_delay with the memoized load.
+  double stage_delay(double vdd, double shift) {
+    return timing::DelayModel{process_, vdd, shift, fo1_load(vdd)}
+        .inverter_fo1_delay();
+  }
+
+  const tech::Process& process_;
+  const timing::RingOscillator& ring_;
+  std::unordered_map<double, double> fo1_;  // V_DD -> FO1 load [F]
+};
+
 }  // namespace
 
 std::optional<double> iso_delay_vdd(const tech::Process& process,
                                     const timing::RingOscillator& ring,
                                     double vt, double target_stage_delay) {
-  const double shift = shift_for_vt(process, vt);
-  auto mismatch = [&](double vdd) {
-    return ring.stage_delay(process, vdd, shift) - target_stage_delay;
-  };
-  const double lo = 0.05;
-  const double hi = process.vdd_max;
-  // Delay decreases monotonically with vdd; a bracket requires the target
-  // to be achievable at hi and exceeded at lo.
-  if (mismatch(hi) > 0.0) return std::nullopt;  // too slow even at max vdd
-  if (mismatch(lo) < 0.0) return lo;            // already fast at the floor
-  const auto solved = u::bisect(mismatch, lo, hi, 1e-6);
-  if (!solved || !solved->converged) return std::nullopt;
-  return solved->x;
+  return IsoDelaySolver{process, ring}.iso_delay_vdd(vt, target_stage_delay);
 }
 
 std::vector<std::optional<double>> iso_delay_curve(
     const tech::Process& process, const timing::RingOscillator& ring,
     const std::vector<double>& vts, double target_stage_delay) {
   // Each point is an independent bisection over pure device-model
-  // evaluations, so the curve parallelizes without shared state.
-  return exec::parallel_map<std::optional<double>>(
-      vts.size(), [&](std::size_t k) {
-        return iso_delay_vdd(process, ring, vts[k], target_stage_delay);
+  // evaluations; a worker's solver shares its FO1 memo across the
+  // thresholds it serves.
+  return exec::parallel_map_stateful<std::optional<double>>(
+      vts.size(), [&] { return IsoDelaySolver{process, ring}; },
+      [&](IsoDelaySolver& solver, std::size_t k) {
+        return solver.iso_delay_vdd(vts[k], target_stage_delay);
       });
 }
 
 EnergyPoint ring_energy_at_vt(const tech::Process& process,
                               const timing::RingOscillator& ring, double vt,
                               double f_clk, double activity) {
-  EnergyPoint pt;
-  pt.vt = vt;
-  const double t_cycle = 1.0 / f_clk;
-  const double target_stage = t_cycle / (2.0 * ring.stages);
-  const auto vdd = iso_delay_vdd(process, ring, vt, target_stage);
-  if (!vdd) return pt;  // infeasible
-  pt.vdd = *vdd;
-  pt.feasible = true;
-  const double shift = shift_for_vt(process, vt);
-  pt.switching_energy = activity *
-                        ring.switched_cap_per_period(process, pt.vdd) *
-                        pt.vdd * pt.vdd;
-  pt.leakage_energy =
-      ring.leakage_current(process, pt.vdd, shift) * pt.vdd * t_cycle;
-  pt.total_energy = pt.switching_energy + pt.leakage_energy;
-  return pt;
+  return IsoDelaySolver{process, ring}.energy_at_vt(vt, f_clk, activity);
 }
 
 VtSweepResult optimize_vt(const tech::Process& process,
@@ -79,9 +140,10 @@ VtSweepResult optimize_vt(const tech::Process& process,
   // Fig. 4 grid: one independent iso-delay solve + energy evaluation per
   // threshold, fanned across the exec pool; slot k is point k, so the
   // sweep vector is bit-identical to the serial loop.
-  result.sweep = exec::parallel_map<EnergyPoint>(
-      vts.size(), [&](std::size_t k) {
-        return ring_energy_at_vt(process, ring, vts[k], f_clk, activity);
+  result.sweep = exec::parallel_map_stateful<EnergyPoint>(
+      vts.size(), [&] { return IsoDelaySolver{process, ring}; },
+      [&](IsoDelaySolver& solver, std::size_t k) {
+        return solver.energy_at_vt(vts[k], f_clk, activity);
       });
 
   // Refine around the best feasible grid point.
@@ -100,8 +162,10 @@ VtSweepResult optimize_vt(const tech::Process& process,
     return result;
   }
 
+  // The refinement runs on this thread; its solves share one memo.
+  IsoDelaySolver solver{process, ring};
   auto energy_of = [&](double vt) {
-    const auto pt = ring_energy_at_vt(process, ring, vt, f_clk, activity);
+    const auto pt = solver.energy_at_vt(vt, f_clk, activity);
     return pt.feasible ? pt.total_energy : 1e30;
   };
   const double span = (vt_hi - vt_lo) / (points - 1);
@@ -109,8 +173,7 @@ VtSweepResult optimize_vt(const tech::Process& process,
   const double bracket_hi = std::min(vt_hi, best->vt + span);
   const auto refined =
       u::golden_minimize(energy_of, bracket_lo, bracket_hi, 1e-5);
-  result.optimum =
-      ring_energy_at_vt(process, ring, refined.x, f_clk, activity);
+  result.optimum = solver.energy_at_vt(refined.x, f_clk, activity);
   if (!result.optimum.feasible || result.optimum.total_energy > best->total_energy)
     result.optimum = *best;
   // Final golden-section bracket width: each step shrinks it by 1/phi.

@@ -187,12 +187,9 @@ double register_switched_cap(circuit::CellKind style,
   const auto& info = circuit::cell_info(style);
   u::require(info.sequential,
              "register_switched_cap: style must be sequential");
-  const device::CapacitanceModel ncap = process.nmos_caps(1.0);
-  const device::CapacitanceModel pcap = process.pmos_caps(1.0);
-  const double unit_in =
-      ncap.input_cap_effective(vdd) + pcap.input_cap_effective(vdd);
-  const double unit_par = ncap.drive_parasitic_effective(vdd) +
-                          pcap.drive_parasitic_effective(vdd);
+  const device::InverterCaps unit = process.unit_inverter_caps(vdd);
+  const double unit_in = unit.n_input + unit.p_input;
+  const double unit_par = unit.n_parasitic + unit.p_parasitic;
   // Clock load switches every cycle; data-dependent caps (D pin, internal
   // nodes, Q parasitic) switch with the data activity.
   const double clock_part = info.clock_cap_mult * unit_in;

@@ -32,6 +32,10 @@ dev::CapacitanceModel Process::pmos_caps(double w_mult) const {
   return dev::CapacitanceModel{pmos, unit_pmos_width * w_mult};
 }
 
+dev::InverterCaps Process::unit_inverter_caps(double vdd) const {
+  return dev::unit_inverter_caps(nmos_caps(1.0), pmos_caps(1.0), vdd);
+}
+
 dev::SoiasDevice Process::make_soias_nmos(double w_mult) const {
   lv::util::require(vt_control == VtControl::soias_backgate,
                     "Process: make_soias_nmos on a non-SOIAS process");

@@ -67,6 +67,8 @@ struct Process {
   device::Mosfet make_pmos(double w_mult = 1.0, double vt_shift = 0.0) const;
   device::CapacitanceModel nmos_caps(double w_mult = 1.0) const;
   device::CapacitanceModel pmos_caps(double w_mult = 1.0) const;
+  // Effective capacitances of the unit (1x) inverter at supply `vdd`.
+  device::InverterCaps unit_inverter_caps(double vdd) const;
   device::SoiasDevice make_soias_nmos(double w_mult = 1.0) const;
 
   // High-VT flavour (dual-VT processes).

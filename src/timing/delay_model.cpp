@@ -1,6 +1,5 @@
 #include "timing/delay_model.hpp"
 
-#include "device/capacitance.hpp"
 #include "util/error.hpp"
 
 namespace lv::timing {
@@ -17,17 +16,17 @@ constexpr double kMinOverdrive = 0.02;  // [V]
 
 DelayModel::DelayModel(const tech::Process& process, double vdd,
                        double vt_shift)
-    : process_{process}, vdd_{vdd}, vt_shift_{vt_shift} {
+    : DelayModel{process, vdd, vt_shift,
+                 process.unit_inverter_caps(vdd).fo1_load()} {}
+
+DelayModel::DelayModel(const tech::Process& process, double vdd,
+                       double vt_shift, double fo1_load)
+    : process_{process}, vdd_{vdd}, vt_shift_{vt_shift}, fo1_cap_{fo1_load} {
   lv::util::require(vdd > 0.0, "DelayModel: vdd must be > 0");
   const auto n = process.make_nmos(1.0, vt_shift);
   const auto p = process.make_pmos(1.0, vt_shift);
   unit_drive_ = 0.5 * (n.on_current(vdd, 0.0, process.temp_k) +
                        p.on_current(vdd, 0.0, process.temp_k));
-  const device::CapacitanceModel ncap = process.nmos_caps(1.0);
-  const device::CapacitanceModel pcap = process.pmos_caps(1.0);
-  fo1_cap_ = ncap.input_cap_effective(vdd) + pcap.input_cap_effective(vdd) +
-             ncap.drive_parasitic_effective(vdd) +
-             pcap.drive_parasitic_effective(vdd);
 }
 
 double DelayModel::unit_drive_current() const { return unit_drive_; }
@@ -70,16 +69,6 @@ double RingOscillator::frequency(const tech::Process& process, double vdd,
                                  double vt_shift) const {
   const double t = period(process, vdd, vt_shift);
   return t > 0.0 ? 1.0 / t : 0.0;
-}
-
-double RingOscillator::switched_cap_per_period(const tech::Process& process,
-                                               double vdd) const {
-  const device::CapacitanceModel ncap = process.nmos_caps(1.0);
-  const device::CapacitanceModel pcap = process.pmos_caps(1.0);
-  const double fo1 =
-      ncap.input_cap_effective(vdd) + pcap.input_cap_effective(vdd) +
-      ncap.drive_parasitic_effective(vdd) + pcap.drive_parasitic_effective(vdd);
-  return stages * fo1;
 }
 
 double RingOscillator::leakage_current(const tech::Process& process,

@@ -7,6 +7,9 @@
 // lets V_DD drop at constant delay; the iso-delay contour V_DD(V_T) and
 // the fixed-throughput energy optimum both come from inverting it.
 //
+// The FO1 load is process.unit_inverter_caps(vdd).fo1_load(): one pass
+// over the supply swing for both devices of the unit inverter.
+//
 // analysis::AnalysisContext memoizes these drive parameters per
 // (vdd, vt_shift) and serves context-backed STA from that cache; its
 // delay primitives must stay expression-for-expression identical to this
@@ -24,6 +27,11 @@ class DelayModel {
   // `vt_shift` is added to both polarities' thresholds (back-gate bias,
   // body bias, or a dual-VT flavor choice).
   DelayModel(const tech::Process& process, double vdd, double vt_shift = 0.0);
+  // As above, with the FO1 load at `vdd` supplied by the caller (it is
+  // process.unit_inverter_caps(vdd).fo1_load() and does not depend on
+  // vt_shift, so a solver that revisits supplies can memoize it).
+  DelayModel(const tech::Process& process, double vdd, double vt_shift,
+             double fo1_load);
 
   double vdd() const { return vdd_; }
   double vt_shift() const { return vt_shift_; }
@@ -57,7 +65,7 @@ class DelayModel {
   double vdd_;
   double vt_shift_;
   double unit_drive_;  // cached average on-current [A]
-  double fo1_cap_;     // cached FO1 load [F]
+  double fo1_cap_;     // FO1 load [F]
 };
 
 // N-stage ring oscillator (odd N): period = 2 * N * stage delay;
@@ -73,10 +81,6 @@ struct RingOscillator {
                 double vt_shift) const;
   double frequency(const tech::Process& process, double vdd,
                    double vt_shift) const;
-  // Total effective switched capacitance per period [F]: every stage's
-  // FO1 load charges and discharges once per period.
-  double switched_cap_per_period(const tech::Process& process,
-                                 double vdd) const;
   // Total leakage current of the ring [A] (all stages, state-averaged).
   double leakage_current(const tech::Process& process, double vdd,
                          double vt_shift) const;

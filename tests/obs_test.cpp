@@ -292,6 +292,32 @@ TEST_F(Obs, Fig3IsoDelayCurveCountersAreWidthInvariant) {
       [&] { lv::opt::iso_delay_curve(tech, ring, vts, 120e-12); });
 }
 
+TEST_F(Obs, Fig4VtSweepCountersAreWidthInvariant) {
+  const auto tech = lv::tech::soi_low_vt();
+  const lv::timing::RingOscillator ring{101};
+  expect_deterministic_report(
+      [&] { lv::opt::optimize_vt(tech, ring, 5e6, 1.0, 0.05, 0.55, 21); });
+}
+
+TEST_F(Obs, Fo1MemoCountersAreSchedulingCounters) {
+  // Each exec worker owns an FO1 memo, so hit/miss totals depend on how
+  // the thresholds split across workers: scheduling section only.
+  const auto tech = lv::tech::soi_low_vt();
+  const lv::timing::RingOscillator ring{101};
+  lv::exec::set_thread_count(1);
+  lv::opt::optimize_vt(tech, ring, 5e6, 1.0, 0.05, 0.55, 26);
+  lv::exec::set_thread_count(0);
+  const o::RunReport r = o::Registry::global().report();
+  for (const char* name : {"opt.fo1_memo.hits", "opt.fo1_memo.misses"}) {
+    EXPECT_EQ(r.counters.count(name), 0u) << name;
+    ASSERT_EQ(r.scheduling_counters.count(name), 1u) << name;
+    EXPECT_GT(r.scheduling_counters.at(name), 0u) << name;
+  }
+  // Every bisection walks the same dyadic tree, so supplies repeat.
+  EXPECT_GT(r.scheduling_counters.at("opt.fo1_memo.hits"),
+            r.scheduling_counters.at("opt.fo1_memo.misses") / 2);
+}
+
 TEST_F(Obs, FaultCampaignCountersAreWidthInvariant) {
   lv::circuit::Netlist nl;
   lv::circuit::build_ripple_carry_adder(nl, 8);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "circuit/cells.hpp"
 #include "circuit/generators.hpp"
 
 namespace c = lv::circuit;
@@ -14,7 +15,45 @@ const lv::tech::Process& dual() {
   return tech;
 }
 
+// Mixed-VT leakage as the optimizer always computed it: a fresh NMOS and
+// PMOS per instance at that instance's threshold shift, summed in
+// instance order.
+double per_instance_leakage(const c::Netlist& nl, const lv::tech::Process& p,
+                            double vdd, const std::vector<bool>& high_vt) {
+  double acc = 0.0;
+  for (c::InstanceId i = 0; i < nl.instance_count(); ++i) {
+    const auto& info = c::cell_info(nl.instance(i).kind);
+    const double shift = high_vt[i] ? p.high_vt_offset : 0.0;
+    const auto n = p.make_nmos(1.0, shift);
+    const auto pm = p.make_pmos(1.0, shift);
+    acc += 0.5 * (n.off_current(vdd, 0.0, p.temp_k) * info.n_width_total /
+                      info.n_stack +
+                  pm.off_current(vdd, 0.0, p.temp_k) * info.p_width_total /
+                      info.p_stack);
+  }
+  return acc;
+}
+
 }  // namespace
+
+TEST(DualVt, LeakageBitEqualToPerInstanceEvaluation) {
+  c::Netlist cla;
+  c::build_carry_lookahead_adder(cla, 16);
+  c::Netlist rca;
+  c::build_ripple_carry_adder(rca, 8);
+  for (const c::Netlist* nl : {&cla, &rca}) {
+    for (const double vdd : {0.6, 1.0}) {
+      const auto r = o::assign_dual_vt(*nl, dual(), vdd, 0.05);
+      ASSERT_GT(r.high_vt_count, 0u);
+      EXPECT_EQ(r.leakage_before,
+                per_instance_leakage(
+                    *nl, dual(), vdd,
+                    std::vector<bool>(nl->instance_count(), false)));
+      EXPECT_EQ(r.leakage_after,
+                per_instance_leakage(*nl, dual(), vdd, r.use_high_vt));
+    }
+  }
+}
 
 TEST(DualVt, AssignmentCutsLeakageWithinPeriod) {
   c::Netlist nl;

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "exec/thread_pool.hpp"
+#include "reference_iso_delay.hpp"
+
 namespace o = lv::opt;
 namespace t = lv::timing;
 
@@ -13,6 +19,31 @@ const lv::tech::Process& soi() {
 }
 
 const t::RingOscillator kRing{101};
+
+// The five builtin processes, whose NMOS and PMOS share every C(V) shape
+// parameter, plus one whose PMOS differs in vt0, cg_sigma, phi_b and mj,
+// so the one-pass inverter capacitances evaluate each device's samples.
+std::vector<lv::tech::Process> pinned_processes() {
+  auto skewed = lv::tech::soi_low_vt();
+  skewed.name = "soi_low_vt_skewed_pmos";
+  skewed.pmos.vt0 += 0.04;
+  skewed.pmos.cg_sigma *= 1.3;
+  skewed.pmos.phi_b += 0.1;
+  skewed.pmos.mj -= 0.05;
+  return {lv::tech::soi_low_vt(),     lv::tech::soias(),
+          lv::tech::dual_vt_mtcmos(), lv::tech::bulk_cmos_06um(),
+          lv::tech::bulk_body_bias(), skewed};
+}
+
+void expect_same_point(const o::EnergyPoint& got, const o::EnergyPoint& ref,
+                       const std::string& where) {
+  EXPECT_EQ(got.vt, ref.vt) << where;
+  EXPECT_EQ(got.vdd, ref.vdd) << where;
+  EXPECT_EQ(got.switching_energy, ref.switching_energy) << where;
+  EXPECT_EQ(got.leakage_energy, ref.leakage_energy) << where;
+  EXPECT_EQ(got.total_energy, ref.total_energy) << where;
+  EXPECT_EQ(got.feasible, ref.feasible) << where;
+}
 
 }  // namespace
 
@@ -112,6 +143,75 @@ TEST(OptimizeVt, SlowerClockPushesOptimumVtUp) {
   ASSERT_TRUE(fast.optimum.feasible);
   ASSERT_TRUE(slow.optimum.feasible);
   EXPECT_GT(slow.optimum.vt, fast.optimum.vt);
+}
+
+// ---- bit-equality with the retained reference solver -----------------
+
+TEST(IsoDelayReference, OptimizeVtBitEqualOnEveryProcess) {
+  for (const auto& tech : pinned_processes()) {
+    for (const double f_clk : {1e6, 5e6, 2e7}) {
+      for (const double activity : {0.1, 0.5, 1.0}) {
+        const auto ref = o::testing::ref_optimize_vt(tech, kRing, f_clk,
+                                                     activity, 0.05, 0.55, 26);
+        // Width 4 splits the grid over four per-worker memos.
+        for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+          lv::exec::set_thread_count(width);
+          const auto got =
+              o::optimize_vt(tech, kRing, f_clk, activity, 0.05, 0.55, 26);
+          const std::string where = tech.name + " fclk " +
+                                    std::to_string(f_clk) + " activity " +
+                                    std::to_string(activity) + " width " +
+                                    std::to_string(width);
+          ASSERT_EQ(got.sweep.size(), ref.sweep.size()) << where;
+          for (std::size_t k = 0; k < ref.sweep.size(); ++k) {
+            expect_same_point(got.sweep[k], ref.sweep[k],
+                              where + " point " + std::to_string(k));
+          }
+          expect_same_point(got.optimum, ref.optimum, where + " optimum");
+          EXPECT_EQ(got.status.converged, ref.status.converged) << where;
+          EXPECT_EQ(got.status.iterations, ref.status.iterations) << where;
+          EXPECT_EQ(got.status.residual, ref.status.residual) << where;
+          EXPECT_EQ(got.status.reason, ref.status.reason) << where;
+        }
+      }
+    }
+  }
+  lv::exec::set_thread_count(0);
+}
+
+TEST(IsoDelayReference, IsoDelayCurveBitEqualOnEveryProcess) {
+  const auto vts = lv::util::linspace(0.05, 0.50, 19);
+  for (const auto& tech : pinned_processes()) {
+    for (const double target : {60e-12, 120e-12, 2e-9}) {
+      const auto got = o::iso_delay_curve(tech, kRing, vts, target);
+      ASSERT_EQ(got.size(), vts.size());
+      for (std::size_t k = 0; k < vts.size(); ++k) {
+        const auto ref = o::testing::ref_iso_delay_vdd(tech, vts[k], target);
+        ASSERT_EQ(got[k].has_value(), ref.has_value()) << tech.name << " " << k;
+        if (ref) {
+          EXPECT_EQ(*got[k], *ref) << tech.name << " " << k;
+        }
+        EXPECT_EQ(o::iso_delay_vdd(tech, kRing, vts[k], target), ref)
+            << tech.name << " " << k;
+      }
+    }
+  }
+}
+
+TEST(IsoDelayReference, RingEnergyAtVtBitEqualOnEveryProcess) {
+  for (const auto& tech : pinned_processes()) {
+    for (const double vt : {0.05, 0.18, 0.3, 0.55}) {
+      for (const double f_clk : {1e6, 5e6, 2e7}) {
+        for (const double activity : {0.1, 0.5, 1.0}) {
+          expect_same_point(
+              o::ring_energy_at_vt(tech, kRing, vt, f_clk, activity),
+              o::testing::ref_ring_energy_at_vt(tech, kRing, vt, f_clk,
+                                                activity),
+              tech.name + " vt " + std::to_string(vt));
+        }
+      }
+    }
+  }
 }
 
 TEST(BodyBias, ReductionGrowsWithBias) {
