@@ -14,7 +14,7 @@
 #include "circuit/generators.hpp"
 #include "core/comparison.hpp"
 #include "profile/profiler.hpp"
-#include "sim/bp_simulator.hpp"
+#include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/table.hpp"
@@ -23,20 +23,17 @@
 namespace {
 
 // Mean node activity of a module netlist under random stimulus,
-// extracted through the bit-parallel kernel's lane-chunked replay (the
-// runner is bit-identical to a serial scalar replay; see
-// sim/stimulus.cpp).
+// extracted by the activity replay (bit-identical to a serial settle
+// loop at any worker count; see sim/stimulus.hpp).
 double measure_alpha(lv::circuit::Netlist& nl,
                      const std::vector<lv::circuit::NetId>& inputs) {
-  lv::sim::BitParallelSimulator sim{nl};
-  sim.set_bus_broadcast(inputs, 0);
+  lv::sim::Simulator sim{nl};
+  sim.set_bus(inputs, 0);
   sim.settle();
   sim.clear_stats();
   const auto vecs =
       lv::sim::random_vectors(2000, static_cast<int>(inputs.size()), 0xa1fa);
-  lv::sim::run_two_operand_workload(
-      sim, inputs, {}, vecs, std::vector<std::uint64_t>(vecs.size(), 0));
-  return lv::sim::mean_alpha(sim);
+  return lv::sim::mean_alpha(nl, lv::sim::replay_vectors(sim, inputs, vecs));
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include "isa/assembler.hpp"
 #include "isa/machine.hpp"
 #include "obs/metrics.hpp"
-#include "sim/bp_simulator.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
@@ -58,39 +57,7 @@ void BM_MultiplierSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiplierSimulation)->Arg(4)->Arg(8);
 
-// Same adder stimulus through the bit-parallel kernel: each settle
-// presents 64 vectors at once, so items processed advance 64 per
-// iteration and the per-item rate is directly comparable to
-// BM_AdderSimulation.
-void BM_AdderSimulationWord(benchmark::State& state) {
-  const int width = static_cast<int>(state.range(0));
-  lv::circuit::Netlist nl;
-  const auto ports = lv::circuit::build_ripple_carry_adder(nl, width);
-  lv::sim::BitParallelSimulator sim{nl};
-  const auto a = lv::sim::random_vectors(256, width, 1);
-  const auto b = lv::sim::random_vectors(256, width, 2);
-  std::size_t i = 0;
-  std::vector<std::uint64_t> a_lanes(lv::sim::kLaneCount);
-  std::vector<std::uint64_t> b_lanes(lv::sim::kLaneCount);
-  for (auto _ : state) {
-    for (std::size_t lane = 0; lane < lv::sim::kLaneCount; ++lane) {
-      a_lanes[lane] = a[(i + lane) & 255];
-      b_lanes[lane] = b[(i + lane) & 255];
-    }
-    sim.set_bus(ports.a, a_lanes);
-    sim.set_bus(ports.b, b_lanes);
-    sim.settle();
-    i += lv::sim::kLaneCount;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(
-      state.iterations() * lv::sim::kLaneCount));
-  state.counters["gates"] = static_cast<double>(nl.instance_count());
-}
-BENCHMARK(BM_AdderSimulationWord)->Arg(8)->Arg(16)->Arg(32);
-
-// Activity-extraction workload (1024 random vectors over a 16-bit RCA)
-// through each kernel. The scalar/word pair is the measured speedup that
-// CI gates on (tools/bench_diff.py --require-speedup).
+// Activity-extraction workload: 1024 random vectors over a 16-bit RCA.
 void BM_AdderWorkloadScalar(benchmark::State& state) {
   lv::circuit::Netlist nl;
   const auto ports = lv::circuit::build_ripple_carry_adder(nl, 16);
@@ -105,21 +72,6 @@ void BM_AdderWorkloadScalar(benchmark::State& state) {
       state.iterations() * static_cast<std::int64_t>(a.size()));
 }
 BENCHMARK(BM_AdderWorkloadScalar);
-
-void BM_AdderWorkloadWord(benchmark::State& state) {
-  lv::circuit::Netlist nl;
-  const auto ports = lv::circuit::build_ripple_carry_adder(nl, 16);
-  const auto a = lv::sim::random_vectors(1024, 16, 21);
-  const auto b = lv::sim::random_vectors(1024, 16, 22);
-  lv::sim::BitParallelSimulator sim{nl};
-  for (auto _ : state) {
-    lv::sim::run_two_operand_workload(sim, ports.a, ports.b, a, b);
-    benchmark::DoNotOptimize(sim.stats().cycles());
-  }
-  state.SetItemsProcessed(
-      state.iterations() * static_cast<std::int64_t>(a.size()));
-}
-BENCHMARK(BM_AdderWorkloadWord);
 
 // Activity replay as `lvtool simulate` runs it (sim::replay_vectors)
 // over an 8-bit array multiplier, at the worker width given by the

@@ -3,22 +3,25 @@
 // adder, an array multiplier and a clocked multiply-accumulate — and the
 // rest is a graph blob decoded against it. A rejected blob must throw
 // util::Error. A blob that decodes must run one settle and one clock
-// cycle on both event kernels without touching memory it does not own;
-// an event budget or a forged input bitmap may end the run with
-// util::Error.
+// cycle on the event kernel, and one word evaluation of every
+// combinational instance in topological order, without touching memory
+// it does not own; an event budget or a forged input bitmap may end the
+// event run with util::Error.
 //
 // Seeds (corpus/graph) are the selector byte followed by
 // encode_graph(SimGraph(netlist)) of the netlist it selects, so each
 // starts from a blob that decodes.
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string_view>
+#include <vector>
 
 #include "circuit/generators.hpp"
 #include "circuit/netlist.hpp"
-#include "sim/bp_simulator.hpp"
 #include "sim/graph_io.hpp"
 #include "sim/simulator.hpp"
+#include "sim/word_eval.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -48,14 +51,31 @@ const lv::circuit::Netlist& harness_netlist(std::uint8_t selector) {
   return nets[selector % 3];
 }
 
-template <class Sim, class Value>
-void run_once(Sim& sim, const lv::circuit::Netlist& nl, Value one,
-              Value zero) {
+void run_events(const std::shared_ptr<const lv::sim::SimGraph>& graph,
+                const lv::circuit::Netlist& nl) {
+  lv::sim::Simulator sim{graph, kConfig};
   const auto& inputs = nl.primary_inputs();
   for (std::size_t i = 0; i < inputs.size(); ++i)
-    sim.set_input(inputs[i], i % 3 == 0 ? zero : one);
+    sim.set_input(inputs[i], i % 3 == 0 ? lv::circuit::Logic::zero
+                                        : lv::circuit::Logic::one);
   sim.settle();
   sim.clock_cycle();
+}
+
+// One levelized pass, as the fault kernel runs its good machine: every
+// net starts X, the inputs carry a lane pattern, and each combinational
+// instance is evaluated once through the graph's (possibly forged) word
+// plan.
+void run_words(const lv::sim::SimGraph& graph,
+               const lv::circuit::Netlist& nl) {
+  std::vector<lv::sim::LogicW> values(graph.net_count());
+  const auto& inputs = nl.primary_inputs();
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    values[inputs[i]] = {(~std::uint64_t{0} << 7) >> (i % 5), 0};
+  lv::sim::WordEvaluator eval{graph};
+  for (const lv::circuit::InstanceId id : nl.topo_order())
+    if (graph.word_ops()[id] != lv::sim::SimGraph::kWordSequential)
+      values[graph.nodes()[id].output] = eval.evaluate(id, values.data());
 }
 
 }  // namespace
@@ -68,14 +88,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                               size - 1};
   try {
     const auto graph = lv::sim::decode_graph(nl, blob);
-    try {
-      lv::sim::Simulator scalar{graph, kConfig};
-      run_once(scalar, nl, lv::circuit::Logic::one, lv::circuit::Logic::zero);
-    } catch (const lv::util::Error&) {
-    }
-    lv::sim::BitParallelSimulator word{graph, kConfig};
-    run_once(word, nl, lv::sim::broadcast(lv::circuit::Logic::one),
-             lv::sim::LogicW{~std::uint64_t{0} << 7, 0});
+    run_words(*graph, nl);
+    run_events(graph, nl);
   } catch (const lv::util::Error&) {
   }
   return 0;

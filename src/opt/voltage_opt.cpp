@@ -37,7 +37,7 @@ void note_fo1_memo(bool hit) {
 // The ring as one solve sees it, with the stage's FO1 load memoized by
 // supply. The load depends on V_DD only, not on V_T, and every bisection
 // starts from the same [0.05 V, vdd_max] bracket and so walks the same
-// dyadic tree: in a 26-point optimize_vt about half of the 1 224
+// dyadic tree: in a 26-point optimize_vt about half of the 1 134
 // supplies visited repeat. The memo is exact (keyed on the double V_DD,
 // always finite and > 0 here), so a hit returns the bits a recomputation
 // would. One solver per exec worker; it is never shared.
@@ -56,9 +56,11 @@ class IsoDelaySolver {
     const double hi = process_.vdd_max;
     // Delay decreases monotonically with vdd; a bracket requires the
     // target to be achievable at hi and exceeded at lo.
-    if (mismatch(hi) > 0.0) return std::nullopt;  // too slow even at max vdd
-    if (mismatch(lo) < 0.0) return lo;            // already fast at the floor
-    const auto solved = u::bisect(mismatch, lo, hi, 1e-6);
+    const double at_hi = mismatch(hi);
+    if (at_hi > 0.0) return std::nullopt;  // too slow even at max vdd
+    const double at_lo = mismatch(lo);
+    if (at_lo < 0.0) return lo;  // already fast at the floor
+    const auto solved = u::bisect(mismatch, lo, hi, at_lo, at_hi, 1e-6);
     if (!solved || !solved->converged) return std::nullopt;
     return solved->x;
   }

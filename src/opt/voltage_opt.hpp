@@ -11,13 +11,15 @@
 // over. Lower switching activity moves the optimum to higher V_T — the
 // paper's closing observation of Section 3.
 //
-// Cost: a 26-point optimize_vt runs ~45 bisections at 1e-6 V, ~1 200
-// stage-delay evaluations. The stage's FO1 load depends on V_DD only,
-// and every bisection starts from the same [0.05 V, vdd_max] bracket, so
-// each solve memoizes the load by exact V_DD (one memo per exec worker,
-// owned by the call; 645 of 1 224 lookups hit at width 1, counted by the
-// scheduling counters opt.fo1_memo.hits/misses). A miss integrates the
-// unit inverter's capacitances in one pass (device::unit_inverter_caps).
+// Cost: a 26-point optimize_vt runs ~45 bisections at 1e-6 V, ~1 130
+// stage-delay evaluations; each bisection reuses the two bracket-end
+// evaluations that decided feasibility. The stage's FO1 load depends on
+// V_DD only, and every bisection starts from the same [0.05 V, vdd_max]
+// bracket, so each solve memoizes the load by exact V_DD (one memo per
+// exec worker, owned by the call; 555 of 1 134 lookups hit at width 1,
+// counted by the scheduling counters opt.fo1_memo.hits/misses). A miss
+// integrates the unit inverter's capacitances in one pass
+// (device::unit_inverter_caps).
 // Results are bit-identical to recomputing the load at every evaluation;
 // tests/reference_iso_delay.hpp keeps that computation as the oracle.
 #pragma once

@@ -2,10 +2,9 @@
 //
 // Driving a bus from an integer and packing a bus back into one used to
 // be duplicated (with identical width/range checks and LSB-first bit
-// order) across Simulator::set_bus/read_bus, the fault kernel,
-// and the bit-parallel kernel. The two helpers below are the single
-// definition of that loop: callers supply only how one net is driven or
-// observed.
+// order) across Simulator::set_bus/read_bus and the fault kernel. The
+// two helpers below are the single definition of that loop: callers
+// supply only how one net is driven or observed.
 #pragma once
 
 #include <cstdint>

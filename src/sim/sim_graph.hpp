@@ -55,18 +55,18 @@ class SimGraph {
   static constexpr int kMaxLutInputs = 4;
   using Lut = std::array<circuit::Logic, 256>;
 
-  // The scalar event queue packs net ids into 30 bits
-  // (sim/calendar_queue.hpp), so a graph holds fewer than 2^30 nets.
+  // The event queue packs net ids into 30 bits (sim/event_queue.hpp),
+  // so a graph holds fewer than 2^30 nets.
   static constexpr std::size_t kMaxNets = std::size_t{1} << 30;
   // Throws a coded InputError (net.too_large) unless `net_count` fits.
   static void require_net_capacity(std::size_t net_count);
 
-  // Word-level evaluation plan (bit-parallel kernel): word_ops()[i] is
+  // Word-level evaluation plan (sim::WordEvaluator): word_ops()[i] is
   // the CellKind evaluated directly as bitwise ops on whole 64-lane
   // words, or one of the sentinels below. Direct kinds are admitted only
   // after their word operator is verified against circuit::evaluate_cell
-  // over every 3^k input combination (sim_graph.cpp), so the word kernel
-  // is lane-for-lane identical to the scalar kernel by construction.
+  // over every 3^k input combination (sim_graph.cpp), so word evaluation
+  // is lane-for-lane identical to the scalar LUTs by construction.
   static constexpr std::uint8_t kWordLut = 0xfe;         // per-lane LUT path
   static constexpr std::uint8_t kWordSequential = 0xfd;  // flop: never evaluated
 

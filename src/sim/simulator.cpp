@@ -54,10 +54,6 @@ lv::obs::Counter& c_lut_evals() {
   static auto& c = lv::obs::Registry::global().counter("sim.lut_evals");
   return c;
 }
-lv::obs::Counter& c_wheel_wraps() {
-  static auto& c = lv::obs::Registry::global().counter("sim.wheel_wraps");
-  return c;
-}
 lv::obs::Gauge& g_queue_hwm() {
   static auto& g = lv::obs::Registry::global().gauge("sim.queue_depth_hwm");
   return g;
@@ -128,13 +124,12 @@ Simulator::Simulator(std::shared_ptr<const SimGraph> graph, SimConfig config)
       dirty_nets_(graph_->net_count() + 1),
       dirty_flag_(graph_->net_count(), 0),
       flop_state_(graph_->instance_count(), Logic::x),
-      // Horizon 1: an evaluation appends at now + 1. Pool hint: a net
-      // whose driver re-evaluates several times in one tick holds one
-      // pending entry per changed result. 4x net count covers most
-      // netlists from the start; a glitch storm past it adds 16-page
-      // blocks once, and the warmed-up queue then recycles them without
-      // allocating.
-      queue_{1, 4 * graph_->net_count()},
+      // Pool hint: a net whose driver re-evaluates several times in one
+      // tick holds one pending entry per changed result. 4x net count
+      // covers most netlists from the start; a glitch storm past it adds
+      // 16-page blocks once, and the warmed-up queue then recycles them
+      // without allocating.
+      queue_{4 * graph_->net_count()},
       stats_{graph_->net_count()} {
   nodes_ = graph_->nodes().data();
   in_nets_ = graph_->input_nets().data();
@@ -144,7 +139,7 @@ Simulator::Simulator(std::shared_ptr<const SimGraph> graph, SimConfig config)
   captures_.reserve(graph_->sequential_instances().size());
   // Tie cells establish constants immediately.
   for (const auto& tie : graph_->tie_inits())
-    schedule(tie.net, tie.value, 0);
+    schedule(tie.net, tie.value);
   drain_events();
   sync_settled();
   stats_ = ActivityStats{graph_->net_count()};  // discard warm-up toggles
@@ -155,7 +150,7 @@ void Simulator::set_input(NetId net, Logic value) {
     const auto& n = netlist().net(net);  // throws for out-of-range nets
     throw u::Error("Simulator: set_input on non-input net '" + n.name + "'");
   }
-  schedule(net, value, queue_.time());
+  schedule(net, value);
 }
 
 void Simulator::set_bus(const circuit::Bus& bus, std::uint64_t value) {
@@ -173,9 +168,9 @@ bool Simulator::read_bus(const circuit::Bus& bus, std::uint64_t& out) const {
                   [this](NetId id) { return values_[id]; }, out);
 }
 
-void Simulator::schedule(NetId net, Logic value, std::uint64_t time) {
+void Simulator::schedule(NetId net, Logic value) {
   scheduled_[net] = value;
-  queue_.push(time, {net, value});
+  queue_.push({net, value});
   if (queue_.size() > queue_hwm_) queue_hwm_ = queue_.size();
 }
 
@@ -191,18 +186,18 @@ inline Logic Simulator::evaluate(const SimGraph::Node& node) const {
   return luts_[node.kind][idx];
 }
 
-inline void Simulator::evaluate_instance(InstanceId id, std::uint64_t now) {
+inline void Simulator::evaluate_instance(InstanceId id) {
   const SimGraph::Node& node = nodes_[id];
   const Logic out = evaluate(node);
-  // The candidate always lands in the target slot; it is kept only if
-  // it changes what the net has scheduled (no data-dependent branch).
+  // The candidate always lands at the queue's tail, one tick ahead; it
+  // is kept only if it changes what the net has scheduled (no
+  // data-dependent branch).
   const bool changed = out != scheduled_[node.output];
   scheduled_[node.output] = out;
-  queue_.append(now + 1, {node.output, out}, changed);
+  queue_.append({node.output, out}, changed);
 }
 
-inline void Simulator::apply_event(NetId net, Logic value,
-                                   std::uint64_t time) {
+inline void Simulator::apply_event(NetId net, Logic value) {
   const Logic old = values_[net];
   if (old == value) return;
   values_[net] = value;
@@ -219,14 +214,14 @@ inline void Simulator::apply_event(NetId net, Logic value,
   const std::uint32_t end = eval_offsets_[net + 1];
   evals_ += end - begin;
   for (std::uint32_t k = begin; k < end; ++k)
-    evaluate_instance(eval_list_[k], time);
+    evaluate_instance(eval_list_[k]);
 }
 
 std::uint64_t Simulator::drain_events() {
   std::uint64_t processed = 0;
   const std::uint64_t budget = config_.max_events_per_settle;
-  queue_.drain([&](CalendarQueue::Entry e, std::uint64_t now) {
-    apply_event(e.net(), e.value(), now);
+  queue_.drain([&](EventQueue::Entry e) {
+    apply_event(e.net(), e.value());
     // An event only appends, so the queue is deepest at its end: this
     // max equals the one taken after every single append.
     queue_hwm_ = std::max<std::uint64_t>(queue_hwm_, queue_.size());
@@ -236,17 +231,12 @@ std::uint64_t Simulator::drain_events() {
           "Simulator: event budget exceeded: more than " +
               std::to_string(budget) + " events in one settle (oscillation?)");
   });
-  // Every drain starts at tick 0, so sim.wheel_wraps is a per-drain sum
-  // whatever state the simulator was seated on.
-  queue_.rebase();
   if (obs::enabled()) {
     c_events().add(processed);
     c_lut_evals().add(evals_);
-    c_wheel_wraps().add(queue_.wraps() - wraps_flushed_);
     g_queue_hwm().update_max(static_cast<double>(queue_hwm_));
   }
   evals_ = 0;
-  wraps_flushed_ = queue_.wraps();
   queue_hwm_ = 0;
   return processed;
 }
@@ -307,11 +297,12 @@ void Simulator::clock_cycle() {
       continue;  // gated clock: flop holds state, no internal switching
     captures_.emplace_back(i, values_[inst.inputs[0]]);
   }
-  // Phase 2: launch new Q values.
+  // Phase 2: launch new Q values. They queue behind any pending input
+  // change, one tick later (see event_queue.hpp).
   for (const auto& [id, d] : captures_) {
     flop_state_[id] = d;
     const NetId q = nodes_[id].output;
-    if (values_[q] != d) schedule(q, d, queue_.time() + 1);
+    if (values_[q] != d) schedule(q, d);
   }
   settle();
 }
@@ -320,7 +311,7 @@ void Simulator::reset_flops(Logic value) {
   for (const InstanceId i : graph_->sequential_instances()) {
     flop_state_[i] = value;
     const NetId q = nodes_[i].output;
-    if (values_[q] != value) schedule(q, value, queue_.time());
+    if (values_[q] != value) schedule(q, value);
   }
   drain_events();
   sync_settled();
@@ -349,7 +340,7 @@ void Simulator::seat(const circuit::Bus& bus, std::uint64_t value) {
 
 void Simulator::force_net(NetId net, Logic value) {
   if (net >= values_.size()) throw u::Error("force_net: net out of range");
-  schedule(net, value, queue_.time());
+  schedule(net, value);
   drain_events();
 }
 

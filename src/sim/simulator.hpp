@@ -12,10 +12,10 @@
 //
 // The engine is *compiled*: a sim::SimGraph lowers the netlist once into
 // CSR fanout/input arrays and truth-table LUTs (see sim_graph.hpp), and
-// a calendar-queue scheduler replaces the binary heap (see
-// calendar_queue.hpp). Both preserve the historical (time, sequence)
-// event order exactly, so ActivityStats is bit-identical to the
-// interpreted kernel on every netlist (pinned by
+// a paged FIFO replaces the binary heap (see event_queue.hpp): with unit
+// delay, appending at the tail consumes events in the historical
+// (time, sequence) order exactly. ActivityStats is therefore
+// bit-identical to the interpreted kernel on every netlist (pinned by
 // tests/sim_kernel_equivalence_test.cpp against a retained copy of the
 // interpreted engine).
 #pragma once
@@ -29,7 +29,7 @@
 
 #include "circuit/generators.hpp"
 #include "circuit/netlist.hpp"
-#include "sim/calendar_queue.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/sim_graph.hpp"
 
 namespace lv::sim {
@@ -79,7 +79,6 @@ class ActivityStats {
 
  private:
   friend class Simulator;
-  friend class BitParallelSimulator;
   void check_net(circuit::NetId net) const;
   std::vector<std::uint64_t> transitions_;
   std::vector<std::uint64_t> settled_changes_;
@@ -150,12 +149,11 @@ class Simulator {
   void clear_stats();
 
  private:
-  void schedule(circuit::NetId net, circuit::Logic value, std::uint64_t time);
+  void schedule(circuit::NetId net, circuit::Logic value);
   // The instance's output for the present net values (uncounted).
   circuit::Logic evaluate(const SimGraph::Node& node) const;
-  void evaluate_instance(circuit::InstanceId id, std::uint64_t now);
-  void apply_event(circuit::NetId net, circuit::Logic value,
-                   std::uint64_t time);
+  void evaluate_instance(circuit::InstanceId id);
+  void apply_event(circuit::NetId net, circuit::Logic value);
   // Returns the number of events processed (observability).
   std::uint64_t drain_events();
   void finish_cycle();
@@ -187,7 +185,7 @@ class Simulator {
   std::size_t dirty_count_ = 0;
   std::vector<std::uint8_t> dirty_flag_;
   std::vector<circuit::Logic> flop_state_;
-  CalendarQueue queue_;
+  EventQueue queue_;
   std::unordered_set<std::string> disabled_modules_;
   ActivityStats stats_;
   // Reused scratch buffers (no per-event or per-cycle heap allocation in
@@ -200,7 +198,6 @@ class Simulator {
   std::uint64_t cycle_transitions_ = 0;
   // Gate evaluations (bumped by the fanout count).
   std::uint64_t evals_ = 0;
-  std::uint64_t wraps_flushed_ = 0;
 };
 
 }  // namespace lv::sim

@@ -89,64 +89,6 @@ void run_two_operand_workload(Simulator& sim, const circuit::Bus& a,
   }
 }
 
-void run_two_operand_workload(BitParallelSimulator& sim,
-                              const circuit::Bus& a, const circuit::Bus& b,
-                              const std::vector<std::uint64_t>& a_vectors,
-                              const std::vector<std::uint64_t>& b_vectors) {
-  u::require(a_vectors.size() == b_vectors.size(),
-             "run_two_operand_workload: vector count mismatch");
-  const std::size_t n = a_vectors.size();
-  if (n == 0) return;
-  // Lane L owns vectors [L*k, min((L+1)*k, n)).
-  const std::size_t k = (n + kLaneCount - 1) / kLaneCount;
-  const std::size_t lanes = (n + k - 1) / k;
-  // Priming settle, excluded from accounting via an empty active-lane
-  // mask: lane L >= 1 presents its predecessor vector (the last one of
-  // lane L-1's chunk) while lane 0 keeps its present input value — the
-  // same state a serial replay would start from (X on a fresh simulator,
-  // the pre-settled inputs if the caller primed and cleared stats). A
-  // combinational netlist's settled state is a function of its inputs
-  // alone, so after priming every *counted* settle reproduces exactly
-  // the (previous vector, next vector) pair a serial scalar replay would
-  // present, and the aggregate ActivityStats equal the scalar run's bit
-  // for bit (pinned by sim_bitparallel_test.cpp).
-  const auto prime_bus = [&](const circuit::Bus& bus,
-                             const std::vector<std::uint64_t>& v) {
-    for (std::size_t j = 0; j < bus.size(); ++j) {
-      LogicW w{0, 0};
-      w = with_lane(w, 0, lane_of(sim.value(bus[j]), 0));
-      for (std::size_t lane = 1; lane < lanes; ++lane)
-        w = with_lane(w, static_cast<unsigned>(lane),
-                      circuit::from_bool((v[lane * k - 1] >> j) & 1));
-      sim.set_input(bus[j], w);
-    }
-  };
-  sim.set_active_lanes(0);
-  prime_bus(a, a_vectors);
-  prime_bus(b, b_vectors);
-  sim.settle();
-  std::vector<std::uint64_t> a_lane(lanes), b_lane(lanes);
-  for (std::size_t step = 0; step < k; ++step) {
-    std::uint64_t active = 0;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      const std::size_t begin = lane * k;
-      const std::size_t last = std::min(begin + k, n) - 1;
-      const std::size_t i = begin + step;
-      if (i <= last) active |= std::uint64_t{1} << lane;
-      // Exhausted lanes re-drive their final vector: no events, and the
-      // active mask keeps them out of the statistics.
-      const std::size_t idx = std::min(i, last);
-      a_lane[lane] = a_vectors[idx];
-      b_lane[lane] = b_vectors[idx];
-    }
-    sim.set_active_lanes(active);
-    sim.set_bus(a, a_lane);
-    sim.set_bus(b, b_lane);
-    sim.settle();
-  }
-  sim.set_active_lanes(kAllLanes);
-}
-
 ActivityStats replay_vectors(const Simulator& primed,
                              const circuit::Bus& inputs,
                              const std::vector<std::uint64_t>& vectors,

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "exec/parallel.hpp"
-#include "sim/bp_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "util/statistics.hpp"
 
@@ -40,23 +39,6 @@ std::vector<std::uint64_t> random_walk_vectors(std::size_t count, int bits,
 // Vectors must have equal length.
 void run_two_operand_workload(Simulator& sim, const circuit::Bus& a,
                               const circuit::Bus& b,
-                              const std::vector<std::uint64_t>& a_vectors,
-                              const std::vector<std::uint64_t>& b_vectors);
-
-// Lane-chunked bit-parallel replay of the same workload: lane L carries
-// the contiguous subsequence [L*K, min((L+1)*K, N)) of the vector pairs
-// (K = ceil(N/64)), so one word-kernel pass of K settles covers all N
-// vectors. Lanes whose subsequence has run out re-drive their last value
-// and are dropped from the active-lane mask, so the aggregate
-// ActivityStats counts exactly N lane-cycles. An uncounted priming
-// settle seats every lane on its predecessor vector (lane 0 on the
-// initial X state) first; because a combinational netlist's settled
-// state depends only on its inputs, the counted settles then reproduce
-// exactly the vector pairs of a serial replay and the aggregate
-// ActivityStats equal a scalar Simulator run's bit for bit. Requires a
-// combinational netlist (the chunks have no shared flop history).
-void run_two_operand_workload(BitParallelSimulator& sim,
-                              const circuit::Bus& a, const circuit::Bus& b,
                               const std::vector<std::uint64_t>& a_vectors,
                               const std::vector<std::uint64_t>& b_vectors);
 
@@ -99,20 +81,11 @@ inline lv::util::Histogram activity_histogram(const Simulator& sim,
   return activity_histogram(sim.netlist(), sim.stats(), bins,
                             max_probability);
 }
-inline lv::util::Histogram activity_histogram(const BitParallelSimulator& sim,
-                                              std::size_t bins,
-                                              double max_probability = 1.0) {
-  return activity_histogram(sim.netlist(), sim.stats(), bins,
-                            max_probability);
-}
 
 // Mean node transition activity alpha (rising transitions per node per
 // cycle) over gate-driven nets — the scalar the paper's energy models use.
 double mean_alpha(const circuit::Netlist& netlist, const ActivityStats& stats);
 inline double mean_alpha(const Simulator& sim) {
-  return mean_alpha(sim.netlist(), sim.stats());
-}
-inline double mean_alpha(const BitParallelSimulator& sim) {
   return mean_alpha(sim.netlist(), sim.stats());
 }
 

@@ -18,7 +18,7 @@ WordEvaluator::WordEvaluator(const SimGraph& graph, bool force_lut_fallback)
 }
 
 LogicW WordEvaluator::evaluate_per_lane(const SimGraph::Node& node,
-                                        const LogicW* values) {
+                                        const LogicW* values) const {
   const circuit::NetId* ins = in_nets_ + node.in_begin;
   LogicW in[SimGraph::kMaxLutInputs];
   for (unsigned k = 0; k < node.in_count; ++k) in[k] = values[ins[k]];
@@ -35,7 +35,6 @@ LogicW WordEvaluator::evaluate_per_lane(const SimGraph::Node& node,
     else if (v == Logic::x)
       out.x |= bit;
   }
-  counts_.lut_lanes += kLaneCount;
   return out;
 }
 

@@ -1,12 +1,10 @@
 // One 64-lane gate evaluation over a SimGraph's word plan.
 //
-// Shared by the two word kernels: the event-driven BitParallelSimulator
-// evaluates an instance whenever one of its inputs changes, and the
-// fault kernel (fault.cpp) evaluates every instance once per 64-vector
-// block for the good machine, then only the instances a fault disturbs.
-// Both read gate inputs from a flat
-// per-net LogicW array, so the evaluation itself — the verified direct
-// word operator, or the per-lane LUT fallback — lives here once.
+// The fault kernel (fault.cpp) evaluates every instance once per
+// 64-vector block for the good machine, then only the instances a fault
+// disturbs. Gate inputs come from a flat per-net LogicW array, and the
+// evaluation itself is the verified direct word operator, or the
+// per-lane LUT fallback: the scalar kernel's tables, lane by lane.
 #pragma once
 
 #include <cstdint>
@@ -20,12 +18,6 @@ namespace lv::sim {
 
 class WordEvaluator {
  public:
-  // Evaluations taken by each path since the last take_counts().
-  struct Counts {
-    std::uint64_t direct = 0;     // whole-word direct operators
-    std::uint64_t lut_lanes = 0;  // per-lane LUT lookups
-  };
-
   // `force_lut_fallback` routes every combinational cell through the
   // per-lane LUT path (differential testing of the two paths). The graph
   // must outlive the evaluator.
@@ -34,7 +26,7 @@ class WordEvaluator {
 
   // Output word of combinational instance `id`, reading its input nets
   // from `values` (indexed by NetId).
-  LogicW evaluate(circuit::InstanceId id, const LogicW* values) {
+  LogicW evaluate(circuit::InstanceId id, const LogicW* values) const {
     const SimGraph::Node& node = nodes_[id];
     const std::uint8_t op = word_ops_[id];
     if (op < static_cast<std::uint8_t>(circuit::CellKind::kind_count)) {
@@ -43,21 +35,15 @@ class WordEvaluator {
       const circuit::NetId* ins = in_nets_ + node.in_begin;
       LogicW in[SimGraph::kMaxLutInputs];
       for (unsigned k = 0; k < node.in_count; ++k) in[k] = values[ins[k]];
-      ++counts_.direct;
       return word_evaluate_direct(static_cast<circuit::CellKind>(op), in);
     }
     return evaluate_per_lane(node, values);
   }
 
-  Counts take_counts() {
-    const Counts out = counts_;
-    counts_ = {};
-    return out;
-  }
-
  private:
   // Per-lane LUT fallback: the scalar kernel's tables, lane by lane.
-  LogicW evaluate_per_lane(const SimGraph::Node& node, const LogicW* values);
+  LogicW evaluate_per_lane(const SimGraph::Node& node,
+                           const LogicW* values) const;
 
   const SimGraph::Node* nodes_;
   const circuit::NetId* in_nets_;
@@ -66,7 +52,6 @@ class WordEvaluator {
   // Word plan with every combinational instance demoted to the LUT path
   // (force_lut_fallback only).
   std::vector<std::uint8_t> forced_plan_;
-  Counts counts_;
 };
 
 }  // namespace lv::sim

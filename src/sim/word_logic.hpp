@@ -1,9 +1,9 @@
 // Lane-parallel three-valued logic: 64 independent simulation lanes per
 // word, two bitplanes per net.
 //
-// The scalar kernel stores one circuit::Logic per net; the bit-parallel
-// kernel stores a LogicW — two uint64_t planes where bit L describes
-// lane L:
+// The event kernel stores one circuit::Logic per net; word evaluation
+// (sim::WordEvaluator, used by the fault kernel) stores a LogicW — two
+// uint64_t planes where bit L describes lane L:
 //
 //   one[L] = 1, x[L] = 0   -> lane L is Logic::one
 //   one[L] = 0, x[L] = 0   -> lane L is Logic::zero
@@ -11,9 +11,7 @@
 //
 // The canonical-form invariant `one & x == 0` (an X lane always has a 0
 // value bit) is what makes word equality comparisons exact: two LogicW
-// words are equal iff every lane holds the same three-valued value, so
-// the kernel's schedule-cancellation test (`out == scheduled`) behaves
-// per lane exactly like the scalar kernel's.
+// words are equal iff every lane holds the same three-valued value.
 //
 // The operators below implement the same truth tables as
 // circuit/logic.hpp, evaluated on all 64 lanes at once with a handful of
@@ -21,8 +19,8 @@
 // word-plan lowering (sim_graph.cpp) checks every candidate direct
 // operator against circuit::evaluate_cell over all 3^k input
 // combinations at process startup and demotes any mismatching cell kind
-// to the per-lane LUT fallback — so every lane of the word kernel is
-// bit-identical to the scalar kernel by construction.
+// to the per-lane LUT fallback — so every lane of a word evaluation is
+// bit-identical to the scalar LUTs by construction.
 #pragma once
 
 #include <cstdint>
@@ -69,10 +67,8 @@ constexpr LogicW with_lane(LogicW w, unsigned lane, circuit::Logic v) {
   return w;
 }
 
-// Lanes whose value is a known 0 / known 1 / either known value.
+// Lanes whose value is a known 0.
 constexpr std::uint64_t known_zeros(LogicW w) { return ~(w.one | w.x); }
-constexpr std::uint64_t known_ones(LogicW w) { return w.one; }
-constexpr std::uint64_t known_lanes(LogicW w) { return ~w.x; }
 
 // ---- operators (truth tables of circuit/logic.hpp, all lanes at once) --
 

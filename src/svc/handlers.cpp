@@ -29,7 +29,6 @@
 #include "power/glitch.hpp"
 #include "profile/profiler.hpp"
 #include "sim/activity_io.hpp"
-#include "sim/bp_simulator.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
@@ -219,38 +218,12 @@ Response op_simulate(ServiceContext& ctx, const Request& req) {
   const std::size_t vectors = vector_count(args, 1000);
   const auto seed = static_cast<std::uint64_t>(args.number("--seed", 1));
 
-  const auto kernel = args.text("--kernel").value_or("scalar");
-  if (kernel != "scalar" && kernel != "word")
-    throw chk::InputError(chk::codes::cli_option,
-                          "--kernel must be 'scalar' or 'word', got '" +
-                              kernel + "'");
-  const lv::sim::ActivityStats stats = [&] {
-    if (kernel == "word") {
-      // Bit-parallel replay: 64 vectors per settle through the
-      // lane-chunked workload runner, stats bit-identical to the scalar
-      // replay (see sim/stimulus.cpp).
-      u::require(nl.sequential_instances().empty(),
-                 "simulate: --kernel word needs a combinational netlist");
-      const c::Bus inputs = nl.primary_inputs();
-      u::require(!inputs.empty(), "netlist has no primary inputs");
-      u::require(inputs.size() <= 64, "more than 64 primary inputs");
-      lv::sim::BitParallelSimulator sim{design->graph()};
-      sim.set_bus_broadcast(inputs, 0);
-      sim.settle();
-      sim.clear_stats();
-      const auto vecs = lv::sim::random_vectors(
-          vectors, static_cast<int>(inputs.size()), seed);
-      lv::sim::run_two_operand_workload(
-          sim, inputs, {}, vecs,
-          std::vector<std::uint64_t>(vecs.size(), 0));
-      return sim.stats();
-    }
-    return simulate_random(*design, vectors, seed);
-  }();
+  const lv::sim::ActivityStats stats =
+      simulate_random(*design, vectors, seed);
   appendf(r.out,
-          "simulated %llu cycles (%s kernel); total transitions %llu; "
+          "simulated %llu cycles (scalar kernel); total transitions %llu; "
           "mean alpha %.4f\n",
-          static_cast<unsigned long long>(stats.cycles()), kernel.c_str(),
+          static_cast<unsigned long long>(stats.cycles()),
           static_cast<unsigned long long>(stats.total_transitions()),
           lv::sim::mean_alpha(nl, stats));
   if (const auto out = args.text("--activity-out")) {

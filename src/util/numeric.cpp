@@ -11,8 +11,15 @@ std::optional<SolveResult> bisect(const std::function<double(double)>& f,
                                   double lo, double hi, double x_tol,
                                   int max_iter) {
   require(lo < hi, "bisect: lo must be < hi");
-  double flo = f(lo);
-  double fhi = f(hi);
+  const double flo = f(lo);
+  const double fhi = f(hi);
+  return bisect(f, lo, hi, flo, fhi, x_tol, max_iter);
+}
+
+std::optional<SolveResult> bisect(const std::function<double(double)>& f,
+                                  double lo, double hi, double flo,
+                                  double fhi, double x_tol, int max_iter) {
+  require(lo < hi, "bisect: lo must be < hi");
   if (flo == 0.0) return SolveResult{lo, 0.0, 0, true};
   if (fhi == 0.0) return SolveResult{hi, 0.0, 0, true};
   if ((flo > 0.0) == (fhi > 0.0)) return std::nullopt;

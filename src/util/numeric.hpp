@@ -25,6 +25,12 @@ struct SolveResult {
 std::optional<SolveResult> bisect(const std::function<double(double)>& f,
                                   double lo, double hi,
                                   double x_tol = 1e-9, int max_iter = 200);
+// The same search for a caller that already evaluated the ends,
+// flo = f(lo) and fhi = f(hi): f is then evaluated only inside (lo, hi).
+std::optional<SolveResult> bisect(const std::function<double(double)>& f,
+                                  double lo, double hi, double flo,
+                                  double fhi, double x_tol = 1e-9,
+                                  int max_iter = 200);
 
 // Minimizes a unimodal f on [lo, hi] by golden-section search. Tolerance is
 // on the interval width. Works on any continuous f; on a multimodal f it

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cctype>
 #include <cstdint>
 #include <string>
@@ -16,7 +15,6 @@
 #include "exec/thread_pool.hpp"
 #include "obs/run_report.hpp"
 #include "opt/voltage_opt.hpp"
-#include "sim/bp_simulator.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
@@ -353,11 +351,11 @@ namespace {
 // seed over one shared graph, the seeds fanned out over the exec pool:
 // each simulator's counter traffic depends only on the netlist and its
 // stimulus, so the report must not depend on the width.
-template <class Sim, class Drive>
+template <class Drive>
 void simulate_per_seed(const lv::circuit::Netlist& nl, Drive&& drive) {
   const auto graph = lv::sim::SimGraph::compile(nl);
   lv::exec::parallel_for(4, [&](std::size_t seed) {
-    Sim sim{graph};
+    lv::sim::Simulator sim{graph};
     const auto vecs = lv::sim::random_vectors(
         32, static_cast<int>(nl.primary_inputs().size()), 9 + seed);
     for (const auto v : vecs) {
@@ -370,21 +368,19 @@ void simulate_per_seed(const lv::circuit::Netlist& nl, Drive&& drive) {
 }  // namespace
 
 TEST_F(Obs, CompiledKernelCountersArePresentAndWidthInvariant) {
-  // The compiled kernel's instrumentation — LUT evaluation count and
-  // calendar-queue wrap count — must be Stability::exact: both
-  // depend only on the netlist and stimulus, never on
-  // thread scheduling. Presence in `counters` (not scheduling_counters)
-  // plus the width sweep pins that. sim.graph_compile_ns is a Timer and
-  // therefore exempt from the determinism contract; assert only that
-  // compilation was timed.
+  // The compiled kernel's instrumentation — LUT evaluation and event
+  // counts — must be Stability::exact: both depend only on the netlist
+  // and stimulus, never on thread scheduling. Presence in `counters`
+  // (not scheduling_counters) plus the width sweep pins that.
+  // sim.graph_compile_ns is a Timer and therefore exempt from the
+  // determinism contract; assert only that compilation was timed.
   lv::circuit::Netlist nl;
   lv::circuit::build_ripple_carry_adder(nl, 8);
   const lv::circuit::Bus inputs = nl.primary_inputs();
   expect_deterministic_report([&] {
-    simulate_per_seed<lv::sim::Simulator>(
-        nl, [&](lv::sim::Simulator& sim, std::uint64_t v) {
-          sim.set_bus(inputs, v);
-        });
+    simulate_per_seed(nl, [&](lv::sim::Simulator& sim, std::uint64_t v) {
+      sim.set_bus(inputs, v);
+    });
   });
 
   // The harness left the registry holding the width-8 run; the named
@@ -392,35 +388,8 @@ TEST_F(Obs, CompiledKernelCountersArePresentAndWidthInvariant) {
   const o::RunReport r = o::Registry::global().report();
   ASSERT_EQ(r.counters.count("sim.lut_evals"), 1u);
   EXPECT_GT(r.counters.at("sim.lut_evals"), 0u);
-  ASSERT_EQ(r.counters.count("sim.wheel_wraps"), 1u);
+  ASSERT_EQ(r.counters.count("sim.events_processed"), 1u);
   EXPECT_EQ(r.scheduling_counters.count("sim.lut_evals"), 0u);
-  EXPECT_EQ(r.scheduling_counters.count("sim.wheel_wraps"), 0u);
+  EXPECT_EQ(r.scheduling_counters.count("sim.events_processed"), 0u);
   EXPECT_GT(o::Registry::global().timer("sim.graph_compile_ns").calls(), 0u);
-}
-
-TEST_F(Obs, WordKernelCountersArePresentAndWidthInvariant) {
-  // Same contract for the bit-parallel kernel's "sim.word_*" family: all
-  // Stability::exact, since each simulator's event traffic depends only
-  // on the netlist and stimulus.
-  lv::circuit::Netlist nl;
-  lv::circuit::build_ripple_carry_adder(nl, 8);
-  const lv::circuit::Bus inputs = nl.primary_inputs();
-  expect_deterministic_report([&] {
-    simulate_per_seed<lv::sim::BitParallelSimulator>(
-        nl, [&](lv::sim::BitParallelSimulator& sim, std::uint64_t v) {
-          // Lane L drives v rotated by L: 64 distinct stimuli per settle.
-          std::uint64_t lanes[lv::sim::kLaneCount];
-          for (unsigned l = 0; l < lv::sim::kLaneCount; ++l)
-            lanes[l] = std::rotl(v, static_cast<int>(l));
-          sim.set_bus(inputs, lanes);
-        });
-  });
-
-  const o::RunReport r = o::Registry::global().report();
-  ASSERT_EQ(r.counters.count("sim.word_events_processed"), 1u);
-  EXPECT_GT(r.counters.at("sim.word_events_processed"), 0u);
-  ASSERT_EQ(r.counters.count("sim.word_direct_evals"), 1u);
-  EXPECT_GT(r.counters.at("sim.word_direct_evals"), 0u);
-  ASSERT_EQ(r.counters.count("sim.word_lane_cycles"), 1u);
-  EXPECT_EQ(r.scheduling_counters.count("sim.word_direct_evals"), 0u);
 }

@@ -1,6 +1,6 @@
 // Retained copy of the pre-compiled-kernel event simulator — the
 // binary-heap, interpreted-evaluation engine the compiled kernel
-// (sim::SimGraph + CalendarQueue) replaced. It exists solely as the
+// (sim::SimGraph + EventQueue) replaced. It exists solely as the
 // golden oracle for tests/sim_kernel_equivalence_test.cpp: the compiled
 // kernel must reproduce this engine's ActivityStats bit-for-bit on every
 // netlist, with every gate at unit delay. Kept deliberately close to the

@@ -1,8 +1,8 @@
 // Steady-state allocation accounting for the compiled event kernel.
 //
 // The acceptance bar for the kernel is *zero heap allocations per event*
-// once warmed up: the calendar queue's buckets keep their capacity
-// across drains, evaluation scratch is reused, and the per-cycle capture
+// once warmed up: the event queue recycles its pages across drains,
+// evaluation scratch is reused, and the per-cycle capture
 // list is a member buffer. This test replaces global operator new/delete
 // with counting shims and requires that a warmed-up simulator performs
 // no allocation at all across thousands of further events.
@@ -84,7 +84,7 @@ TEST(SimAllocation, CombinationalSettleSteadyStateAllocFree) {
   const auto b = s::random_vectors(128, 16, 6);
 
   s::Simulator sim{nl};
-  // Warm-up: buckets, scratch, and dirty list grow to their high-water
+  // Warm-up: queue pages, scratch, and dirty list grow to their high-water
   // marks during the first settles. Full-bus toggles first — the
   // all-ones/all-zeros flip propagates the longest carry chains and
   // touches every net, so later random vectors stay under the

@@ -1,7 +1,7 @@
 // Golden equivalence suite for the compiled simulation kernel.
 //
-// The compiled engine (SimGraph CSR arrays + LUT evaluation + the
-// calendar-queue scheduler) must be *bit-identical* in its activity
+// The compiled engine (SimGraph CSR arrays + LUT evaluation + the paged
+// FIFO event queue) must be *bit-identical* in its activity
 // accounting to the retained interpreted engine
 // (tests/reference_simulator.hpp) — same per-net transition counts, same
 // settled-change counts, same glitch fractions, same final net values —
@@ -24,10 +24,10 @@
 #include "circuit/netlist.hpp"
 #include "exec/thread_pool.hpp"
 #include "reference_simulator.hpp"
-#include "sim/bp_simulator.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
+#include "sim/word_eval.hpp"
 
 namespace c = lv::circuit;
 namespace s = lv::sim;
@@ -149,13 +149,16 @@ TEST(SimKernelEquivalence, SettleWithoutChangesKeepsAccountingAligned) {
 }
 
 TEST(SimKernelEquivalence, WordKernelXLanesMatchInterpretedOraclePerLane) {
-  // Three-engine closure with X-carrying stimulus: a word-kernel lane, a
-  // scalar compiled run, and the retained interpreted oracle must agree
-  // exactly when lanes disagree on X vs 0/1 at the same inputs. The
-  // oracle leg is what anchors the word kernel's X-propagation to the
+  // Three-engine closure with X-carrying stimulus: a lane of the fault
+  // kernel's word evaluation (a levelized WordEvaluator pass), a scalar
+  // compiled run, and the retained interpreted oracle must settle to the
+  // same values when lanes disagree on X vs 0/1 at the same inputs. The
+  // oracle leg is what anchors word evaluation's X-propagation to the
   // historical semantics rather than to the scalar compiled kernel alone.
   c::Netlist nl;
   const auto ports = c::build_ripple_carry_adder(nl, 8);
+  const auto graph = s::SimGraph::compile(nl);
+  const s::WordEvaluator eval{*graph};
   const auto base = s::random_vectors(10, 8, 55);
   // Per-lane input for operand-a bit j: lane 0 known, lane 1 X on even
   // bits, lane 2 all X, lane 3 complemented known.
@@ -169,42 +172,34 @@ TEST(SimKernelEquivalence, WordKernelXLanesMatchInterpretedOraclePerLane) {
       default: return c::from_bool(bit);
     }
   };
-  s::BitParallelSimulator word{nl, {}, {.per_lane_stats = true}};
+  std::vector<s::Simulator> compiled(4, s::Simulator{graph});
+  std::vector<s::testing::ReferenceSimulator> oracle(
+      4, s::testing::ReferenceSimulator{nl});
   for (std::size_t i = 0; i < base.size(); ++i) {
-    for (std::size_t j = 0; j < ports.a.size(); ++j) {
-      s::LogicW w{0, 0};
+    std::vector<s::LogicW> words(nl.net_count());  // undriven nets X
+    for (std::size_t j = 0; j < ports.a.size(); ++j)
       for (unsigned lane = 0; lane < 4; ++lane)
-        w = s::with_lane(w, lane, lane_value(lane, i, j));
-      word.set_input(ports.a[j], w);
-    }
-    word.set_bus_broadcast(ports.b, base[i]);
-    word.settle();
-  }
-  for (unsigned lane = 0; lane < 4; ++lane) {
-    s::Simulator compiled{nl};
-    s::testing::ReferenceSimulator oracle{nl};
-    const auto drive = [&](auto& sim) {
-      for (std::size_t i = 0; i < base.size(); ++i) {
+        words[ports.a[j]] =
+            s::with_lane(words[ports.a[j]], lane, lane_value(lane, i, j));
+    for (std::size_t j = 0; j < ports.b.size(); ++j)
+      words[ports.b[j]] = s::broadcast(c::from_bool((base[i] >> j) & 1));
+    for (const c::InstanceId id : nl.topo_order())
+      words[graph->nodes()[id].output] = eval.evaluate(id, words.data());
+    for (unsigned lane = 0; lane < 4; ++lane) {
+      const auto drive = [&](auto& sim) {
         for (std::size_t j = 0; j < ports.a.size(); ++j)
           sim.set_input(ports.a[j], lane_value(lane, i, j));
         sim.set_bus(ports.b, base[i]);
         sim.settle();
+      };
+      drive(compiled[lane]);
+      drive(oracle[lane]);
+      for (c::NetId n = 0; n < nl.net_count(); ++n) {
+        ASSERT_EQ(s::lane_of(words[n], lane), oracle[lane].value(n))
+            << "net '" << nl.net(n).name << "' lane " << lane;
+        ASSERT_EQ(s::lane_of(words[n], lane), compiled[lane].value(n))
+            << "net '" << nl.net(n).name << "' lane " << lane;
       }
-    };
-    drive(compiled);
-    drive(oracle);
-    const s::ActivityStats lane_stats = word.lane_stats(lane);
-    ASSERT_EQ(lane_stats.cycles(), oracle.stats().cycles);
-    for (c::NetId n = 0; n < nl.net_count(); ++n) {
-      ASSERT_EQ(word.value(n, lane), oracle.value(n))
-          << "net '" << nl.net(n).name << "' lane " << lane;
-      ASSERT_EQ(word.value(n, lane), compiled.value(n))
-          << "net '" << nl.net(n).name << "' lane " << lane;
-      ASSERT_EQ(lane_stats.transitions(n), oracle.stats().transitions[n])
-          << "net '" << nl.net(n).name << "' lane " << lane;
-      ASSERT_EQ(lane_stats.settled_changes(n),
-                oracle.stats().settled_changes[n])
-          << "net '" << nl.net(n).name << "' lane " << lane;
     }
   }
 }

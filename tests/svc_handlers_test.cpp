@@ -181,7 +181,7 @@ TEST(SvcHandlers, RunRequestNeverThrows) {
     run(session, "gen", {});
     run(session, "gen", {"rca", "not-a-number"});
     run(session, "power", {"x.lvnet"});
-    run(session, "simulate", {"x.lvnet"}, {{"--kernel", "quantum"}},
+    run(session, "simulate", {"x.lvnet"}, {{"--seed", "quantum"}},
         {{"netlist", kAndNetlist}});
     run(session, "profile", {"no-such-workload"});
   });

@@ -33,6 +33,27 @@ TEST(Bisect, AcceptsRootAtEndpoint) {
   EXPECT_DOUBLE_EQ(r->x, 0.0);
 }
 
+TEST(Bisect, KnownEndValuesAreNotEvaluatedAgain) {
+  // Handing in f(lo) and f(hi) gives the same root, bit for bit, and f
+  // is called only strictly inside the bracket.
+  const auto f = [](double x) { return std::cos(x) - x; };
+  int calls = 0;
+  bool inside = true;
+  const auto counted = [&](double x) {
+    ++calls;
+    inside = inside && x > 0.0 && x < 1.0;
+    return f(x);
+  };
+  const auto want = u::bisect(f, 0.0, 1.0, 1e-12);
+  const auto got = u::bisect(counted, 0.0, 1.0, f(0.0), f(1.0), 1e-12);
+  ASSERT_TRUE(want.has_value());
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->x, want->x);
+  EXPECT_EQ(got->iterations, want->iterations);
+  EXPECT_EQ(calls, got->iterations + 1);
+  EXPECT_TRUE(inside);
+}
+
 TEST(Bisect, ThrowsOnInvertedInterval) {
   EXPECT_THROW(u::bisect([](double x) { return x; }, 1.0, 0.0), u::Error);
 }

@@ -98,8 +98,6 @@ run(stats 0 stats adder.lvnet)
 run(simulate 0 simulate adder.lvnet --vectors 64 --seed 7
     --activity-out act.lvact)
 check_file(simulate_activity act.lvact)
-run(simulate_word 0 simulate adder.lvnet --vectors 64 --seed 7
-    --kernel word)
 run(power_alpha 0 power adder.lvnet soi_low_vt --alpha 0.3)
 run(power_activity 0 power adder.lvnet soi_low_vt --activity act.lvact)
 run(timing 0 timing adder.lvnet soi_low_vt)

@@ -187,7 +187,7 @@ void usage() {
       "  gen <rca|cla|csel|ks|mul|shifter|alu> <width> [-o file]\n"
       "  stats <netlist>\n"
       "  simulate <netlist> [--vectors N] [--seed S]\n"
-      "           [--kernel scalar|word] [--activity-out f] [--vcd-out f]\n"
+      "           [--activity-out f] [--vcd-out f]\n"
       "  power <netlist> <tech> [--vdd V] [--fclk HZ]\n"
       "        (--alpha A | --activity f)\n"
       "  timing <netlist> <tech> [--vdd V]\n"
