@@ -111,17 +111,20 @@ DvfsResult plan_dvfs(const circuit::Netlist& netlist,
           ev.plan.f_clk = 0.0;
           ev.plan.energy = widle_leak_power(ev.plan.vdd) * interval.seconds;
           ev.plan.feasible = true;
-        } else if (1.0 / wdelay_at(process.vdd_max) < needed_rate) {
+        } else if (const double rate_hi = 1.0 / wdelay_at(process.vdd_max);
+                   rate_hi < needed_rate) {
           ev.plan.feasible = false;
         } else {
           const double lo = 0.05;
           double vdd = process.vdd_max;
-          if (1.0 / wdelay_at(lo) >= needed_rate) {
+          if (const double rate_lo = 1.0 / wdelay_at(lo);
+              rate_lo >= needed_rate) {
             vdd = lo;
           } else {
             const auto solved = u::bisect(
                 [&](double v) { return 1.0 / wdelay_at(v) - needed_rate; },
-                lo, process.vdd_max, 1e-4);
+                lo, process.vdd_max, rate_lo - needed_rate,
+                rate_hi - needed_rate, 1e-4);
             if (solved) vdd = solved->x;
           }
           ev.plan.vdd = vdd;

@@ -58,14 +58,17 @@ ParallelismResult explore_parallelism(const circuit::Netlist& netlist,
         const double lo = 0.05;
         const double hi = process.vdd_max;
         double vdd = 0.0;
-        if (delay_at(hi) > budget) {
+        const double delay_hi = delay_at(hi);
+        if (delay_hi > budget) {
           return pt;  // cannot meet rate even at max supply
         }
-        if (delay_at(lo) <= budget) {
+        const double delay_lo = delay_at(lo);
+        if (delay_lo <= budget) {
           vdd = lo;
         } else {
           const auto solved = u::bisect(
-              [&](double v) { return delay_at(v) - budget; }, lo, hi, 1e-4);
+              [&](double v) { return delay_at(v) - budget; }, lo, hi,
+              delay_lo - budget, delay_hi - budget, 1e-4);
           if (!solved) return pt;
           vdd = solved->x;
         }

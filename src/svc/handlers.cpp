@@ -10,6 +10,8 @@
 #include "svc/handlers.hpp"
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -34,6 +36,7 @@
 #include "sim/stimulus.hpp"
 #include "sim/vcd.hpp"
 #include "svc/protocol.hpp"
+#include "svc/server.hpp"
 #include "tech/techfile.hpp"
 #include "timing/path_enum.hpp"
 #include "timing/sta.hpp"
@@ -115,16 +118,6 @@ store::Key128 process_memo_key(const Request& req, const std::string& name) {
   return h.digest();
 }
 
-// `--vectors N`: a count, so an integer >= 0 (a coded cli.number input
-// error otherwise, never a silent truncation of 2.5 or a cast of -3).
-std::size_t vector_count(const Params& args, long long fallback) {
-  const long long n = args.integer("--vectors", fallback);
-  if (n < 0)
-    throw chk::InputError(chk::codes::cli_number,
-                          "--vectors must be >= 0, got " + std::to_string(n));
-  return static_cast<std::size_t>(n);
-}
-
 // Random stimulus over all primary inputs; returns the accumulated
 // statistics. Runs over the design's shared compiled graph, so a
 // session's repeat simulations skip graph compilation, and replays a
@@ -151,26 +144,26 @@ lv::sim::ActivityStats simulate_random(const Session::Design& design,
 
 // ---- operations -------------------------------------------------------
 
-Response op_gen(ServiceContext&, const Request& req) {
-  const Params& args = req.params;
+Response op_gen(ServiceContext&, const Request&, const Params& args) {
   Response r;
-  u::require(args.positional.size() == 2, "gen needs <kind> <width>");
-  const std::string kind = args.positional[0];
+  const std::string& kind = args.positional[0];
   const int width =
       static_cast<int>(chk::require_int(args.positional[1], "<width>"));
   c::Netlist nl;
-  if (kind == "rca") c::build_ripple_carry_adder(nl, width);
-  else if (kind == "cla") c::build_carry_lookahead_adder(nl, width);
-  else if (kind == "csel") c::build_carry_select_adder(nl, width);
-  else if (kind == "ks") c::build_kogge_stone_adder(nl, width);
-  else if (kind == "mul") c::build_array_multiplier(nl, width);
-  else if (kind == "shifter") c::build_barrel_shifter(nl, width);
-  else if (kind == "alu") c::build_alu(nl, width);
-  else if (kind == "cskip") c::build_carry_skip_adder(nl, width);
-  else if (kind == "wmul") c::build_wallace_multiplier(nl, width);
-  else
-    throw chk::InputError(chk::codes::cli_option,
-                          "unknown generator '" + kind + "'");
+  try {
+    if (kind == "rca") c::build_ripple_carry_adder(nl, width);
+    else if (kind == "cla") c::build_carry_lookahead_adder(nl, width);
+    else if (kind == "csel") c::build_carry_select_adder(nl, width);
+    else if (kind == "ks") c::build_kogge_stone_adder(nl, width);
+    else if (kind == "mul") c::build_array_multiplier(nl, width);
+    else if (kind == "shifter") c::build_barrel_shifter(nl, width);
+    else if (kind == "alu") c::build_alu(nl, width);
+    else if (kind == "cskip") c::build_carry_skip_adder(nl, width);
+    else c::build_wallace_multiplier(nl, width);  // "wmul"
+  } catch (const u::Error& e) {
+    // A generator's only argument is the width (e.g. shifter: a power of 2).
+    throw chk::InputError(chk::codes::cli_number, e.what());
+  }
   const std::string text = c::to_netlist_text(nl);
   if (const auto out = args.text("--out")) {
     r.files.push_back({*out, text});
@@ -182,10 +175,8 @@ Response op_gen(ServiceContext&, const Request& req) {
   return r;
 }
 
-Response op_stats(ServiceContext& ctx, const Request& req) {
-  const Params& args = req.params;
+Response op_stats(ServiceContext& ctx, const Request& req, const Params& args) {
   Response r;
-  u::require(args.positional.size() == 1, "stats needs <netlist>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
   appendf(r.out,
@@ -209,14 +200,13 @@ Response op_stats(ServiceContext& ctx, const Request& req) {
   return r;
 }
 
-Response op_simulate(ServiceContext& ctx, const Request& req) {
-  const Params& args = req.params;
+Response op_simulate(ServiceContext& ctx, const Request& req,
+                     const Params& args) {
   Response r;
-  u::require(args.positional.size() == 1, "simulate needs <netlist>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
-  const std::size_t vectors = vector_count(args, 1000);
-  const auto seed = static_cast<std::uint64_t>(args.number("--seed", 1));
+  const auto vectors = static_cast<std::size_t>(args.integer("--vectors"));
+  const auto seed = static_cast<std::uint64_t>(args.integer("--seed"));
 
   const lv::sim::ActivityStats stats =
       simulate_random(*design, vectors, seed);
@@ -256,16 +246,14 @@ Response op_simulate(ServiceContext& ctx, const Request& req) {
   return r;
 }
 
-Response op_power(ServiceContext& ctx, const Request& req) {
-  const Params& args = req.params;
+Response op_power(ServiceContext& ctx, const Request& req, const Params& args) {
   Response r;
-  u::require(args.positional.size() == 2, "power needs <netlist> <tech>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
   const auto tech = load_process(ctx, req, args.positional[1]);
   lv::power::OperatingPoint op;
-  op.vdd = args.positive("--vdd", tech->vdd_nominal);
-  op.f_clk = args.positive("--fclk", 50e6);
+  op.vdd = args.number("--vdd", tech->vdd_nominal);
+  op.f_clk = args.number("--fclk");
   // Evaluate through a context warm-started from the session's memo bank
   // (device-model tables are pure functions of process + operating
   // values, so imported entries are the exact bits a local recompute
@@ -282,7 +270,7 @@ Response op_power(ServiceContext& ctx, const Request& req) {
         nl, source_text(req, "activity", *file), *file);
     br = est.estimate(stats);
   } else {
-    br = est.estimate_uniform(args.number("--alpha", 0.25));
+    br = est.estimate_uniform(args.number("--alpha"));
   }
   u::Table table{{"component", "power_W"}};
   table.set_double_format("%.4g");
@@ -298,14 +286,13 @@ Response op_power(ServiceContext& ctx, const Request& req) {
   return r;
 }
 
-Response op_timing(ServiceContext& ctx, const Request& req) {
-  const Params& args = req.params;
+Response op_timing(ServiceContext& ctx, const Request& req,
+                   const Params& args) {
   Response r;
-  u::require(args.positional.size() == 2, "timing needs <netlist> <tech>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
   const auto tech = load_process(ctx, req, args.positional[1]);
-  const double vdd = args.positive("--vdd", tech->vdd_nominal);
+  const double vdd = args.number("--vdd", tech->vdd_nominal);
   // Same operating point the classic (netlist, process, vdd) constructor
   // builds, warm-started from the session memo bank (see op_power).
   lv::analysis::AnalysisContext actx{nl, *tech,
@@ -325,15 +312,14 @@ Response op_timing(ServiceContext& ctx, const Request& req) {
   return r;
 }
 
-Response op_dualvt(ServiceContext& ctx, const Request& req) {
-  const Params& args = req.params;
+Response op_dualvt(ServiceContext& ctx, const Request& req,
+                   const Params& args) {
   Response r;
-  u::require(args.positional.size() == 2, "dualvt needs <netlist> <tech>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
   const auto tech = load_process(ctx, req, args.positional[1]);
-  const double vdd = args.positive("--vdd", tech->vdd_nominal);
-  const double margin = args.number("--margin", 0.05);
+  const double vdd = args.number("--vdd", tech->vdd_nominal);
+  const double margin = args.number("--margin");
   const auto res = lv::opt::assign_dual_vt(nl, *tech, vdd, margin);
   appendf(r.out, "%zu of %zu gates moved to high VT\n", res.high_vt_count,
           nl.instance_count());
@@ -345,13 +331,12 @@ Response op_dualvt(ServiceContext& ctx, const Request& req) {
   return r;
 }
 
-Response op_optimize_vt(ServiceContext& ctx, const Request& req) {
-  const Params& args = req.params;
+Response op_optimize_vt(ServiceContext& ctx, const Request& req,
+                        const Params& args) {
   Response r;
-  u::require(args.positional.size() == 1, "optimize-vt needs <tech>");
   const auto tech = load_process(ctx, req, args.positional[0]);
-  const double f_clk = args.positive("--fclk", 5e6);
-  const double activity = args.number("--activity", 1.0);
+  const double f_clk = args.number("--fclk");
+  const double activity = args.number("--activity");
   const lv::timing::RingOscillator ring{101};
   const auto res =
       lv::opt::optimize_vt(*tech, ring, f_clk, activity, 0.05, 0.55, 26);
@@ -371,13 +356,11 @@ Response op_optimize_vt(ServiceContext& ctx, const Request& req) {
   return r;
 }
 
-Response op_profile(ServiceContext&, const Request& req) {
-  const Params& args = req.params;
+Response op_profile(ServiceContext&, const Request&, const Params& args) {
   Response r;
-  u::require(args.positional.size() == 1, "profile needs <workload>");
-  const std::string name = args.positional[0];
-  const auto gap = static_cast<std::uint64_t>(args.number("--gap", 0));
-  const int blocks = static_cast<int>(args.number("--blocks", 16));
+  const std::string& name = args.positional[0];
+  const auto gap = static_cast<std::uint64_t>(args.integer("--gap"));
+  const int blocks = static_cast<int>(args.integer("--blocks"));
   lv::workloads::Workload workload;
   if (name == "espresso") workload = lv::workloads::espresso_workload();
   else if (name == "li") workload = lv::workloads::li_workload();
@@ -386,10 +369,7 @@ Response op_profile(ServiceContext&, const Request& req) {
   else if (name == "crc32") workload = lv::workloads::crc32_workload();
   else if (name == "sort") workload = lv::workloads::sort_workload();
   else if (name == "matmul") workload = lv::workloads::matmul_workload();
-  else if (name == "strsearch") workload = lv::workloads::strsearch_workload();
-  else
-    throw chk::InputError(chk::codes::cli_option,
-                          "unknown workload '" + name + "'");
+  else workload = lv::workloads::strsearch_workload();  // "strsearch"
 
   lv::profile::ActivityProfiler profiler{lv::profile::UnitMap::standard(),
                                          gap};
@@ -402,26 +382,24 @@ Response op_profile(ServiceContext&, const Request& req) {
   return r;
 }
 
-Response op_techfile(ServiceContext& ctx, const Request& req) {
-  const Params& args = req.params;
+Response op_techfile(ServiceContext& ctx, const Request& req,
+                     const Params& args) {
   Response r;
-  u::require(args.positional.size() == 1, "techfile needs <tech>");
   r.out += lv::tech::to_techfile(*load_process(ctx, req, args.positional[0]));
   return r;
 }
 
-Response op_glitch(ServiceContext& ctx, const Request& req) {
-  const Params& args = req.params;
+Response op_glitch(ServiceContext& ctx, const Request& req,
+                   const Params& args) {
   Response r;
-  u::require(args.positional.size() == 2, "glitch needs <netlist> <tech>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
   const auto tech = load_process(ctx, req, args.positional[1]);
-  const std::size_t vectors = vector_count(args, 2000);
   const auto stats = simulate_random(
-      *design, vectors, static_cast<std::uint64_t>(args.number("--seed", 1)));
+      *design, static_cast<std::size_t>(args.integer("--vectors")),
+      static_cast<std::uint64_t>(args.integer("--seed")));
   lv::power::OperatingPoint op;
-  op.vdd = args.positive("--vdd", tech->vdd_nominal);
+  op.vdd = args.number("--vdd", tech->vdd_nominal);
   const auto report =
       lv::power::analyze_glitch_power(nl, *tech, op, stats);
   appendf(r.out, "functional power: %.4g W\n", report.functional_power);
@@ -435,16 +413,15 @@ Response op_glitch(ServiceContext& ctx, const Request& req) {
   return r;
 }
 
-Response op_faults(ServiceContext& ctx, const Request& req) {
-  const Params& args = req.params;
+Response op_faults(ServiceContext& ctx, const Request& req,
+                   const Params& args) {
   Response r;
-  u::require(args.positional.size() == 1, "faults needs <netlist>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
-  const std::size_t vectors = vector_count(args, 256);
   const auto vecs = lv::sim::random_vectors(
-      vectors, static_cast<int>(nl.primary_inputs().size()),
-      static_cast<std::uint64_t>(args.number("--seed", 1)));
+      static_cast<std::size_t>(args.integer("--vectors")),
+      static_cast<int>(nl.primary_inputs().size()),
+      static_cast<std::uint64_t>(args.integer("--seed")));
   const auto result = lv::sim::fault_coverage(nl, vecs);
   appendf(r.out,
           "stuck-at faults: %zu; detected %zu; coverage %.2f%% "
@@ -482,15 +459,13 @@ Response op_faults(ServiceContext& ctx, const Request& req) {
   return r;
 }
 
-Response op_paths(ServiceContext& ctx, const Request& req) {
-  const Params& args = req.params;
+Response op_paths(ServiceContext& ctx, const Request& req, const Params& args) {
   Response r;
-  u::require(args.positional.size() == 2, "paths needs <netlist> <tech>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
   const auto tech = load_process(ctx, req, args.positional[1]);
-  const double vdd = args.positive("--vdd", tech->vdd_nominal);
-  const int k = static_cast<int>(args.number("--k", 5));
+  const double vdd = args.number("--vdd", tech->vdd_nominal);
+  const int k = static_cast<int>(args.integer("--k"));
   const auto sta = lv::timing::Sta{nl, *tech, vdd}.run(1.0);
   const auto paths = lv::timing::enumerate_critical_paths(nl, sta, k);
   for (std::size_t i = 0; i < paths.size(); ++i) {
@@ -505,16 +480,15 @@ Response op_paths(ServiceContext& ctx, const Request& req) {
   return r;
 }
 
-Response op_sizing(ServiceContext& ctx, const Request& req) {
-  const Params& args = req.params;
+Response op_sizing(ServiceContext& ctx, const Request& req,
+                   const Params& args) {
   Response r;
-  u::require(args.positional.size() == 2, "sizing needs <netlist> <tech>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
   const auto tech = load_process(ctx, req, args.positional[1]);
   const auto res = lv::opt::downsize_gates(
-      nl, *tech, args.positive("--vdd", tech->vdd_nominal),
-      args.number("--margin", 0.05), args.number("--min-size", 0.5));
+      nl, *tech, args.number("--vdd", tech->vdd_nominal),
+      args.number("--margin"), args.number("--min-size"));
   appendf(r.out, "%zu of %zu gates downsized\n", res.downsized,
           nl.instance_count());
   appendf(r.out, "cap:     %.4g F -> %.4g F (-%.1f%%)\n", res.cap_before,
@@ -527,10 +501,9 @@ Response op_sizing(ServiceContext& ctx, const Request& req) {
   return r;
 }
 
-Response op_optimize(ServiceContext& ctx, const Request& req) {
-  const Params& args = req.params;
+Response op_optimize(ServiceContext& ctx, const Request& req,
+                     const Params& args) {
   Response r;
-  u::require(args.positional.size() == 1, "optimize needs <netlist>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
   c::TransformStats stats;
@@ -544,17 +517,12 @@ Response op_optimize(ServiceContext& ctx, const Request& req) {
   return r;
 }
 
-// check <file> [--kind netlist|tech|activity] [--netlist <file>]
-//              [--strict] [--diag-json <file>]
-//
-// Parses and deep-validates one input file, reporting *every* finding
+// check: parses and deep-validates one input file, reporting *every* finding
 // (parsers stop at the first error; the validators do not). Exit 0 when
 // acceptable, 2 when not; --strict also fails on warnings. --diag-json
 // writes the lv-diag/1 report (schema in docs/FORMATS.md).
-Response op_check(ServiceContext& ctx, const Request& req) {
-  const Params& args = req.params;
+Response op_check(ServiceContext& ctx, const Request& req, const Params& args) {
   Response r;
-  u::require(args.positional.size() == 1, "check needs <file>");
   const std::string& path = args.positional[0];
   const std::string text = source_text(req, "file", path);
 
@@ -585,17 +553,13 @@ Response op_check(ServiceContext& ctx, const Request& req) {
     chk::load_netlist_text(text, sink, path);
   } else if (kind == "tech") {
     chk::load_techfile_text(text, sink, path);
-  } else if (kind == "activity") {
+  } else {  // "activity"
     const auto nl_path = args.text("--netlist");
     if (!nl_path)
       throw chk::InputError(chk::codes::cli_option,
                             "check --kind activity needs --netlist <file>");
     const auto design = load_design(ctx, req, *nl_path);
     chk::load_activity_text(design->netlist(), text, sink, path);
-  } else {
-    throw chk::InputError(chk::codes::cli_option,
-                          "unknown --kind '" + kind +
-                              "' (netlist|tech|activity)");
   }
 
   if (const auto out = args.text("--diag-json"))
@@ -610,7 +574,7 @@ Response op_check(ServiceContext& ctx, const Request& req) {
   return r;
 }
 
-Response op_version(ServiceContext&, const Request&) {
+Response op_version(ServiceContext&, const Request&, const Params&) {
   Response r;
   r.out = version_text();
   return r;
@@ -621,7 +585,7 @@ Response op_version(ServiceContext&, const Request&) {
 // action and hit count. tools/chaos_soak.py --list-sites diffs this
 // against its expected registry, so renaming a site is a contract
 // change (docs/RESILIENCE.md).
-Response op_failpoints(ServiceContext&, const Request&) {
+Response op_failpoints(ServiceContext&, const Request&, const Params&) {
   Response r;
   for (const std::string& name : lv::failpoint::site_names()) {
     r.out += name;
@@ -643,10 +607,8 @@ Response op_failpoints(ServiceContext&, const Request&) {
 // cache stats|clear — maintenance for the cross-session artifact store
 // (configured with --cache-dir; see docs/FORMATS.md for the on-disk
 // layout). `stats` also reports this session's in-memory cache.
-Response op_cache(ServiceContext& ctx, const Request& req) {
-  const Params& args = req.params;
+Response op_cache(ServiceContext& ctx, const Request&, const Params& args) {
   Response r;
-  u::require(args.positional.size() == 1, "cache needs stats|clear");
   const std::string& sub = args.positional[0];
   lv::store::ArtifactStore* store = ctx.session.store();
   if (sub == "stats") {
@@ -669,18 +631,12 @@ Response op_cache(ServiceContext& ctx, const Request& req) {
             ctx.session.cached_designs(), ctx.session.cached_processes(),
             static_cast<unsigned long long>(ctx.session.cached_bytes()),
             static_cast<unsigned long long>(ctx.session.max_cache_bytes()));
-  } else if (sub == "clear") {
-    if (store == nullptr) {
-      r.out += "artifact store: disabled (no cache dir)\n";
-    } else {
-      appendf(r.out, "removed %llu entries from %s\n",
-              static_cast<unsigned long long>(store->clear()),
-              store->dir().string().c_str());
-    }
+  } else if (store == nullptr) {  // "clear"
+    r.out += "artifact store: disabled (no cache dir)\n";
   } else {
-    throw chk::InputError(chk::codes::cli_option,
-                          "cache: unknown subcommand '" + sub +
-                              "' (stats|clear)");
+    appendf(r.out, "removed %llu entries from %s\n",
+            static_cast<unsigned long long>(store->clear()),
+            store->dir().string().c_str());
   }
   return r;
 }
@@ -702,37 +658,193 @@ std::string version_text() {
   return s;
 }
 
+// ---- declarations -------------------------------------------------------
+//
+// The whole CLI surface: run_request validates against these tables, and
+// `lvtool help` is printed from them.
+
+namespace {
+
+constexpr long long kMax = LLONG_MAX;
+const Arg kNetlist = arg::file("<netlist>", "netlist", "netlist file (.lvnet)");
+const Arg kTech = arg::file(
+    "<tech>", "tech",
+    "soi_low_vt, soias, dual_vt_mtcmos, bulk_cmos_06um, bulk_body_bias or a "
+    "techfile path");
+const Arg kVdd = arg::positive(
+    "--vdd", "", "supply voltage, V; default: the process's nominal");
+const Arg kSeed = arg::integer("--seed", 0, kMax, "1", "stimulus seed");
+const Arg kOut = arg::text("--out", "output netlist file", "-o");
+const Arg kMargin = arg::number("--margin", "0.05", "timing margin");
+Arg vectors(const char* fallback) {
+  return arg::integer("--vectors", 0, kMax, fallback, "random input vectors");
+}
+
+// Every `file` entry is an input slot `lvtool client` uploads.
+std::vector<InputSlot> input_slots(const Command& c) {
+  std::vector<InputSlot> slots;
+  for (std::size_t i = 0; i < c.positionals.size(); ++i)
+    if (c.positionals[i].type == ArgType::file)
+      slots.push_back({c.positionals[i].role, static_cast<int>(i), nullptr});
+  for (const Arg& a : c.options)
+    if (a.type == ArgType::file) slots.push_back({a.role, -1, a.name});
+  return slots;
+}
+
+}  // namespace
+
 const std::vector<OpSpec>& registry() {
-  static const std::vector<OpSpec> ops = {
-      {"check", op_check, {{"file", 0, nullptr}, {"netlist", -1, "--netlist"}}},
-      {"gen", op_gen, {}},
-      {"stats", op_stats, {{"netlist", 0, nullptr}}},
-      {"simulate", op_simulate, {{"netlist", 0, nullptr}}},
-      {"power",
-       op_power,
-       {{"netlist", 0, nullptr},
-        {"tech", 1, nullptr},
-        {"activity", -1, "--activity"}}},
-      {"timing", op_timing, {{"netlist", 0, nullptr}, {"tech", 1, nullptr}}},
-      {"dualvt", op_dualvt, {{"netlist", 0, nullptr}, {"tech", 1, nullptr}}},
-      {"optimize-vt", op_optimize_vt, {{"tech", 0, nullptr}}},
-      {"profile", op_profile, {}},
-      {"techfile", op_techfile, {{"tech", 0, nullptr}}},
-      {"glitch", op_glitch, {{"netlist", 0, nullptr}, {"tech", 1, nullptr}}},
-      {"faults", op_faults, {{"netlist", 0, nullptr}}},
-      {"paths", op_paths, {{"netlist", 0, nullptr}, {"tech", 1, nullptr}}},
-      {"sizing", op_sizing, {{"netlist", 0, nullptr}, {"tech", 1, nullptr}}},
-      {"optimize", op_optimize, {{"netlist", 0, nullptr}}},
-      {"version", op_version, {}},
-      {"cache", op_cache, {}},
-      {"failpoints", op_failpoints, {}},
-  };
+  static const std::vector<OpSpec> ops = [] {
+    std::vector<OpSpec> v = {
+        {{"check", "validate one input file, reporting every finding",
+          {arg::file("<file>", "file", "netlist, techfile or activity file")},
+          {arg::one_of("--kind", "netlist|tech|activity",
+                       "file kind; default: from its header"),
+           arg::file("--netlist", "netlist",
+                     "the netlist an activity file belongs to"),
+           arg::flag("--strict", "fail on warnings too"),
+           arg::text("--diag-json", "write the lv-diag/1 report here")}},
+         op_check},
+        {{"gen", "generate a datapath netlist",
+          {arg::one_of("<kind>", "rca|cla|csel|ks|mul|shifter|alu|cskip|wmul",
+                       "circuit"),
+           arg::integer("<width>", 1, INT_MAX, "", "operand width, bits")},
+          {kOut}},
+         op_gen},
+        {{"stats", "netlist size, depth and cell histogram", {kNetlist}, {}},
+         op_stats},
+        {{"simulate", "random-vector simulation: transitions and mean alpha",
+          {kNetlist},
+          {vectors("1000"), kSeed,
+           arg::text("--activity-out", "write per-net activity (.lvact)"),
+           arg::text("--vcd-out", "write a VCD of the first 256 vectors")}},
+         op_simulate},
+        {{"power", "power breakdown at one operating point", {kNetlist, kTech},
+          {kVdd, arg::positive("--fclk", "50e6", "clock frequency, Hz"),
+           arg::number("--alpha", "0.25", "uniform switching activity")
+               .in(Group::exclusive),
+           arg::file("--activity", "activity", "per-net activity (.lvact)")
+               .in(Group::exclusive)}},
+         op_power},
+        {{"timing", "static timing: critical delay and path", {kNetlist, kTech},
+          {kVdd}},
+         op_timing},
+        {{"dualvt", "move non-critical gates to high VT", {kNetlist, kTech},
+          {kVdd, kMargin}},
+         op_dualvt},
+        {{"optimize-vt", "energy-optimal (VT, VDD) at a clock rate", {kTech},
+          {arg::positive("--fclk", "5e6", "clock frequency, Hz"),
+           arg::number("--activity", "1.0", "switching activity")}},
+         op_optimize_vt},
+        {{"profile", "per-unit activity of an LVR32 workload",
+          {arg::one_of("<workload>",
+                       "espresso|li|idea|fir|crc32|sort|matmul|strsearch",
+                       "workload")},
+          {arg::integer("--gap", 0, kMax, "0", "idle-gap threshold, cycles"),
+           arg::integer("--blocks", 1, 32767, "16",
+                        "idea: blocks to encrypt")}},
+         op_profile},
+        {{"techfile", "print a process as a techfile", {kTech}, {}},
+         op_techfile},
+        {{"glitch", "glitch share of the switching power", {kNetlist, kTech},
+          {vectors("2000"), kSeed, kVdd}},
+         op_glitch},
+        {{"faults", "stuck-at fault coverage of random vectors", {kNetlist},
+          {vectors("256"), kSeed}},
+         op_faults},
+        {{"paths", "the k most critical paths", {kNetlist, kTech},
+          {kVdd, arg::integer("--k", 1, 64, "5", "paths to list")}},
+         op_paths},
+        {{"sizing", "downsize gates with timing slack", {kNetlist, kTech},
+          {kVdd, kMargin,
+           arg::number("--min-size", "0.5", "smallest drive size")}},
+         op_sizing},
+        {{"optimize", "fold constants and remove dead gates", {kNetlist},
+          {kOut}},
+         op_optimize},
+        {{"version", "tool, protocol, kernel and build info", {}, {}},
+         op_version},
+        {{"cache", "inspect or empty the artifact store",
+          {arg::one_of("<action>", "stats|clear", "action")}, {}},
+         op_cache},
+        {{"failpoints",
+          "list the fault-injection sites; LVSIM_FAILPOINTS="
+          "site=action[:prob][@seed],... arms them (docs/RESILIENCE.md)",
+          {}, {}},
+         op_failpoints},
+    };
+    for (OpSpec& op : v) op.inputs = input_slots(op.command);
+    return v;
+  }();
   return ops;
+}
+
+const Command& request_options() {
+  static const Command c{
+      "<command> ...", "options of every command, also over lvtool serve", {},
+      {arg::flag("--stats", "append the run-metrics summary to stdout"),
+       arg::text("--stats-json", "write the lv-run-report/1 JSON here")}};
+  return c;
+}
+
+const Command& process_options() {
+  static const Command c{
+      "<command> ...", "options of local runs and serve, never of a request",
+      {},
+      {arg::integer("--threads", 0, kMax, "0",
+                    "workers; 0: LVSIM_THREADS, else all cores; results "
+                    "identical at any width"),
+       arg::text("--cache-dir",
+                 "artifact store; none disables; default: $LVSIM_CACHE_DIR, "
+                 "else $XDG_CACHE_HOME/lvsim, else ~/.cache/lvsim"),
+       arg::integer("--cache-max-bytes", 0, kMax,
+                    std::to_string(store::StoreOptions{}.max_bytes),
+                    "artifact store budget; 0: unbounded")}};
+  return c;
+}
+
+const Command& serve_command() {
+  static const Command c{
+      "serve", "long-lived lvrpc/1 server", {},
+      {arg::text("--socket", "unix socket path").in(Group::required),
+       arg::integer("--port", 1, 65535, "", "TCP port on 127.0.0.1")
+           .in(Group::required),
+       arg::integer("--workers", 0, kMax, "0", "request workers; 0: --threads"),
+       arg::integer("--queue", 1, kMax,
+                    std::to_string(ServerOptions{}.queue_capacity),
+                    "queued requests before svc.overload"),
+       arg::integer("--max-payload", static_cast<long long>(kHeaderSize),
+                    1ll << 31,
+                    std::to_string(ServerOptions{}.max_payload),
+                    "largest frame, bytes"),
+       arg::integer("--session-cache-bytes", 0, kMax,
+                    std::to_string(ServerOptions{}.session_cache_bytes),
+                    "per-session cache budget; 0: unbounded")}};
+  return c;
+}
+
+const Command& client_command() {
+  static const Command c{
+      "client",
+      "forward the <command> [arguments] that follow to lvtool serve",
+      {},
+      {arg::text("--socket", "unix socket path").in(Group::required),
+       arg::integer("--port", 1, 65535, "", "TCP port on 127.0.0.1")
+           .in(Group::required),
+       arg::integer("--deadline-ms", 0, UINT32_MAX, "0",
+                    "longest wait in the server queue; 0: none"),
+       arg::integer("--timeout-ms", 0, UINT32_MAX, "0",
+                    "longest wait for the reply; 0: forever"),
+       arg::integer("--retries", 0, 100, "0",
+                    "retries after a retryable failure"),
+       arg::flag("--verbose", "print the server's hello banner"),
+       arg::flag("--shutdown", "shut the server down instead")}};
+  return c;
 }
 
 const OpSpec* find_op(std::string_view name) {
   for (const auto& op : registry())
-    if (name == op.name) return &op;
+    if (name == op.command.name) return &op;
   return nullptr;
 }
 

@@ -78,11 +78,13 @@ Response run_request(ServiceContext& ctx, const Request& request) {
     if (spec == nullptr)
       throw check::InputError(check::codes::svc_op,
                               "unknown operation '" + request.op + "'");
+    const Params args =
+        validate(spec->command, request.params, &request_options());
     Response r;
     {
       obs::ScopedTimer whole_command{
           obs::Registry::global().timer("lvtool.command")};
-      r = spec->fn(ctx, request);
+      r = spec->fn(ctx, request, args);
     }
     attach_run_report(r, request);
     return r;

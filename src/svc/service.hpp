@@ -1,6 +1,7 @@
 // run_request — the single execution path behind every front-end.
 //
-// Dispatches a Request through the handler registry, times it under the
+// Checks a Request against its op's declared table (svc/params.hpp),
+// dispatches it through the handler registry, times it under the
 // "lvtool.command" timer, attaches the lv::obs RunReport when stats were
 // requested (one shared emission path — the per-subcommand --stats
 // plumbing that used to live in tools/lvtool.cpp), and maps errors to

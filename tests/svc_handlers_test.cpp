@@ -3,13 +3,16 @@
 // RunReport emission path.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <vector>
 
 #include "check/codes.hpp"
 #include "check/diag.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "svc/handlers.hpp"
+#include "svc/params.hpp"
 #include "svc/service.hpp"
 #include "svc/session.hpp"
 
@@ -204,4 +207,171 @@ TEST(SvcHandlers, VectorCountMustBeANonNegativeInteger) {
           {{"netlist", kAndNetlist}});
   EXPECT_EQ(ok.exit_code, 0) << ok.err;
   EXPECT_NE(ok.out.find("simulated 3 cycles"), std::string::npos) << ok.out;
+}
+
+namespace {
+
+// Positionals that pass every op's declared types: the first choice of a
+// one-of, the low end of an integer range, any text for the rest.
+std::vector<std::string> valid_positionals(const svc::Command& command) {
+  std::vector<std::string> out;
+  for (const svc::Arg& a : command.positionals) {
+    if (a.type == svc::ArgType::one_of)
+      out.push_back(std::string(a.choices).substr(
+          0, std::string(a.choices).find('|')));
+    else if (a.type == svc::ArgType::integer)
+      out.push_back(std::to_string(a.lo));
+    else
+      out.push_back("x");
+  }
+  return out;
+}
+
+void expect_code(const svc::Response& r, const char* code,
+                 const std::string& what) {
+  EXPECT_EQ(r.exit_code, 2) << what << ": " << r.err;
+  EXPECT_NE(r.err.find(code), std::string::npos) << what << ": " << r.err;
+}
+
+}  // namespace
+
+TEST(SvcHandlers, EveryOpRejectsUndeclaredOptionsAndMissingPositionals) {
+  svc::Session session{1};
+  for (const svc::OpSpec& op : svc::registry()) {
+    const std::string name = op.command.name;
+    expect_code(run(session, name, valid_positionals(op.command),
+                    {{"--bogus", "1"}}),
+                chk::codes::cli_option, name + " --bogus");
+    // A misspelled alias is as undeclared as a misspelled name, and a
+    // process option is not a request option.
+    expect_code(run(session, name, valid_positionals(op.command),
+                    {{"--threads", "2"}}),
+                chk::codes::cli_option, name + " --threads");
+    auto extra = valid_positionals(op.command);
+    extra.push_back("surplus");
+    expect_code(run(session, name, extra), chk::codes::cli_option,
+                name + " surplus positional");
+    if (!op.command.positionals.empty())
+      expect_code(run(session, name, {}), chk::codes::cli_option,
+                  name + " without positionals");
+  }
+}
+
+TEST(SvcHandlers, IntegerOptionsAreCheckedAgainstTheirRange) {
+  svc::Session session{1};
+  const std::map<std::string, std::string> net = {{"netlist", kAndNetlist}};
+  // Fractions are not integers, and a negative count or seed is not cast.
+  for (const char* bad : {"2.7", "-1"}) {
+    expect_code(run(session, "simulate", {"t.lvnet"}, {{"--seed", bad}}, net),
+                chk::codes::cli_number, std::string("--seed ") + bad);
+    expect_code(run(session, "faults", {"t.lvnet"}, {{"--seed", bad}}, net),
+                chk::codes::cli_number, std::string("faults --seed ") + bad);
+    expect_code(run(session, "profile", {"crc32"}, {{"--gap", bad}}),
+                chk::codes::cli_number, std::string("--gap ") + bad);
+  }
+  for (const char* bad : {"0", "-5", "32768"})
+    expect_code(run(session, "profile", {"idea"}, {{"--blocks", bad}}),
+                chk::codes::cli_number, std::string("--blocks ") + bad);
+  for (const char* bad : {"0", "-1", "65"})
+    expect_code(run(session, "paths", {"t.lvnet", "soias"}, {{"--k", bad}},
+                    net),
+                chk::codes::cli_number, std::string("--k ") + bad);
+  expect_code(run(session, "gen", {"rca", "0"}), chk::codes::cli_number,
+              "gen rca 0");
+  expect_code(run(session, "gen", {"shifter", "3"}), chk::codes::cli_number,
+              "gen shifter 3");
+
+  // In range, the declared default and the same value spelled out agree.
+  const auto seeded = [&](std::map<std::string, std::string> options) {
+    options["--vectors"] = "16";
+    const svc::Response r = run(session, "simulate", {"t.lvnet"}, options, net);
+    EXPECT_EQ(r.exit_code, 0) << r.err;
+    return r.out;
+  };
+  EXPECT_EQ(seeded({}), seeded({{"--seed", "1"}}));
+  EXPECT_NE(seeded({{"--seed", "0"}}), seeded({{"--seed", "2"}}));
+  const svc::Response k1 =
+      run(session, "paths", {"t.lvnet", "soias"}, {{"--k", "1"}}, net);
+  EXPECT_EQ(k1.exit_code, 0) << k1.err;
+  EXPECT_NE(k1.out.find("#1 "), std::string::npos) << k1.out;
+}
+
+TEST(SvcHandlers, PowerAlphaAndActivityAreExclusiveAndAlphaDefaults) {
+  svc::Session session{1};
+  const std::map<std::string, std::string> net = {{"netlist", kAndNetlist}};
+  expect_code(run(session, "power", {"t.lvnet", "soias"},
+                  {{"--alpha", "0.3"}, {"--activity", "t.lvact"}}, net),
+              chk::codes::cli_option, "--alpha with --activity");
+  const svc::Response implicit = run(session, "power", {"t.lvnet", "soias"},
+                                     {}, net);
+  const svc::Response spelled = run(session, "power", {"t.lvnet", "soias"},
+                                    {{"--alpha", "0.25"}}, net);
+  EXPECT_EQ(implicit.exit_code, 0) << implicit.err;
+  EXPECT_EQ(implicit.out, spelled.out);
+  // A misspelled --alpha used to fall back to the default silently.
+  expect_code(run(session, "power", {"t.lvnet", "soias"},
+                  {{"--alhpa", "0.9"}}, net),
+              chk::codes::cli_option, "--alhpa");
+}
+
+TEST(SvcHandlers, TablesAgreeOnFlagsAndDeclareEveryInputFile) {
+  std::vector<const svc::Command*> tables = {
+      &svc::serve_command(), &svc::client_command(),
+      &svc::request_options(), &svc::process_options()};
+  for (const svc::OpSpec& op : svc::registry()) tables.push_back(&op.command);
+  // parse_params tokenizes with the union of the tables, so a name must be
+  // a flag everywhere or nowhere.
+  std::map<std::string, bool> is_flag;
+  for (const svc::Command* t : tables)
+    for (const svc::Arg& a : t->options) {
+      const bool flag = a.type == svc::ArgType::flag;
+      const auto it = is_flag.emplace(a.name, flag).first;
+      EXPECT_EQ(it->second, flag) << a.name;
+      // Every default passes its own declaration.
+      if (!a.fallback.empty()) {
+        const svc::Command one{"t", "", {}, {a}};
+        EXPECT_NO_THROW(svc::validate(one, svc::Params{{}, {{a.name,
+                                                             a.fallback}}}))
+            << a.name << " " << a.fallback;
+      }
+    }
+  // The upload slots are derived from the file entries.
+  const svc::OpSpec* power = svc::find_op("power");
+  ASSERT_NE(power, nullptr);
+  ASSERT_EQ(power->inputs.size(), 3u);
+  EXPECT_STREQ(power->inputs[0].role, "netlist");
+  EXPECT_EQ(power->inputs[1].positional, 1);
+  EXPECT_STREQ(power->inputs[2].option, "--activity");
+}
+
+TEST(SvcHandlers, ParseParamsTakesFlagsAndAliasesFromTheTables) {
+  std::vector<std::string> words = {"lvtool", "check",  "f.lvnet",
+                                    "--strict", "--stats", "-o", "out.lvnet",
+                                    "--vdd",    "0.9"};
+  std::vector<char*> argv;
+  for (auto& w : words) argv.push_back(w.data());
+  const svc::Params p =
+      svc::parse_params(static_cast<int>(argv.size()), argv.data(), 2);
+  EXPECT_EQ(p.positional, std::vector<std::string>{"f.lvnet"});
+  EXPECT_EQ(p.options.at("--strict"), "1");
+  EXPECT_EQ(p.options.at("--stats"), "1");
+  EXPECT_EQ(p.options.at("--out"), "out.lvnet");
+  EXPECT_EQ(p.options.at("--vdd"), "0.9");
+}
+
+TEST(SvcHandlers, HelpIsGeneratedFromEveryTable) {
+  const std::string help = svc::help_text();
+  for (const svc::OpSpec& op : svc::registry()) {
+    const std::string head = "\n  " + std::string(op.command.name);
+    EXPECT_TRUE(help.find(head + " ") != std::string::npos ||
+                help.find(head + "\n") != std::string::npos)
+        << head;
+  }
+  // Entries the hand-kept help text used to miss.
+  for (const char* line :
+       {"cskip|wmul", "glitch <netlist> <tech> [--vectors N] [--seed N]",
+        "faults <netlist> [--vectors N] [--seed N]",
+        "sizing <netlist> <tech> [--vdd X]", "[--alpha X | --activity FILE]",
+        "default 0.25", "serve (--socket S | --port N)", "--cache-max-bytes"})
+    EXPECT_NE(help.find(line), std::string::npos) << line;
 }

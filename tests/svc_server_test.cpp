@@ -236,6 +236,31 @@ TEST(SvcServer, UnknownOpIsExitTwoResponse) {
   EXPECT_NE(r.err.find(chk::codes::svc_op), std::string::npos);
 }
 
+TEST(SvcServer, UndeclaredAndProcessOptionsAreCodedOptionErrors) {
+  TestServer server;
+  TestServer::Conn conn{server.endpoint()};
+  conn.hello();
+  // An option the op does not declare, and a process option that only
+  // `lvtool serve` itself takes: each is the caller's input error.
+  for (const char* key : {"--bogus", "--threads", "--cache-dir"}) {
+    svc::Request req = stats_request(kAndNetlist);
+    req.params.options[key] = "2";
+    const svc::Response r = conn.request(req);
+    EXPECT_EQ(r.exit_code, 2) << key;
+    EXPECT_NE(r.err.find(chk::codes::cli_option), std::string::npos)
+        << key << ": " << r.err;
+  }
+  svc::Request missing = stats_request(kAndNetlist);
+  missing.params.positional.clear();
+  const svc::Response m = conn.request(missing, 2);
+  EXPECT_EQ(m.exit_code, 2);
+  EXPECT_NE(m.err.find(chk::codes::cli_option), std::string::npos) << m.err;
+  // The same connection then serves a valid request.
+  const svc::Response ok = conn.request(stats_request(kAndNetlist), 3);
+  EXPECT_EQ(ok.exit_code, 0) << ok.err;
+  EXPECT_NE(ok.out.find("gates: 1"), std::string::npos);
+}
+
 TEST(SvcServer, SessionCacheServesRepeatRequests) {
   TestServer server;
   TestServer::Conn conn{server.endpoint()};

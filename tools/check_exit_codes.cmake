@@ -66,3 +66,56 @@ expect_exit(2 ${LVTOOL} check ${WORK}/gap.lvnet --strict)
 
 # Unknown subcommand is a usage (input) error, not an internal one.
 expect_exit(2 ${LVTOOL} frobnicate)
+
+# Every command checks its arguments against its declared table: an
+# undeclared option (including a misspelling of a declared one) is a
+# cli.option input error, never silently ignored.
+foreach(cmdline
+    "check;${NETLIST}"
+    "gen;rca;4"
+    "stats;${NETLIST}"
+    "simulate;${NETLIST}"
+    "power;${NETLIST};soi_low_vt;--alhpa;0.9"
+    "timing;${NETLIST};soi_low_vt"
+    "dualvt;${NETLIST};dual_vt_mtcmos"
+    "optimize-vt;soi_low_vt"
+    "profile;crc32"
+    "techfile;soias"
+    "glitch;${NETLIST};soi_low_vt"
+    "faults;${NETLIST}"
+    "paths;${NETLIST};soi_low_vt"
+    "sizing;${NETLIST};soi_low_vt"
+    "optimize;${NETLIST}"
+    "version"
+    "cache;stats"
+    "failpoints"
+    "serve;--socket;${WORK}/never.sock"
+    "client;--socket;${WORK}/never.sock")
+  expect_exit(2 ${LVTOOL} ${cmdline} --bogus 1)
+  expect_match("${LAST_ERR}" "cli.option")
+endforeach()
+
+# A missing positional, a value outside its declared range, an integer
+# option given a fraction, and a group violation: exit 2 with a code.
+foreach(case
+    "cli.option|simulate"
+    "cli.option|power;${NETLIST}"
+    "cli.number|gen;rca;0"
+    "cli.number|gen;shifter;3"
+    "cli.number|paths;${NETLIST};soi_low_vt;--k;-1"
+    "cli.number|paths;${NETLIST};soi_low_vt;--k;65"
+    "cli.number|profile;idea;--blocks;0"
+    "cli.number|profile;idea;--blocks;-5"
+    "cli.number|simulate;${NETLIST};--seed;2.7"
+    "cli.number|simulate;${NETLIST};--seed;-1"
+    "cli.number|profile;crc32;--gap;-1"
+    "cli.option|power;${NETLIST};soi_low_vt;--alpha;0.3;--activity;x.lvact"
+    "cli.option|serve"
+    "cli.option|serve;--socket;${WORK}/s.sock;--port;7421"
+    "cli.option|client;version"
+    "cli.number|simulate;${NETLIST};--threads;-1")
+  string(REPLACE "|" ";" parts "${case}")
+  list(POP_FRONT parts code)
+  expect_exit(2 ${LVTOOL} ${parts})
+  expect_match("${LAST_ERR}" "${code}")
+endforeach()
