@@ -13,6 +13,7 @@
 #include "opt/energy_delay.hpp"
 #include "opt/voltage_opt.hpp"
 #include "power/estimator.hpp"
+#include "reference_dual_vt.hpp"
 #include "timing/sta.hpp"
 
 namespace {
@@ -54,17 +55,69 @@ void BM_IsoDelaySolve(benchmark::State& state) {
 }
 BENCHMARK(BM_IsoDelaySolve);
 
-void BM_DualVtAssign(benchmark::State& state) {
+// Dual-VT assignment on a served ~200-gate design at every supply of
+// perfbench's explore_serve mix and three period margins. _Reference runs
+// the retained full-STA greedy (tests/reference_dual_vt.hpp) on the same
+// points; both must agree before any timing counts, and CI gates the
+// ratio within one run.
+struct DualVtPoint {
+  double vdd;
+  double margin;
+};
+
+const std::vector<DualVtPoint>& dual_vt_points() {
+  static const std::vector<DualVtPoint> v = [] {
+    std::vector<DualVtPoint> out;
+    for (const double vdd : {0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.2, 1.5})
+      for (const double margin : {0.0, 0.05, 0.5})
+        out.push_back({vdd, margin});
+    return out;
+  }();
+  return v;
+}
+
+template <typename Assign>
+void run_dual_vt(benchmark::State& state, Assign assign) {
   lv::circuit::Netlist nl;
-  lv::circuit::build_ripple_carry_adder(nl, 8);
+  lv::circuit::build_kogge_stone_adder(nl, 16);
   const auto tech = lv::tech::dual_vt_mtcmos();
+  for (const auto& [vdd, margin] : dual_vt_points()) {
+    const auto got = assign(nl, tech, vdd, margin);
+    const auto ref =
+        lv::opt::testing::reference_assign_dual_vt(nl, tech, vdd, margin, 8);
+    if (got.use_high_vt != ref.use_high_vt ||
+        got.leakage_after != ref.leakage_after) {
+      state.SkipWithError("assignment differs from the reference");
+      return;
+    }
+  }
   for (auto _ : state) {
-    const auto r = lv::opt::assign_dual_vt(nl, tech, 1.0, 0.05);
-    benchmark::DoNotOptimize(r.high_vt_count);
+    std::size_t moved = 0;
+    for (const auto& [vdd, margin] : dual_vt_points())
+      moved += assign(nl, tech, vdd, margin).high_vt_count;
+    benchmark::DoNotOptimize(moved);
   }
   state.counters["gates"] = static_cast<double>(nl.instance_count());
 }
-BENCHMARK(BM_DualVtAssign);
+
+void BM_DualVtAssign(benchmark::State& state) {
+  run_dual_vt(state, [](const auto& nl, const auto& tech, double vdd,
+                        double margin) {
+    return lv::opt::assign_dual_vt(nl, tech, vdd, margin);
+  });
+}
+BENCHMARK(BM_DualVtAssign)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_DualVtAssignReference(benchmark::State& state) {
+  run_dual_vt(state, [](const auto& nl, const auto& tech, double vdd,
+                        double margin) {
+    return lv::opt::testing::reference_assign_dual_vt(nl, tech, vdd, margin,
+                                                      8);
+  });
+}
+BENCHMARK(BM_DualVtAssignReference)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // DVFS-style supply sweep, the workload the AnalysisContext refactor
 // targets: evaluate power + timing at every V_DD point. The _Reconstruct

@@ -28,7 +28,8 @@ lv::obs::Timer& worker_busy_timer(std::size_t id) {
 std::size_t default_thread_count() {
   if (const char* env = std::getenv("LVSIM_THREADS")) {
     const long v = std::atol(env);
-    if (v >= 1) return static_cast<std::size_t>(v);
+    if (v >= 1 && static_cast<unsigned long>(v) <= kMaxThreads)
+      return static_cast<std::size_t>(v);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;

@@ -21,6 +21,12 @@
 
 namespace lv::exec {
 
+// Largest accepted width. `--threads`, `serve --workers` and
+// LVSIM_THREADS above it are rejected (an LVSIM_THREADS outside
+// [1, kMaxThreads] falls back to the hardware default), so no setting
+// asks the operating system for an unbounded number of threads.
+inline constexpr std::size_t kMaxThreads = 1024;
+
 // Effective worker width for the next parallel region (>= 1).
 std::size_t thread_count();
 

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "analysis/analysis_context.hpp"
 #include "device/stack.hpp"
-#include "exec/parallel.hpp"
+#include "timing/arrival.hpp"
 #include "util/error.hpp"
-#include "util/numeric.hpp"
 
 namespace lv::opt {
 
@@ -18,14 +18,11 @@ namespace {
 
 double total_leakage(const circuit::Netlist& netlist,
                      const tech::Process& process, double vdd,
-                     const std::vector<double>& shifts) {
+                     const std::vector<bool>& use_high_vt) {
   // Average of N and P network off-currents per instance, weighted by the
   // catalog widths; consistent with PowerEstimator's state averaging but
-  // kept local so lv_opt does not depend on activity statistics.
-  // `shifts` holds only 0 (low VT) and high_vt_offset (high VT), so each
-  // flavour's unit off-currents are evaluated once per call. parallel_sum
-  // folds the per-instance terms in instance order, matching the serial
-  // accumulation bit for bit.
+  // kept local so lv_opt does not depend on activity statistics. Each
+  // flavour's unit off-currents are evaluated once per call.
   struct Flavour {
     double n_off;
     double p_off;
@@ -37,41 +34,40 @@ double total_leakage(const circuit::Netlist& netlist,
   };
   const Flavour low = flavour(0.0);
   const Flavour high = flavour(process.high_vt_offset);
-  return exec::parallel_sum(netlist.instance_count(), [&](std::size_t idx) {
-    const auto i = static_cast<InstanceId>(idx);
+  double total = 0.0;
+  for (InstanceId i = 0; i < netlist.instance_count(); ++i) {
     const auto& info = circuit::cell_info(netlist.instance(i).kind);
-    const Flavour& f = shifts[i] == 0.0 ? low : high;
-    return 0.5 * (f.n_off * info.n_width_total / info.n_stack +
-                  f.p_off * info.p_width_total / info.p_stack);
-  });
+    const Flavour& f = use_high_vt[i] ? high : low;
+    total += 0.5 * (f.n_off * info.n_width_total / info.n_stack +
+                    f.p_off * info.p_width_total / info.p_stack);
+  }
+  return total;
 }
+
+// Candidates tried together; any batch size gives the same assignment.
+constexpr std::size_t kBatch = 8;
 
 }  // namespace
 
 DualVtResult assign_dual_vt(const circuit::Netlist& netlist,
                             const tech::Process& process, double vdd,
-                            double period_margin, int retime_batch) {
+                            double period_margin) {
   u::require(process.high_vt_offset > 0.0,
              "assign_dual_vt: process has no high-VT flavor");
-  u::require(retime_batch >= 1, "assign_dual_vt: batch must be >= 1");
 
-  // Shared context: every re-timing pass of the greedy reuses one load
-  // extraction and the memoized low/high-VT drive parameters (the VT
-  // flavors alternate, so the memo hits on all but the first pass).
   const analysis::AnalysisContext ctx{
       netlist, process, {.vdd = vdd, .temp_k = process.temp_k}};
   const timing::Sta sta{ctx};
   const std::size_t count = netlist.instance_count();
-  std::vector<double> shifts(count, 0.0);
 
   DualVtResult result;
   result.use_high_vt.assign(count, false);
-  int sta_evals = 0;
 
   const auto base = sta.run(1.0);  // period irrelevant for delays
   result.delay_before = base.critical_delay;
   result.clock_period = base.critical_delay * (1.0 + period_margin);
-  result.leakage_before = total_leakage(netlist, process, vdd, shifts);
+  result.leakage_before =
+      total_leakage(netlist, process, vdd, result.use_high_vt);
 
   // Candidate order: most slack first (computed once against the target
   // period; the greedy loop re-times as it commits).
@@ -82,70 +78,66 @@ DualVtResult assign_dual_vt(const circuit::Netlist& netlist,
     return slacked.instance_slack[a] > slacked.instance_slack[b];
   });
 
-  std::vector<InstanceId> pending;
-  auto commit_or_revert = [&]() {
-    ++sta_evals;
-    const auto timed = sta.run(result.clock_period, shifts);
-    if (timed.critical_delay <= result.clock_period) {
-      for (const InstanceId i : pending) result.use_high_vt[i] = true;
-      result.high_vt_count += pending.size();
-      pending.clear();
-      return true;
-    }
-    // Revert the whole batch, then retry its members one by one so a
-    // single bad gate does not block the rest.
-    for (const InstanceId i : pending) shifts[i] = 0.0;
-    // Parallel prefilter: STA delay is monotone non-decreasing in the VT
-    // shifts, so a candidate that misses the period *alone* against the
-    // committed baseline also misses it in the accumulated serial retry
-    // below. Rejecting those in parallel and replaying only the
-    // survivors serially (in order, with accumulation) makes the same
-    // decisions as the all-serial retry, bit for bit.
-    sta_evals += static_cast<int>(pending.size());
-    const auto alone_ok = exec::parallel_map_stateful<char>(
-        pending.size(), [&] { return ctx.clone(); },
-        [&](analysis::AnalysisContext& wctx, std::size_t k) {
-          std::vector<double> local = shifts;
-          local[pending[k]] = process.high_vt_offset;
-          const timing::Sta wsta{wctx};
-          const auto single = wsta.run(result.clock_period, local);
-          return static_cast<char>(single.critical_delay <=
-                                   result.clock_period);
-        });
-    for (std::size_t k = 0; k < pending.size(); ++k) {
-      if (!alone_ok[k]) continue;
-      const InstanceId i = pending[k];
-      shifts[i] = process.high_vt_offset;
-      ++sta_evals;
-      const auto single = sta.run(result.clock_period, shifts);
-      if (single.critical_delay <= result.clock_period) {
-        result.use_high_vt[i] = true;
-        ++result.high_vt_count;
-      } else {
-        shifts[i] = 0.0;
-      }
-    }
-    pending.clear();
-    return false;
-  };
-
-  for (const InstanceId i : order) {
-    shifts[i] = process.high_vt_offset;
-    pending.push_back(i);
-    if (static_cast<int>(pending.size()) >= retime_batch) commit_or_revert();
+  // A move changes one gate's delay (loads do not depend on VT), so each
+  // gate's delay at both flavours is computed once, by the expression
+  // Sta::run uses, and every decision is one arrival pass over the
+  // current-flavour delays. Flops keep delay 0: paths start and end there.
+  std::vector<double> low_delay(count, 0.0);
+  std::vector<double> high_delay(count, 0.0);
+  for (const InstanceId i : netlist.topo_order()) {
+    const auto& inst = netlist.instance(i);
+    const double load = ctx.loads().net_load(inst.output);
+    const double drive = circuit::cell_info(inst.kind).drive_mult;
+    low_delay[i] = ctx.delay_for_load(load, drive, 0.0);
+    high_delay[i] = ctx.delay_for_load(load, drive, process.high_vt_offset);
   }
-  if (!pending.empty()) commit_or_revert();
+  timing::require_finite_delays(netlist, high_delay);
+  std::vector<double> delay = low_delay;
+  std::vector<double> arrival;
+  const auto endpoints = timing::endpoint_nets(netlist);
+  int passes = 0;
+  // Moves `gates` to high VT and keeps them there if the period holds.
+  auto try_moves = [&](std::span<const InstanceId> gates) {
+    for (const InstanceId i : gates) delay[i] = high_delay[i];
+    ++passes;
+    timing::propagate_arrivals(netlist, delay, arrival);
+    const bool fits = timing::latest_arrival(endpoints, arrival).arrival <=
+                      result.clock_period;
+    for (const InstanceId i : gates) {
+      if (fits)
+        result.use_high_vt[i] = true;
+      else
+        delay[i] = low_delay[i];
+    }
+    return fits;
+  };
+  // A batch that misses the period is retried one gate at a time, so one
+  // bad gate does not block the rest. Delay is monotone in the moves, so
+  // a batch that fits would also have fit gate by gate: the assignment is
+  // the one-at-a-time greedy's at any batch size.
+  for (std::size_t at = 0; at < count; at += kBatch) {
+    const std::span<const InstanceId> batch{order.data() + at,
+                                            std::min(kBatch, count - at)};
+    if (!try_moves(batch))
+      for (const InstanceId& i : batch) try_moves({&i, 1});
+  }
+  result.high_vt_count = static_cast<std::size_t>(
+      std::count(result.use_high_vt.begin(), result.use_high_vt.end(), true));
 
+  std::vector<double> shifts(count, 0.0);
+  for (InstanceId i = 0; i < count; ++i)
+    if (result.use_high_vt[i]) shifts[i] = process.high_vt_offset;
   const auto final_timing = sta.run(result.clock_period, shifts);
-  sta_evals += 3;  // base, slack ordering, and this final pass
+  const int evaluations = passes + 3;  // + base, ordering and final STAs
   result.delay_after = final_timing.critical_delay;
-  result.leakage_after = total_leakage(netlist, process, vdd, shifts);
+  result.leakage_after =
+      total_leakage(netlist, process, vdd, result.use_high_vt);
   const double slack = result.clock_period - result.delay_after;
   if (result.delay_after <= result.clock_period)
-    result.status = Convergence::success(sta_evals, slack);
+    result.status = Convergence::success(evaluations, slack);
   else
     result.status = Convergence::failure(
-        sta_evals, slack,
+        evaluations, slack,
         "mixed-VT assignment misses the clock period by " +
             std::to_string(-slack) + " s despite reverts");
   return result;

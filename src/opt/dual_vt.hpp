@@ -5,7 +5,10 @@
 // gates in descending-slack order, moving each to the high-VT flavor when
 // the netlist still meets the clock period afterwards. Off-critical gates
 // absorb the extra delay; the critical path keeps its low-VT speed while
-// total leakage collapses.
+// total leakage collapses. Each decision is one arrival pass over gate
+// delays cached at both flavors (timing/arrival.hpp), eight candidates at
+// a time with a one-by-one retry when a batch misses; STA delay is
+// monotone in the moves, so any batch size gives the same assignment.
 //
 // size_sleep_transistor: pick the narrowest high-VT footer whose
 // virtual-rail droop keeps the active delay penalty under a bound, then
@@ -29,20 +32,19 @@ struct DualVtResult {
   double leakage_before = 0.0;    // all-low-VT leakage current [A]
   double leakage_after = 0.0;     // mixed-VT leakage current [A]
   double clock_period = 0.0;      // the constraint used [s]
-  // iterations = STA evaluations the greedy consumed; residual = final
-  // slack (clock_period - delay_after) [s]. Not converged when the mixed
+  // iterations = full STAs (3) + arrival passes; residual = final slack
+  // (clock_period - delay_after) [s]. Not converged when the mixed
   // assignment misses the period — the greedy reverts every violating
   // move, so this indicates numerically inconsistent timing.
   Convergence status;
 };
 
 // `period_margin` sets the clock period as (1 + period_margin) x the
-// all-low-VT critical delay; `retime_batch` gates are moved between full
-// STA evaluations (larger = faster, slightly less tight).
+// all-low-VT critical delay. A non-finite gate delay at either flavor
+// throws check::InputError `sta.nonfinite`.
 DualVtResult assign_dual_vt(const circuit::Netlist& netlist,
                             const tech::Process& process, double vdd,
-                            double period_margin = 0.05,
-                            int retime_batch = 8);
+                            double period_margin = 0.05);
 
 struct MtcmosSizing {
   double sleep_width_mult = 0.0;   // footer width, unit widths

@@ -23,6 +23,7 @@
 #include "circuit/generators.hpp"
 #include "circuit/netlist_io.hpp"
 #include "circuit/transforms.hpp"
+#include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "opt/dual_vt.hpp"
 #include "opt/gate_sizing.hpp"
@@ -666,6 +667,7 @@ std::string version_text() {
 namespace {
 
 constexpr long long kMax = LLONG_MAX;
+constexpr auto kMaxThreads = static_cast<long long>(lv::exec::kMaxThreads);
 const Arg kNetlist = arg::file("<netlist>", "netlist", "netlist file (.lvnet)");
 const Arg kTech = arg::file(
     "<tech>", "tech",
@@ -791,7 +793,7 @@ const Command& process_options() {
   static const Command c{
       "<command> ...", "options of local runs and serve, never of a request",
       {},
-      {arg::integer("--threads", 0, kMax, "0",
+      {arg::integer("--threads", 0, kMaxThreads, "0",
                     "workers; 0: LVSIM_THREADS, else all cores; results "
                     "identical at any width"),
        arg::text("--cache-dir",
@@ -809,7 +811,8 @@ const Command& serve_command() {
       {arg::text("--socket", "unix socket path").in(Group::required),
        arg::integer("--port", 1, 65535, "", "TCP port on 127.0.0.1")
            .in(Group::required),
-       arg::integer("--workers", 0, kMax, "0", "request workers; 0: --threads"),
+       arg::integer("--workers", 0, kMaxThreads, "0",
+                    "request workers; 0: --threads"),
        arg::integer("--queue", 1, kMax,
                     std::to_string(ServerOptions{}.queue_capacity),
                     "queued requests before svc.overload"),

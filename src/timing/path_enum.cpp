@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <queue>
 
+#include "timing/arrival.hpp"
 #include "util/error.hpp"
 
 namespace lv::timing {
@@ -62,14 +63,9 @@ std::vector<TimingPath> enumerate_critical_paths(
   u::require(k >= 1 && k <= 64, "enumerate_critical_paths: k in [1, 64]");
 
   // Endpoints sorted by arrival, latest first.
-  std::vector<NetId> endpoints;
-  for (NetId n = 0; n < netlist.net_count(); ++n) {
-    bool endpoint = netlist.net(n).is_primary_output;
-    for (const InstanceId consumer : netlist.fanout(n))
-      endpoint |= circuit::cell_info(netlist.instance(consumer).kind)
-                      .sequential;
-    if (endpoint && sta.net_arrival[n] > 0.0) endpoints.push_back(n);
-  }
+  std::vector<NetId> endpoints = endpoint_nets(netlist);
+  std::erase_if(endpoints,
+                [&](NetId n) { return !(sta.net_arrival[n] > 0.0); });
   std::sort(endpoints.begin(), endpoints.end(), [&](NetId a, NetId b) {
     return sta.net_arrival[a] > sta.net_arrival[b];
   });

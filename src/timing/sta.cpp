@@ -1,11 +1,9 @@
 #include "timing/sta.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
-#include "check/codes.hpp"
-#include "check/diag.hpp"
+#include "timing/arrival.hpp"
 #include "util/error.hpp"
 
 namespace lv::timing {
@@ -63,12 +61,11 @@ StaResult Sta::run_impl(double clock_period,
              "Sta: vt_shift vector size mismatch");
 
   StaResult r;
-  r.net_arrival.assign(netlist.net_count(), 0.0);
   r.instance_delay.assign(netlist.instance_count(), 0.0);
   r.instance_slack.assign(netlist.instance_count(),
                           std::numeric_limits<double>::infinity());
 
-  // Forward pass: arrival times in topological order. Drive parameters per
+  // Gate delays, then arrivals in topological order. Drive parameters per
   // VT flavor come from the context's memo (shared across run calls and
   // across operating points, unlike the per-run cache this replaced).
   const auto& order = netlist.topo_order();
@@ -77,49 +74,17 @@ StaResult Sta::run_impl(double clock_period,
     const double size =
         instance_sizes == nullptr ? 1.0 : (*instance_sizes)[i];
     const auto& info = circuit::cell_info(inst.kind);
-    const double d =
+    r.instance_delay[i] =
         ctx_->delay_for_load(loads.net_load(inst.output),
                              info.drive_mult * size, instance_vt_shift[i]);
-    r.instance_delay[i] = d;
-    double arrive = 0.0;
-    for (const NetId in : inst.inputs)
-      arrive = std::max(arrive, r.net_arrival[in]);
-    r.net_arrival[inst.output] = arrive + d;
   }
+  require_finite_delays(netlist, r.instance_delay);
+  propagate_arrivals(netlist, r.instance_delay, r.net_arrival);
 
-  // Guard: a NaN/Inf gate delay would poison every downstream arrival —
-  // and because NaN compares false, the endpoint max below would silently
-  // report critical_delay = 0 instead of failing. Name the first bad gate
-  // (arrivals are sums/maxes of delays, so a bad arrival implies a bad
-  // delay).
-  for (const InstanceId i : order) {
-    if (std::isfinite(r.instance_delay[i])) continue;
-    const auto& inst = netlist.instance(i);
-    throw check::InputError(
-        check::codes::sta_nonfinite,
-        "Sta: gate '" + inst.name + "' (" +
-            std::string(circuit::cell_info(inst.kind).name) +
-            ") produced a non-finite delay (" +
-            std::to_string(r.instance_delay[i]) +
-            "); check the process parameters and operating point");
-  }
-
-  // Endpoints: primary outputs and flop D pins.
-  auto is_endpoint_net = [&](NetId n) {
-    if (netlist.net(n).is_primary_output) return true;
-    for (const InstanceId consumer : netlist.fanout(n))
-      if (circuit::cell_info(netlist.instance(consumer).kind).sequential)
-        return true;
-    return false;
-  };
-  NetId worst_net = circuit::kInvalidNet;
-  for (NetId n = 0; n < netlist.net_count(); ++n) {
-    if (!is_endpoint_net(n)) continue;
-    if (r.net_arrival[n] > r.critical_delay) {
-      r.critical_delay = r.net_arrival[n];
-      worst_net = n;
-    }
-  }
+  const std::vector<NetId> endpoints = endpoint_nets(netlist);
+  const LatestArrival latest = latest_arrival(endpoints, r.net_arrival);
+  r.critical_delay = latest.arrival;
+  const NetId worst_net = latest.net;
 
   // Trace one critical path backwards from the worst endpoint.
   {
@@ -147,8 +112,7 @@ StaResult Sta::run_impl(double clock_period,
   // Backward pass: required times against the clock period.
   std::vector<double> net_required(netlist.net_count(),
                                    std::numeric_limits<double>::infinity());
-  for (NetId n = 0; n < netlist.net_count(); ++n)
-    if (is_endpoint_net(n)) net_required[n] = clock_period;
+  for (const NetId n : endpoints) net_required[n] = clock_period;
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const InstanceId i = *it;
     const auto& inst = netlist.instance(i);

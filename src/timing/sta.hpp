@@ -11,7 +11,9 @@
 // from the context's coefficient cache and drive currents from its
 // memoized alpha-power parameters, so V_DD sweeps retarget the shared
 // context instead of rebuilding a LoadModel per point. The classic
-// (netlist, process, vdd) constructor builds a private context.
+// (netlist, process, vdd) constructor builds a private context. The
+// forward arrival pass and the endpoint set are timing/arrival.hpp's,
+// shared with the dual-VT greedy.
 #pragma once
 
 #include <memory>

@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -405,6 +406,24 @@ TEST(ThreadPoolConfig, SetThreadCountOverridesAndZeroRestores) {
   EXPECT_GE(e::thread_count(), 1u);
 }
 
+TEST(ThreadPoolConfig, EnvironmentWidthOutsideTheBoundFallsBack) {
+  // Only resolves the width; no pool is started at any of these values.
+  e::set_thread_count(0);
+  const char* saved = std::getenv("LVSIM_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  ::setenv("LVSIM_THREADS", "0", 1);
+  const std::size_t fallback = e::thread_count();
+  ::setenv("LVSIM_THREADS", "1025", 1);
+  EXPECT_EQ(e::thread_count(), fallback);
+  EXPECT_LE(e::thread_count(), e::kMaxThreads);
+  ::setenv("LVSIM_THREADS", "3", 1);
+  EXPECT_EQ(e::thread_count(), 3u);
+  if (saved != nullptr)
+    ::setenv("LVSIM_THREADS", restore.c_str(), 1);
+  else
+    ::unsetenv("LVSIM_THREADS");
+}
+
 // ---- SweepGrid --------------------------------------------------------
 
 TEST(SweepGrid, OneDimensionalIndexing) {
@@ -555,10 +574,11 @@ TEST(SweepDeterminism, DualVtAssignmentWithBatchRetry) {
   lv::circuit::Netlist nl;
   lv::circuit::build_ripple_carry_adder(nl, 8);
   const auto tech = lv::tech::dual_vt_mtcmos();
-  // A tight margin with a large batch forces the commit to fail and the
-  // one-by-one retry (the parallel-prefiltered path) to run.
+  // assign_dual_vt runs no parallel region; this keeps it width-invariant
+  // should one return. A tight margin makes batch commits fail, so the
+  // one-by-one retry runs too.
   expect_same_at_all_widths(
-      [&] { return lv::opt::assign_dual_vt(nl, tech, 1.0, 0.02, 16); },
+      [&] { return lv::opt::assign_dual_vt(nl, tech, 1.0, 0.02); },
       [](const auto& ref, const auto& got, std::size_t width) {
         EXPECT_EQ(ref.high_vt_count, got.high_vt_count) << width;
         EXPECT_EQ(ref.use_high_vt, got.use_high_vt) << width;

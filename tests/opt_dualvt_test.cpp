@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <string>
+#include <utility>
+
+#include "check/codes.hpp"
+#include "check/diag.hpp"
 #include "circuit/cells.hpp"
 #include "circuit/generators.hpp"
+#include "reference_dual_vt.hpp"
+#include "tech/techfile.hpp"
 
 namespace c = lv::circuit;
 namespace o = lv::opt;
@@ -92,6 +101,103 @@ TEST(DualVt, ResultVectorsConsistent) {
   for (const bool hv : r.use_high_vt) count += hv;
   EXPECT_EQ(count, r.high_vt_count);
   EXPECT_EQ(r.use_high_vt.size(), nl.instance_count());
+}
+
+// ---- bit-identity against the retained full-STA greedy -------------------
+
+namespace {
+
+using Builder = std::function<void(c::Netlist&)>;
+
+std::vector<std::pair<std::string, Builder>> pinned_designs() {
+  return {
+      {"rca8", [](c::Netlist& nl) { c::build_ripple_carry_adder(nl, 8); }},
+      {"rca32", [](c::Netlist& nl) { c::build_ripple_carry_adder(nl, 32); }},
+      {"cla16",
+       [](c::Netlist& nl) { c::build_carry_lookahead_adder(nl, 16); }},
+      {"csel16", [](c::Netlist& nl) { c::build_carry_select_adder(nl, 16); }},
+      {"ks16", [](c::Netlist& nl) { c::build_kogge_stone_adder(nl, 16); }},
+      {"ks32", [](c::Netlist& nl) { c::build_kogge_stone_adder(nl, 32); }},
+      {"alu16", [](c::Netlist& nl) { c::build_alu(nl, 16); }},
+      {"shifter16", [](c::Netlist& nl) { c::build_barrel_shifter(nl, 16); }},
+      {"mul8", [](c::Netlist& nl) { c::build_array_multiplier(nl, 8); }},
+      {"wmul8", [](c::Netlist& nl) { c::build_wallace_multiplier(nl, 8); }},
+      {"cskip32", [](c::Netlist& nl) { c::build_carry_skip_adder(nl, 32); }},
+      // Flops: their D pins are timing endpoints and their outputs start
+      // paths at 0.
+      {"mac4", [](c::Netlist& nl) { c::build_pipelined_mac(nl, 4); }},
+  };
+}
+
+void expect_matches_reference(const c::Netlist& nl,
+                              const lv::tech::Process& tech, double vdd,
+                              double margin, const std::string& label) {
+  const auto got = o::assign_dual_vt(nl, tech, vdd, margin);
+  for (const int batch : {1, 8, 16}) {
+    const auto ref =
+        o::testing::reference_assign_dual_vt(nl, tech, vdd, margin, batch);
+    const std::string where = label + " vdd=" + std::to_string(vdd) +
+                              " margin=" + std::to_string(margin) +
+                              " batch=" + std::to_string(batch);
+    EXPECT_EQ(got.use_high_vt, ref.use_high_vt) << where;
+    EXPECT_EQ(got.high_vt_count, ref.high_vt_count) << where;
+    EXPECT_EQ(got.delay_before, ref.delay_before) << where;
+    EXPECT_EQ(got.delay_after, ref.delay_after) << where;
+    EXPECT_EQ(got.leakage_before, ref.leakage_before) << where;
+    EXPECT_EQ(got.leakage_after, ref.leakage_after) << where;
+    EXPECT_EQ(got.clock_period, ref.clock_period) << where;
+    EXPECT_EQ(got.status.converged, ref.status.converged) << where;
+    EXPECT_EQ(got.status.residual, ref.status.residual) << where;
+    // Same decisions at batch 8: one arrival pass here per full STA there.
+    if (batch == 8) {
+      EXPECT_EQ(got.status.iterations, ref.status.iterations) << where;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(DualVtReference, BitEqualOnGeneratedDesigns) {
+  for (const auto& [name, build] : pinned_designs()) {
+    c::Netlist nl;
+    build(nl);
+    for (const double vdd : {0.5, 1.0, 1.5})
+      for (const double margin : {0.0, 0.02, 0.05, 0.5})
+        expect_matches_reference(nl, dual(), vdd, margin, name);
+  }
+}
+
+TEST(DualVtReference, BitEqualWithAnotherHighVtOffset) {
+  // A techfile variant of the dual-VT process with a smaller high-VT
+  // step: more gates fit, so other batches fail and retry.
+  std::string text = lv::tech::to_techfile(dual());
+  const std::string key = "high_vt_offset = ";
+  const auto at = text.find(key);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, text.find('\n', at) - at, key + "0.12");
+  const auto tech = lv::tech::parse_techfile(text);
+  ASSERT_EQ(tech.high_vt_offset, 0.12);
+  for (const auto& [name, build] : pinned_designs()) {
+    c::Netlist nl;
+    build(nl);
+    for (const double vdd : {0.7, 1.2})
+      for (const double margin : {0.0, 0.05})
+        expect_matches_reference(nl, tech, vdd, margin, name + "/vt0.12");
+  }
+}
+
+TEST(DualVt, NonFiniteDelayIsACodedInputError) {
+  c::Netlist nl;
+  c::build_ripple_carry_adder(nl, 2);
+  auto poisoned = dual();
+  poisoned.nmos.vt_tempco = std::numeric_limits<double>::quiet_NaN();
+  try {
+    (void)o::assign_dual_vt(nl, poisoned, 1.0, 0.05);
+    FAIL() << "expected InputError";
+  } catch (const lv::check::InputError& e) {
+    EXPECT_EQ(e.code(), lv::check::codes::sta_nonfinite);
+    EXPECT_NE(std::string(e.what()).find("gate '"), std::string::npos);
+  }
 }
 
 TEST(Mtcmos, SizingMeetsPenaltyBound) {

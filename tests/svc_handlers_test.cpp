@@ -5,6 +5,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/codes.hpp"
@@ -294,6 +295,26 @@ TEST(SvcHandlers, IntegerOptionsAreCheckedAgainstTheirRange) {
       run(session, "paths", {"t.lvnet", "soias"}, {{"--k", "1"}}, net);
   EXPECT_EQ(k1.exit_code, 0) << k1.err;
   EXPECT_NE(k1.out.find("#1 "), std::string::npos) << k1.out;
+}
+
+TEST(SvcHandlers, ThreadCountsAboveTheBoundAreRejected) {
+  // Validation fails before any pool or worker starts; no test starts
+  // one at the bound itself.
+  const auto code_of = [](const svc::Command& command, svc::Params params) {
+    try {
+      (void)svc::validate(command, std::move(params));
+    } catch (const chk::InputError& e) {
+      return e.code();
+    }
+    return std::string{};
+  };
+  EXPECT_EQ(code_of(svc::process_options(), {{}, {{"--threads", "1025"}}}),
+            chk::codes::cli_number);
+  EXPECT_EQ(code_of(svc::serve_command(),
+                    {{}, {{"--socket", "s"}, {"--workers", "1025"}}}),
+            chk::codes::cli_number);
+  EXPECT_EQ(code_of(svc::process_options(), {{}, {{"--threads", "1024"}}}),
+            "");
 }
 
 TEST(SvcHandlers, PowerAlphaAndActivityAreExclusiveAndAlphaDefaults) {

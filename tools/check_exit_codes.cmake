@@ -113,7 +113,9 @@ foreach(case
     "cli.option|serve"
     "cli.option|serve;--socket;${WORK}/s.sock;--port;7421"
     "cli.option|client;version"
-    "cli.number|simulate;${NETLIST};--threads;-1")
+    "cli.number|simulate;${NETLIST};--threads;-1"
+    "cli.number|simulate;${NETLIST};--threads;1025"
+    "cli.number|serve;--socket;${WORK}/s.sock;--workers;1025")
   string(REPLACE "|" ";" parts "${case}")
   list(POP_FRONT parts code)
   expect_exit(2 ${LVTOOL} ${parts})
