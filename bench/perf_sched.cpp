@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "exec/parallel.hpp"
+#include "exec/thread_pool.hpp"
 
 namespace {
 
@@ -52,21 +53,22 @@ std::uint64_t zipf_rounds(std::size_t i) {
 }
 
 void BM_SchedZipf(benchmark::State& state) {
-  const lv::exec::ParallelOptions opt{
-      .threads = static_cast<std::size_t>(state.range(0))};
+  const auto run = [] {
+    return lv::exec::parallel_map<std::uint64_t>(
+        kZipfItems, [](std::size_t i) { return spin(zipf_rounds(i)); });
+  };
   // Same inputs → every width must produce the serial loop's slots.
-  const auto expect = lv::exec::parallel_map<std::uint64_t>(
-      kZipfItems, [](std::size_t i) { return spin(zipf_rounds(i)); },
-      {.threads = 1});
+  lv::exec::set_thread_count(1);
+  const auto expect = run();
+  lv::exec::set_thread_count(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    const auto out = lv::exec::parallel_map<std::uint64_t>(
-        kZipfItems, [](std::size_t i) { return spin(zipf_rounds(i)); },
-        opt);
-    if (out != expect) {
+    if (run() != expect) {
       state.SkipWithError("schedule changed the results");
+      lv::exec::set_thread_count(0);
       return;
     }
   }
+  lv::exec::set_thread_count(0);
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < kZipfItems; ++i) total += zipf_rounds(i);
   state.counters["spin_rounds"] = static_cast<double>(total);

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "circuit/generators.hpp"
-#include "exec/parallel.hpp"
 #include "exec/thread_pool.hpp"
 #include "isa/assembler.hpp"
 #include "isa/machine.hpp"
@@ -89,23 +88,24 @@ void BM_ActivityReplay(benchmark::State& state, int width) {
   start.clear_stats();
   const auto vecs =
       lv::sim::random_vectors(1000, static_cast<int>(inputs.size()), 5);
-  const lv::exec::ParallelOptions opt{
-      .threads = static_cast<std::size_t>(state.range(0))};
-  const auto serial =
-      lv::sim::replay_vectors(start, inputs, vecs, {.threads = 1});
-  const auto split = lv::sim::replay_vectors(start, inputs, vecs, opt);
+  lv::exec::set_thread_count(1);
+  const auto serial = lv::sim::replay_vectors(start, inputs, vecs);
+  lv::exec::set_thread_count(static_cast<std::size_t>(state.range(0)));
+  const auto split = lv::sim::replay_vectors(start, inputs, vecs);
   bool same = split.cycles() == serial.cycles();
   for (lv::circuit::NetId n = 0; same && n < nl.net_count(); ++n)
     same = split.transitions(n) == serial.transitions(n) &&
            split.settled_changes(n) == serial.settled_changes(n);
   if (!same) {
     state.SkipWithError("the split replay changed the activity");
+    lv::exec::set_thread_count(0);
     return;
   }
   for (auto _ : state) {
-    const auto stats = lv::sim::replay_vectors(start, inputs, vecs, opt);
+    const auto stats = lv::sim::replay_vectors(start, inputs, vecs);
     benchmark::DoNotOptimize(stats.cycles());
   }
+  lv::exec::set_thread_count(0);
   state.SetItemsProcessed(
       state.iterations() * static_cast<std::int64_t>(vecs.size()));
 }
@@ -137,8 +137,8 @@ void BM_ScalarReplayEvents(benchmark::State& state, int width) {
   auto& processed =
       lv::obs::Registry::global().counter("sim.events_processed");
   const std::uint64_t before = processed.value();
-  const auto replay =
-      lv::sim::replay_vectors(start, inputs, vecs, {.threads = 1});
+  lv::exec::set_thread_count(1);
+  const auto replay = lv::sim::replay_vectors(start, inputs, vecs);
   const std::uint64_t events = processed.value() - before;
   lv::obs::set_enabled(obs_was);
   bool same = replay.cycles() == loop.stats().cycles();
@@ -147,13 +147,14 @@ void BM_ScalarReplayEvents(benchmark::State& state, int width) {
            replay.settled_changes(n) == loop.stats().settled_changes(n);
   if (!same) {
     state.SkipWithError("the replay changed the activity");
+    lv::exec::set_thread_count(0);
     return;
   }
   for (auto _ : state) {
-    const auto stats =
-        lv::sim::replay_vectors(start, inputs, vecs, {.threads = 1});
+    const auto stats = lv::sim::replay_vectors(start, inputs, vecs);
     benchmark::DoNotOptimize(stats.cycles());
   }
+  lv::exec::set_thread_count(0);
   state.SetItemsProcessed(
       state.iterations() * static_cast<std::int64_t>(vecs.size()));
   state.counters["events"] = benchmark::Counter(

@@ -6,6 +6,7 @@
 #include "device/capacitance.hpp"
 #include "device/stack.hpp"
 #include "obs/metrics.hpp"
+#include "timing/delay_model.hpp"
 #include "util/binio.hpp"
 #include "util/error.hpp"
 
@@ -15,15 +16,10 @@ namespace u = lv::util;
 
 namespace {
 
-// Gate overdrive below which the operating point is infeasible for the
-// alpha-power delay model. Must match timing::DelayModel's constant so
-// context-backed feasibility agrees with DelayModel::feasible().
-constexpr double kMinOverdrive = 0.02;  // [V]
-
 // Memo traffic counters (lv::obs). Stability::scheduling: parallel
-// sweeps hand each worker its own context clone (exec::SweepGrid), so
-// hit/miss totals legitimately vary with thread width even though every
-// *value* produced stays bit-identical.
+// sweeps hand each worker its own context clone, so hit/miss totals
+// legitimately vary with thread width even though every *value*
+// produced stays bit-identical.
 enum class Memo { stack, leak, drive };
 
 void note_memo(Memo table, bool hit) {
@@ -149,13 +145,8 @@ const AnalysisContext::DriveParams& AnalysisContext::drive_params(
   note_memo(Memo::drive, it != drive_memo_.end());
   if (it != drive_memo_.end()) return it->second;
 
-  // Mirrors timing::DelayModel's constructor exactly (same expressions,
-  // same process.temp_k temperature) so delays agree bit-for-bit.
   DriveParams dp;
-  const auto n = process_.make_nmos(1.0, vt_shift);
-  const auto p = process_.make_pmos(1.0, vt_shift);
-  dp.unit_drive = 0.5 * (n.on_current(op_.vdd, 0.0, process_.temp_k) +
-                         p.on_current(op_.vdd, 0.0, process_.temp_k));
+  dp.unit_drive = timing::unit_inverter_drive(process_, op_.vdd, vt_shift);
   dp.fo1_cap = process_.unit_inverter_caps(op_.vdd).fo1_load();
   return drive_memo_.emplace(key, dp).first->second;
 }
@@ -167,9 +158,8 @@ double AnalysisContext::unit_drive_current(double vt_shift) const {
 double AnalysisContext::delay_for_load(double c_load, double drive_mult,
                                        double vt_shift) const {
   u::require(drive_mult > 0.0, "AnalysisContext: drive must be > 0");
-  const double unit_drive = drive_params(vt_shift).unit_drive;
-  if (unit_drive <= 0.0) return 1.0;  // effectively infinite (1 second)
-  return c_load * op_.vdd / (2.0 * drive_mult * unit_drive);
+  return timing::alpha_power_delay(c_load, op_.vdd, drive_mult,
+                                   drive_params(vt_shift).unit_drive);
 }
 
 double AnalysisContext::inverter_fo1_delay(double vt_shift) const {
@@ -177,8 +167,7 @@ double AnalysisContext::inverter_fo1_delay(double vt_shift) const {
 }
 
 bool AnalysisContext::delay_feasible(double vt_shift) const {
-  const auto n = process_.make_nmos(1.0, vt_shift);
-  return op_.vdd - n.threshold(0.0, op_.vdd, process_.temp_k) > kMinOverdrive;
+  return timing::alpha_power_feasible(process_, op_.vdd, vt_shift);
 }
 
 namespace {

@@ -103,8 +103,9 @@ class AnalysisContext {
   double short_circuit_fraction() const;
 
   // ---- alpha-power delay primitives ---------------------------------
-  // These mirror timing::DelayModel at (op.vdd, vt_shift) bit-for-bit so
-  // context-backed STA equals freshly-constructed STA exactly.
+  // timing::DelayModel's expressions at (op.vdd, vt_shift), through the
+  // same free functions (timing/delay_model.hpp), so context-backed STA
+  // equals freshly-constructed STA exactly.
   double unit_drive_current(double vt_shift = 0.0) const;
   double delay_for_load(double c_load, double drive_mult = 1.0,
                         double vt_shift = 0.0) const;

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "exec/sweep_grid.hpp"
+#include "exec/parallel.hpp"
 #include "util/numeric.hpp"
 
 namespace lv::core {
@@ -37,14 +37,14 @@ RatioGrid energy_ratio_grid(const ModuleParams& module, double alpha,
   // Fig. 10 grid: every cell is an independent closed-form evaluation, so
   // fan out over the flattened (bga, fga) index space (fga fast, matching
   // the old inner loop) and unpack into the row-major result.
-  const exec::SweepGrid sweep{grid.fga_axis, grid.bga_axis};
-  const auto cells = sweep.map<double>([&](const exec::SweepGrid::Point& p) {
-    ActivityVars vars;
-    vars.fga = p.x;
-    vars.bga = p.y;
-    vars.alpha = alpha;
-    return log_energy_ratio(module, vars, op);
-  });
+  const auto cells =
+      exec::parallel_map<double>(points * points, [&](std::size_t i) {
+        ActivityVars vars;
+        vars.fga = grid.fga_axis[i % points];
+        vars.bga = grid.bga_axis[i / points];
+        vars.alpha = alpha;
+        return log_energy_ratio(module, vars, op);
+      });
   for (std::size_t b = 0; b < points; ++b)
     for (std::size_t f = 0; f < points; ++f)
       grid.log_ratio[b][f] = cells[b * points + f];

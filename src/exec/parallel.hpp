@@ -3,23 +3,23 @@
 // Every sweep and campaign loop in the toolkit funnels through these
 // three shapes:
 //
-//   parallel_for(n, fn)                 — fn(i) for i in [0, n)
 //   parallel_map<T>(n, fn)              — out[i] = fn(i)
 //   parallel_map_stateful<T>(n, mk, fn) — out[i] = fn(state, i), one
 //                                         `mk()` state per worker (used
 //                                         for AnalysisContext clones and
-//                                         per-worker simulators)
+//                                         per-worker fault propagators)
 //   parallel_for_stateful(n, mk, fn)    — fn(state, i), same states, for
 //                                         loops that accumulate into the
 //                                         state instead of per-index slots
 //
-// plus parallel_sum, the ordered-reduction helper.
+// A region's width is thread_count() (`--threads`, LVSIM_THREADS,
+// set_thread_count), capped at n, or 1 on a pool worker.
 //
-// Determinism contract: results are written into per-index slots and all
-// reductions fold in serial index order on the calling thread, so output
-// is bit-identical to the serial loop at any thread count. That rules out
-// chunk-partial floating-point sums (addition is not associative);
-// parallel_sum therefore materializes every term and accumulates them
+// Determinism contract: results are written into per-index slots, and
+// callers fold them in serial index order on the calling thread, so
+// output is bit-identical to the serial loop at any thread count. That
+// rules out chunk-partial floating-point sums (addition is not
+// associative): a caller that needs a sum maps the terms and adds them
 // 0..n-1 exactly as the serial loop would. Scheduling affects only which
 // thread computes a slot, never its value.
 //
@@ -56,11 +56,6 @@
 
 namespace lv::exec {
 
-struct ParallelOptions {
-  // Worker width for this call; 0 = the global exec::thread_count().
-  std::size_t threads = 0;
-};
-
 namespace detail {
 
 struct NoState {};
@@ -85,10 +80,9 @@ inline void note_chunk_claim() {
   chunks.add(1);
 }
 
-inline std::size_t resolve_width(std::size_t n, const ParallelOptions& opt) {
+inline std::size_t resolve_width(std::size_t n) {
   if (n <= 1 || on_worker_thread()) return 1;
-  std::size_t width = opt.threads != 0 ? opt.threads : thread_count();
-  if (width == 0) width = 1;
+  const std::size_t width = thread_count();
   return width < n ? width : n;
 }
 
@@ -108,13 +102,12 @@ inline std::size_t guided_claim(std::size_t remaining, std::size_t width) {
 // participating worker. Implements the determinism and exception
 // contracts documented at the top of this header.
 template <class MakeState, class Fn>
-void drive(std::size_t n, const ParallelOptions& opt, MakeState&& make,
-           Fn&& fn) {
+void drive(std::size_t n, MakeState&& make, Fn&& fn) {
   if (n == 0) return;
   note_parallel_call(n);
   std::size_t err_index = n;
   std::exception_ptr err;
-  const std::size_t width = resolve_width(n, opt);
+  const std::size_t width = resolve_width(n);
   if (width == 1) {
     std::optional<std::decay_t<decltype(make())>> state;
     state.emplace(make());  // a failing make() propagates directly
@@ -176,20 +169,12 @@ void drive(std::size_t n, const ParallelOptions& opt, MakeState&& make,
 
 }  // namespace detail
 
-template <class Fn>
-void parallel_for(std::size_t n, Fn&& fn, const ParallelOptions& opt = {}) {
-  detail::drive(
-      n, opt, [] { return detail::NoState{}; },
-      [&](detail::NoState&, std::size_t i) { fn(i); });
-}
-
 // T must be default-constructible (slots are pre-allocated).
 template <class T, class Fn>
-std::vector<T> parallel_map(std::size_t n, Fn&& fn,
-                            const ParallelOptions& opt = {}) {
+std::vector<T> parallel_map(std::size_t n, Fn&& fn) {
   std::vector<T> out(n);
   detail::drive(
-      n, opt, [] { return detail::NoState{}; },
+      n, [] { return detail::NoState{}; },
       [&](detail::NoState&, std::size_t i) { out[i] = fn(i); });
   return out;
 }
@@ -201,10 +186,9 @@ std::vector<T> parallel_map(std::size_t n, Fn&& fn,
 // memo caches return bit-identical values whether recomputed or reused.
 template <class T, class MakeState, class Fn>
 std::vector<T> parallel_map_stateful(std::size_t n, MakeState&& make,
-                                     Fn&& fn,
-                                     const ParallelOptions& opt = {}) {
+                                     Fn&& fn) {
   std::vector<T> out(n);
-  detail::drive(n, opt, std::forward<MakeState>(make),
+  detail::drive(n, std::forward<MakeState>(make),
                 [&](auto& state, std::size_t i) { out[i] = fn(state, i); });
   return out;
 }
@@ -215,20 +199,8 @@ std::vector<T> parallel_map_stateful(std::size_t n, MakeState&& make,
 // folded by the caller in a way that does not depend on which worker
 // served which index (integer sums do not).
 template <class MakeState, class Fn>
-void parallel_for_stateful(std::size_t n, MakeState&& make, Fn&& fn,
-                           const ParallelOptions& opt = {}) {
-  detail::drive(n, opt, std::forward<MakeState>(make), std::forward<Fn>(fn));
-}
-
-// Ordered reduction: sum of fn(i) over [0, n), folded in index order on
-// the calling thread — bit-identical to `for (i) acc += fn(i)` at any
-// thread count.
-template <class Fn>
-double parallel_sum(std::size_t n, Fn&& fn, const ParallelOptions& opt = {}) {
-  const auto terms = parallel_map<double>(n, std::forward<Fn>(fn), opt);
-  double acc = 0.0;
-  for (const double term : terms) acc += term;
-  return acc;
+void parallel_for_stateful(std::size_t n, MakeState&& make, Fn&& fn) {
+  detail::drive(n, std::forward<MakeState>(make), std::forward<Fn>(fn));
 }
 
 }  // namespace lv::exec

@@ -5,15 +5,17 @@
 // needs them (a `--threads 1` run never spawns any), grow on demand up to
 // the configured width, and idle between calls. The pool moves *work*,
 // never *results*: the primitives in exec/parallel.hpp write each task's
-// output into a caller-owned slot keyed by task index and fold reductions
-// in serial index order, which is what makes parallel output bit-identical
-// to the serial loop at any thread count.
+// output into a caller-owned slot keyed by task index, and callers fold
+// those slots in serial index order, which is what makes parallel output
+// bit-identical to the serial loop at any thread count.
 //
 // Width resolution, in priority order: set_thread_count() (the CLI
 // `--threads N` knob lands here), the LVSIM_THREADS environment variable,
-// then std::thread::hardware_concurrency(). How a region's indices are
-// distributed over its workers is not configurable: exec/parallel.hpp
-// runs one guided self-scheduling cursor for every parallel region.
+// then std::thread::hardware_concurrency(). That one process-wide width
+// is the only one a region uses; no call site picks its own. How a
+// region's indices are distributed over its workers is not configurable
+// either: exec/parallel.hpp runs one guided self-scheduling cursor for
+// every parallel region.
 #pragma once
 
 #include <cstddef>

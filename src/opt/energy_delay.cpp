@@ -1,7 +1,7 @@
 #include "opt/energy_delay.hpp"
 
 #include "analysis/analysis_context.hpp"
-#include "exec/sweep_grid.hpp"
+#include "exec/parallel.hpp"
 #include "power/estimator.hpp"
 #include "timing/sta.hpp"
 #include "util/error.hpp"
@@ -22,20 +22,21 @@ EnergyDelayResult explore_energy_delay(const circuit::Netlist& netlist,
 
   // Prototype context: each worker gets a clone() so set_operating_point
   // and the memo caches stay thread-private; the netlist's structure
-  // caches are shared read-only (map_with_context warms them first).
+  // caches are shared read-only.
   const analysis::AnalysisContext proto{
       netlist, process, {.vdd = vdd_lo, .temp_k = process.temp_k}};
+  proto.netlist().topo_order();  // warm lazy caches before fan-out
 
-  const exec::SweepGrid grid{
-      u::linspace(vdd_lo, vdd_hi, static_cast<std::size_t>(points))};
+  const auto vdds =
+      u::linspace(vdd_lo, vdd_hi, static_cast<std::size_t>(points));
   EnergyDelayResult result;
-  result.sweep = grid.map_with_context<EnergyDelayPoint>(
-      proto,
-      [&](analysis::AnalysisContext& ctx, const exec::SweepGrid::Point& p) {
+  result.sweep = exec::parallel_map_stateful<EnergyDelayPoint>(
+      vdds.size(), [&] { return proto.clone(); },
+      [&](analysis::AnalysisContext& ctx, std::size_t i) {
         EnergyDelayPoint pt;
-        pt.vdd = p.x;
+        pt.vdd = vdds[i];
         auto op = ctx.operating_point();
-        op.vdd = p.x;
+        op.vdd = vdds[i];
         ctx.set_operating_point(op);
         if (!ctx.delay_feasible()) return pt;
         // Sta/PowerEstimator only hold a pointer to ctx; constructing them

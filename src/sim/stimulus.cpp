@@ -7,6 +7,7 @@
 #include <string>
 
 #include "check/diag.hpp"
+#include "exec/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
@@ -89,17 +90,48 @@ void run_two_operand_workload(Simulator& sim, const circuit::Bus& a,
   }
 }
 
+namespace {
+
+// One replay step: vector i onto `inputs` of `sim`, then settled, or
+// clocked in on a clocked netlist. With `reseat`, `sim` first takes the
+// settled state of vector i-1. An error is rethrown as "replay vector i:
+// <what>"; a coded check::InputError (sim.event_budget) keeps its code.
+void replay_step(Simulator& sim, const circuit::Bus& inputs,
+                 const std::vector<std::uint64_t>& vectors, std::size_t i,
+                 bool reseat, bool clocked) {
+  try {
+    if (reseat) sim.seat(inputs, vectors[i - 1]);
+    sim.set_bus(inputs, vectors[i]);
+    if (clocked)
+      sim.clock_cycle();
+    else
+      sim.settle();
+  } catch (const std::exception& e) {
+    std::string what =
+        "replay vector " + std::to_string(i) + ": " + e.what();
+    if (const auto* coded = dynamic_cast<const check::InputError*>(&e))
+      throw check::InputError(coded->code(), std::move(what));
+    throw u::Error(std::move(what));
+  }
+}
+
+}  // namespace
+
 ActivityStats replay_vectors(const Simulator& primed,
                              const circuit::Bus& inputs,
-                             const std::vector<std::uint64_t>& vectors,
-                             const exec::ParallelOptions& options) {
-  const bool clocked = !primed.graph().sequential_instances().empty();
-  exec::ParallelOptions opt = options;
-  if (clocked)
-    opt.threads = 1;
-  else
-    primed.netlist().topo_order();  // build the lazy cache seat() reads
-                                    // before workers share it
+                             const std::vector<std::uint64_t>& vectors) {
+  if (!primed.graph().sequential_instances().empty()) {
+    // Flop state carries from vector to vector: replay in order on one
+    // copy, stopping at the first failing vector.
+    Simulator sim = primed;
+    sim.clear_stats();
+    for (std::size_t i = 0; i < vectors.size(); ++i)
+      replay_step(sim, inputs, vectors, i, /*reseat=*/false,
+                  /*clocked=*/true);
+    return sim.stats();
+  }
+  primed.netlist().topo_order();  // build the lazy cache seat() reads
+                                  // before workers share it
   constexpr std::size_t kUnknown = std::numeric_limits<std::size_t>::max();
   struct Worker {
     Simulator sim;
@@ -117,31 +149,16 @@ ActivityStats replay_vectors(const Simulator& primed,
         return &workers.emplace_back(Worker{std::move(sim)});
       },
       [&](Worker* w, std::size_t i) {
-        try {
-          if (w->next != i) {
-            w->sim.seat(inputs, vectors[i - 1]);
-            ++w->seats;
-          }
-          w->sim.set_bus(inputs, vectors[i]);
-          if (clocked)
-            w->sim.clock_cycle();
-          else
-            w->sim.settle();
-          w->next = i + 1;
-        } catch (const std::exception& e) {
-          // The simulator's state is unknown now; a later index reseats
-          // (and fails too if events are still pending). parallel_for
-          // reports the lowest failing index, as the serial loop would.
-          // A coded error (sim.event_budget) keeps its code.
-          w->next = kUnknown;
-          std::string what = "replay vector " + std::to_string(i) + ": " +
-                             e.what();
-          if (const auto* coded = dynamic_cast<const check::InputError*>(&e))
-            throw check::InputError(coded->code(), std::move(what));
-          throw u::Error(std::move(what));
-        }
-      },
-      opt);
+        const bool reseat = w->next != i;
+        // Until the step succeeds the simulator's state is unknown; a
+        // later index reseats (and fails too if events are still
+        // pending). The region reports the lowest failing index, as the
+        // serial loop would.
+        w->next = kUnknown;
+        replay_step(w->sim, inputs, vectors, i, reseat, /*clocked=*/false);
+        w->seats += reseat;
+        w->next = i + 1;
+      });
   ActivityStats total{primed.graph().net_count()};
   std::uint64_t seats = 0;
   for (const Worker& w : workers) {

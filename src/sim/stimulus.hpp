@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "exec/parallel.hpp"
 #include "sim/simulator.hpp"
 #include "util/statistics.hpp"
 
@@ -49,24 +48,24 @@ void run_two_operand_workload(Simulator& sim, const circuit::Bus& a,
 // a copy of `primed` with cleared statistics. `primed` holds the state
 // the replay starts from and is not modified.
 //
-// A combinational replay splits the indices over options.threads
-// workers (exec::parallel_for_stateful, guided claims), one copy of
-// `primed` per worker. A worker whose next index i does not follow the
-// one it just finished first seats its copy on the settled state of
-// vector i-1 (Simulator::seat); a combinational netlist's settled state
-// depends only on its inputs, so every counted settle sees the same
-// (previous, next) vector pair, and hence the same events, as the
-// serial loop. The workers' integer counts are summed at the end. A
-// clocked netlist carries flop state from vector to vector and always
-// replays at width 1, as does any call from inside a parallel region.
-// Width 1 seats nothing. Seats are counted in the scheduling-stability
-// counter sim.replay_seats. An error is rethrown as "replay vector i:
-// <what>" for the lowest failing index i, at any width; a coded
+// A combinational replay splits the indices over thread_count() workers
+// (exec::parallel_for_stateful, guided claims), one copy of `primed` per
+// worker. A worker whose next index i does not follow the one it just
+// finished first seats its copy on the settled state of vector i-1
+// (Simulator::seat); a combinational netlist's settled state depends
+// only on its inputs, so every counted settle sees the same (previous,
+// next) vector pair, and hence the same events, as the serial loop. The
+// workers' integer counts are summed at the end. Called from inside a
+// parallel region it runs at width 1. A clocked netlist carries flop
+// state from vector to vector, so it replays in a plain serial loop on
+// one copy of `primed` and opens no exec region. Width 1 seats nothing.
+// Seats are counted in the scheduling-stability counter
+// sim.replay_seats. An error is rethrown as "replay vector i: <what>"
+// for the lowest failing index i, at any width; a coded
 // check::InputError (sim.event_budget) keeps its code.
 ActivityStats replay_vectors(const Simulator& primed,
                              const circuit::Bus& inputs,
-                             const std::vector<std::uint64_t>& vectors,
-                             const exec::ParallelOptions& options = {});
+                             const std::vector<std::uint64_t>& vectors);
 
 // Builds the Figs. 8-9 histogram: per-node transition probability
 // (toggles per cycle) over all gate-driven nets (primary inputs and the

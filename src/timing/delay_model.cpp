@@ -4,16 +4,6 @@
 
 namespace lv::timing {
 
-namespace {
-
-// Gate overdrive below which we declare the operating point infeasible
-// (the alpha-power model is meaningless when the device is sub-threshold
-// for the whole transition). Mirrored by AnalysisContext::delay_feasible;
-// change both together.
-constexpr double kMinOverdrive = 0.02;  // [V]
-
-}  // namespace
-
 DelayModel::DelayModel(const tech::Process& process, double vdd,
                        double vt_shift)
     : DelayModel{process, vdd, vt_shift,
@@ -23,23 +13,18 @@ DelayModel::DelayModel(const tech::Process& process, double vdd,
                        double vt_shift, double fo1_load)
     : process_{process}, vdd_{vdd}, vt_shift_{vt_shift}, fo1_cap_{fo1_load} {
   lv::util::require(vdd > 0.0, "DelayModel: vdd must be > 0");
-  const auto n = process.make_nmos(1.0, vt_shift);
-  const auto p = process.make_pmos(1.0, vt_shift);
-  unit_drive_ = 0.5 * (n.on_current(vdd, 0.0, process.temp_k) +
-                       p.on_current(vdd, 0.0, process.temp_k));
+  unit_drive_ = unit_inverter_drive(process, vdd, vt_shift);
 }
 
 double DelayModel::unit_drive_current() const { return unit_drive_; }
 
 bool DelayModel::feasible() const {
-  const auto n = process_.make_nmos(1.0, vt_shift_);
-  return vdd_ - n.threshold(0.0, vdd_, process_.temp_k) > kMinOverdrive;
+  return alpha_power_feasible(process_, vdd_, vt_shift_);
 }
 
 double DelayModel::delay_for_load(double c_load, double drive_mult) const {
   lv::util::require(drive_mult > 0.0, "DelayModel: drive must be > 0");
-  if (unit_drive_ <= 0.0) return 1.0;  // effectively infinite (1 second)
-  return c_load * vdd_ / (2.0 * drive_mult * unit_drive_);
+  return alpha_power_delay(c_load, vdd_, drive_mult, unit_drive_);
 }
 
 double DelayModel::instance_delay(const circuit::Netlist& netlist,

@@ -10,10 +10,11 @@
 // The FO1 load is process.unit_inverter_caps(vdd).fo1_load(): one pass
 // over the supply swing for both devices of the unit inverter.
 //
-// analysis::AnalysisContext memoizes these drive parameters per
-// (vdd, vt_shift) and serves context-backed STA from that cache; its
-// delay primitives must stay expression-for-expression identical to this
-// class (the equivalence is pinned by tests/analysis_context_test.cpp).
+// The expressions themselves are the inline free functions below. Both
+// DelayModel and analysis::AnalysisContext (which memoizes the drive
+// parameters per (vdd, vt_shift) for context-backed STA) call them, so
+// the two agree bit for bit by construction. They are inline because
+// lv_analysis sits below lv_timing and links no timing code.
 #pragma once
 
 #include "circuit/load_model.hpp"
@@ -21,6 +22,35 @@
 #include "tech/process.hpp"
 
 namespace lv::timing {
+
+// Gate overdrive below which an operating point is infeasible: the
+// alpha-power model is meaningless when the device is sub-threshold for
+// the whole transition.
+inline constexpr double kMinOverdrive = 0.02;  // [V]
+
+// Average N/P on-current of a unit inverter at full gate drive [A].
+inline double unit_inverter_drive(const tech::Process& process, double vdd,
+                                  double vt_shift) {
+  const auto n = process.make_nmos(1.0, vt_shift);
+  const auto p = process.make_pmos(1.0, vt_shift);
+  return 0.5 * (n.on_current(vdd, 0.0, process.temp_k) +
+                p.on_current(vdd, 0.0, process.temp_k));
+}
+
+// t = c_load * vdd / (2 * drive_mult * unit_drive) [s]; 1 s (effectively
+// infinite) when the unit drive does not conduct.
+inline double alpha_power_delay(double c_load, double vdd, double drive_mult,
+                                double unit_drive) {
+  if (unit_drive <= 0.0) return 1.0;
+  return c_load * vdd / (2.0 * drive_mult * unit_drive);
+}
+
+// True when the NMOS overdrive at (vdd, vt_shift) exceeds kMinOverdrive.
+inline bool alpha_power_feasible(const tech::Process& process, double vdd,
+                                 double vt_shift) {
+  const auto n = process.make_nmos(1.0, vt_shift);
+  return vdd - n.threshold(0.0, vdd, process.temp_k) > kMinOverdrive;
+}
 
 class DelayModel {
  public:

@@ -51,30 +51,4 @@ double Xoshiro256::next_double() {
 
 bool Xoshiro256::next_bool(double p) { return next_double() < p; }
 
-void Xoshiro256::jump() {
-  // Canonical xoshiro256 jump constants (Blackman & Vigna).
-  constexpr std::uint64_t kJump[] = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-      0x39abdc4529b1661cULL};
-  std::uint64_t s0 = 0;
-  std::uint64_t s1 = 0;
-  std::uint64_t s2 = 0;
-  std::uint64_t s3 = 0;
-  for (const std::uint64_t word : kJump) {
-    for (int bit = 0; bit < 64; ++bit) {
-      if (word & (std::uint64_t{1} << bit)) {
-        s0 ^= s_[0];
-        s1 ^= s_[1];
-        s2 ^= s_[2];
-        s3 ^= s_[3];
-      }
-      next_u64();
-    }
-  }
-  s_[0] = s0;
-  s_[1] = s1;
-  s_[2] = s2;
-  s_[3] = s3;
-}
-
 }  // namespace lv::util

@@ -1,6 +1,10 @@
 // Deterministic, seedable PRNG (xoshiro256**) used for all stochastic
 // stimulus in lvsim. Benches must print identical output run-to-run, so
 // nothing in the library uses std::random_device or global RNG state.
+// Parallel regions draw nothing: a campaign draws its stimulus serially
+// from one seeded stream before it fans out (sim::random_vectors ahead
+// of fault_coverage and replay_vectors), so output cannot depend on the
+// thread width.
 #pragma once
 
 #include <cstdint>
@@ -21,11 +25,6 @@ class Xoshiro256 {
   bool next_bool(double p = 0.5);
   // Uniform 32-bit value.
   std::uint32_t next_u32() { return static_cast<std::uint32_t>(next_u64()); }
-
-  // Advances the state by 2^128 steps (the canonical xoshiro256 jump
-  // polynomial). Copy-then-jump carves one seed into non-overlapping
-  // streams for parallel tasks (see exec/rng_split.hpp).
-  void jump();
 
  private:
   std::uint64_t s_[4];

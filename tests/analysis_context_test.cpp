@@ -199,12 +199,10 @@ TEST(AnalysisContext, DelayPrimitivesMatchDelayModel) {
     for (const double shift : {0.0, 0.1, 0.25}) {
       ctx.set_operating_point({.vdd = vdd});
       const t::DelayModel dm{tech, vdd, shift};
-      expect_close(ctx.unit_drive_current(shift), dm.unit_drive_current(),
-                   "unit_drive_current");
-      expect_close(ctx.delay_for_load(2e-15, 1.5, shift),
-                   dm.delay_for_load(2e-15, 1.5), "delay_for_load");
-      expect_close(ctx.inverter_fo1_delay(shift), dm.inverter_fo1_delay(),
-                   "inverter_fo1_delay");
+      EXPECT_EQ(ctx.unit_drive_current(shift), dm.unit_drive_current());
+      EXPECT_EQ(ctx.delay_for_load(2e-15, 1.5, shift),
+                dm.delay_for_load(2e-15, 1.5));
+      EXPECT_EQ(ctx.inverter_fo1_delay(shift), dm.inverter_fo1_delay());
       EXPECT_EQ(ctx.delay_feasible(shift), dm.feasible());
     }
   }

@@ -145,6 +145,23 @@ TEST(RatioGrid, MonotoneInBgaAndBreakevenFound) {
   EXPECT_GT(found, 3);
 }
 
+TEST(RatioGrid, CellsAreRowMajorWithFgaFast) {
+  // Row b, column f holds the ratio at (fga_axis[f], bga_axis[b]); the
+  // axes span different ranges, so a transposed unpack would show.
+  const auto m = test_module();
+  const auto grid = c::energy_ratio_grid(m, 0.4, kOp, 1e-4, 1.0, 1e-5, 1.0,
+                                         7);
+  ASSERT_EQ(grid.log_ratio.size(), 7u);
+  for (std::size_t b = 0; b < 7; ++b) {
+    ASSERT_EQ(grid.log_ratio[b].size(), 7u);
+    for (std::size_t f = 0; f < 7; ++f)
+      EXPECT_EQ(grid.log_ratio[b][f],
+                c::log_energy_ratio(
+                    m, {grid.fga_axis[f], grid.bga_axis[b], 0.4}, kOp))
+          << "cell (" << b << "," << f << ")";
+  }
+}
+
 TEST(RatioGrid, BreakevenBgaGrowsWithFga) {
   // The more a block idles (small fga), the less back-gate switching it
   // takes to win — the zero contour of Fig. 10 slopes up-right.

@@ -6,10 +6,10 @@
 // widths {1, 2, 8} and compare with operator== on the doubles — no
 // tolerance, since the layer's whole point is exact equivalence.
 //
-// Also pinned: the primitive-level contracts — per-index slots, ordered
-// reduction, lowest-index exception rethrow, failing per-worker state,
-// empty ranges, nested calls running inline, the guided cursor's claim
-// sequence, SweepGrid indexing, and RNG stream splitting.
+// Also pinned: the primitive-level contracts — per-index slots, the
+// caller's ordered fold, lowest-index exception rethrow, failing
+// per-worker state, empty ranges, nested calls running inline, and the
+// guided cursor's claim sequence.
 #include "exec/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -24,33 +24,50 @@
 #include "circuit/generators.hpp"
 #include "core/comparison.hpp"
 #include "device/characterize.hpp"
-#include "exec/rng_split.hpp"
-#include "exec/sweep_grid.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "opt/dual_vt.hpp"
 #include "opt/energy_delay.hpp"
 #include "opt/voltage_opt.hpp"
+#include "scoped_threads.hpp"
 #include "sim/fault.hpp"
 #include "sim/stimulus.hpp"
 #include "util/numeric.hpp"
 
 namespace e = lv::exec;
+using lv::test::ScopedThreads;
 
 namespace {
+
+// fn(i) over [0, n): a stateless loop on the stateful primitive.
+template <class Fn>
+void for_each_index(std::size_t n, Fn&& fn) {
+  e::parallel_for_stateful(
+      n, [] { return 0; }, [&](int&, std::size_t i) { fn(i); });
+}
+
+// The fold the determinism contract asks of callers: map the terms,
+// then add them in index order on the calling thread.
+template <class Fn>
+double ordered_sum(std::size_t n, Fn&& fn) {
+  double acc = 0.0;
+  for (const double term : e::parallel_map<double>(n, fn)) acc += term;
+  return acc;
+}
 
 // Evaluates `fn` at widths 1, 2, and 8 and checks every result against
 // the width-1 (serial code path) reference with the caller's comparator.
 template <class Fn, class Eq>
 void expect_same_at_all_widths(Fn&& fn, Eq&& eq) {
-  e::set_thread_count(1);
-  const auto reference = fn();
+  const auto reference = [&] {
+    const ScopedThreads serial{1};
+    return fn();
+  }();
   for (const std::size_t width : {std::size_t{2}, std::size_t{8}}) {
-    e::set_thread_count(width);
+    const ScopedThreads threads{width};
     const auto got = fn();
     eq(reference, got, width);
   }
-  e::set_thread_count(0);  // restore the default for other tests
 }
 
 // Fault-campaign comparator: counts, first-detection profile and the
@@ -75,9 +92,9 @@ void expect_same_coverage(const lv::sim::CoverageResult& ref,
 TEST(ParallelPrimitives, MapFillsEverySlotInIndexOrder) {
   for (const std::size_t width : {std::size_t{1}, std::size_t{3},
                                   std::size_t{8}}) {
+    const ScopedThreads threads{width};
     const auto out = e::parallel_map<double>(
-        1000, [](std::size_t i) { return std::sqrt(static_cast<double>(i)); },
-        {.threads = width});
+        1000, [](std::size_t i) { return std::sqrt(static_cast<double>(i)); });
     ASSERT_EQ(out.size(), 1000u);
     for (std::size_t i = 0; i < out.size(); ++i)
       EXPECT_EQ(out[i], std::sqrt(static_cast<double>(i)));
@@ -94,17 +111,16 @@ TEST(ParallelPrimitives, SumFoldsInSerialOrder) {
   for (std::size_t i = 0; i < 5000; ++i) serial += term(i);
   for (const std::size_t width : {std::size_t{1}, std::size_t{2},
                                   std::size_t{8}}) {
-    EXPECT_EQ(e::parallel_sum(5000, term, {.threads = width}), serial)
-        << "width " << width;
+    const ScopedThreads threads{width};
+    EXPECT_EQ(ordered_sum(5000, term), serial) << "width " << width;
   }
 }
 
 TEST(ParallelPrimitives, EmptyAndSingletonRanges) {
+  const ScopedThreads threads{8};
   EXPECT_TRUE(e::parallel_map<int>(0, [](std::size_t) { return 1; }).empty());
-  e::parallel_for(0, [](std::size_t) { FAIL() << "body ran on empty range"; });
-  EXPECT_EQ(e::parallel_sum(0, [](std::size_t) { return 1.0; }), 0.0);
-  const auto one =
-      e::parallel_map<int>(1, [](std::size_t) { return 41; }, {.threads = 8});
+  for_each_index(0, [](std::size_t) { FAIL() << "body ran on empty range"; });
+  const auto one = e::parallel_map<int>(1, [](std::size_t) { return 41; });
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0], 41);
 }
@@ -112,16 +128,14 @@ TEST(ParallelPrimitives, EmptyAndSingletonRanges) {
 TEST(ParallelPrimitives, LowestFailingIndexExceptionWins) {
   for (const std::size_t width : {std::size_t{1}, std::size_t{2},
                                   std::size_t{8}}) {
+    const ScopedThreads threads{width};
     std::atomic<int> attempted{0};
     try {
-      e::parallel_for(
-          100,
-          [&](std::size_t i) {
-            attempted.fetch_add(1, std::memory_order_relaxed);
-            if (i == 17 || i == 63)
-              throw std::runtime_error("boom at " + std::to_string(i));
-          },
-          {.threads = width});
+      for_each_index(100, [&](std::size_t i) {
+        attempted.fetch_add(1, std::memory_order_relaxed);
+        if (i == 17 || i == 63)
+          throw std::runtime_error("boom at " + std::to_string(i));
+      });
       FAIL() << "expected a throw at width " << width;
     } catch (const std::runtime_error& err) {
       EXPECT_STREQ(err.what(), "boom at 17") << "width " << width;
@@ -134,6 +148,7 @@ TEST(ParallelPrimitives, LowestFailingIndexExceptionWins) {
 TEST(ParallelPrimitives, NestedCallsRunInlineSerially) {
   // Inner parallel_map from a worker must not re-enter the pool; it runs
   // on the worker thread and still produces correct slots.
+  const ScopedThreads threads{8};
   const auto out = e::parallel_map<double>(
       16,
       [](std::size_t i) {
@@ -145,13 +160,11 @@ TEST(ParallelPrimitives, NestedCallsRunInlineSerially) {
               // nested region must stay on that same thread.
               EXPECT_EQ(e::on_worker_thread(), outer_on_worker);
               return static_cast<double>(i * 8 + j);
-            },
-            {.threads = 8});
+            });
         double acc = 0.0;
         for (const double v : inner) acc += v;
         return acc;
-      },
-      {.threads = 8});
+      });
   for (std::size_t i = 0; i < 16; ++i) {
     double expect = 0.0;
     for (std::size_t j = 0; j < 8; ++j)
@@ -161,6 +174,7 @@ TEST(ParallelPrimitives, NestedCallsRunInlineSerially) {
 }
 
 TEST(ParallelPrimitives, StatefulMakeRunsPerWorkerAndStatePersists) {
+  const ScopedThreads threads{4};
   std::atomic<int> makes{0};
   const auto out = e::parallel_map_stateful<int>(
       64,
@@ -171,8 +185,7 @@ TEST(ParallelPrimitives, StatefulMakeRunsPerWorkerAndStatePersists) {
       [](std::vector<int>& scratch, std::size_t i) {
         scratch.push_back(static_cast<int>(i));
         return static_cast<int>(i) * 2;
-      },
-      {.threads = 4});
+      });
   EXPECT_LE(makes.load(), 4);
   EXPECT_GE(makes.load(), 1);
   for (std::size_t i = 0; i < 64; ++i)
@@ -182,11 +195,11 @@ TEST(ParallelPrimitives, StatefulMakeRunsPerWorkerAndStatePersists) {
 TEST(ParallelPrimitives, FailingMakePropagates) {
   // At width 4 every worker's make() throws on its first claim; the
   // region still terminates and the error reaches the caller.
+  const ScopedThreads threads{4};
   EXPECT_THROW(
       e::parallel_map_stateful<int>(
           32, []() -> int { throw std::runtime_error("no state"); },
-          [](int&, std::size_t i) { return static_cast<int>(i); },
-          {.threads = 4}),
+          [](int&, std::size_t i) { return static_cast<int>(i); }),
       std::runtime_error);
 }
 
@@ -211,9 +224,9 @@ double skewed_term(std::size_t i) {
 TEST(StealingPrimitives, MapFillsEverySlot) {
   for (const std::size_t width :
        {std::size_t{3}, std::size_t{5}, std::size_t{7}}) {
+    const ScopedThreads threads{width};
     const auto out = e::parallel_map<double>(
-        1000, [](std::size_t i) { return skewed_term(i); },
-        {.threads = width});
+        1000, [](std::size_t i) { return skewed_term(i); });
     ASSERT_EQ(out.size(), 1000u);
     for (std::size_t i = 0; i < out.size(); ++i)
       EXPECT_EQ(out[i], skewed_term(i)) << "width " << width << " slot " << i;
@@ -225,8 +238,8 @@ TEST(StealingPrimitives, SumFoldsInSerialOrder) {
   for (std::size_t i = 0; i < 5000; ++i) serial += skewed_term(i);
   for (const std::size_t width :
        {std::size_t{3}, std::size_t{5}, std::size_t{7}}) {
-    EXPECT_EQ(e::parallel_sum(5000, skewed_term, {.threads = width}), serial)
-        << "width " << width;
+    const ScopedThreads threads{width};
+    EXPECT_EQ(ordered_sum(5000, skewed_term), serial) << "width " << width;
   }
 }
 
@@ -235,17 +248,15 @@ TEST(StealingPrimitives, LowestFailingIndexExceptionWins) {
   // throws at 63 first; the lower index must still win.
   for (const std::size_t width :
        {std::size_t{3}, std::size_t{5}, std::size_t{7}}) {
+    const ScopedThreads threads{width};
     std::atomic<int> attempted{0};
     try {
-      e::parallel_for(
-          100,
-          [&](std::size_t i) {
-            attempted.fetch_add(1, std::memory_order_relaxed);
-            skewed_term(i);
-            if (i == 2 || i == 63)
-              throw std::runtime_error("boom at " + std::to_string(i));
-          },
-          {.threads = width});
+      for_each_index(100, [&](std::size_t i) {
+        attempted.fetch_add(1, std::memory_order_relaxed);
+        skewed_term(i);
+        if (i == 2 || i == 63)
+          throw std::runtime_error("boom at " + std::to_string(i));
+      });
       FAIL() << "expected a throw at width " << width;
     } catch (const std::runtime_error& err) {
       EXPECT_STREQ(err.what(), "boom at 2") << "width " << width;
@@ -257,6 +268,7 @@ TEST(StealingPrimitives, LowestFailingIndexExceptionWins) {
 TEST(StealingPrimitives, NestedCallsRunInlineSerially) {
   // The slow outer indices keep their workers inside a nested region
   // while the rest of the pool finishes the outer range.
+  const ScopedThreads threads{5};
   const auto out = e::parallel_map<double>(
       12,
       [](std::size_t i) {
@@ -266,13 +278,11 @@ TEST(StealingPrimitives, NestedCallsRunInlineSerially) {
             [&](std::size_t j) {
               EXPECT_EQ(e::on_worker_thread(), outer_on_worker);
               return skewed_term(i) + static_cast<double>(j);
-            },
-            {.threads = 8});
+            });
         double acc = 0.0;
         for (const double v : inner) acc += v;
         return acc;
-      },
-      {.threads = 5});
+      });
   for (std::size_t i = 0; i < 12; ++i) {
     double expect = 0.0;
     for (std::size_t j = 0; j < 8; ++j)
@@ -284,6 +294,7 @@ TEST(StealingPrimitives, NestedCallsRunInlineSerially) {
 TEST(StealingPrimitives, StatefulMakeRunsAtMostOncePerWorker) {
   // Each state records the indices it served; together they must cover
   // the range exactly once however the claims were spread.
+  const ScopedThreads threads{4};
   std::atomic<int> makes{0};
   std::vector<std::atomic<int>> served(64);
   struct Scratch {
@@ -298,8 +309,7 @@ TEST(StealingPrimitives, StatefulMakeRunsAtMostOncePerWorker) {
       [](Scratch& scratch, std::size_t i) {
         (*scratch.served)[i].fetch_add(1, std::memory_order_relaxed);
         return skewed_term(i);
-      },
-      {.threads = 4});
+      });
   EXPECT_LE(makes.load(), 4);
   EXPECT_GE(makes.load(), 1);
   for (std::size_t i = 0; i < 64; ++i) {
@@ -311,17 +321,16 @@ TEST(StealingPrimitives, StatefulMakeRunsAtMostOncePerWorker) {
 TEST(StealingPrimitives, EmptyAndSingletonRanges) {
   // With no work no state is made; with one index the width collapses to
   // the serial path and exactly one state is made.
+  const ScopedThreads threads{8};
   std::atomic<int> makes{0};
   auto make = [&] {
     makes.fetch_add(1, std::memory_order_relaxed);
     return 0;
   };
   auto body = [](int&, std::size_t i) { return skewed_term(i); };
-  EXPECT_TRUE(
-      e::parallel_map_stateful<double>(0, make, body, {.threads = 8}).empty());
+  EXPECT_TRUE(e::parallel_map_stateful<double>(0, make, body).empty());
   EXPECT_EQ(makes.load(), 0);
-  const auto one =
-      e::parallel_map_stateful<double>(1, make, body, {.threads = 8});
+  const auto one = e::parallel_map_stateful<double>(1, make, body);
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0], skewed_term(0));
   EXPECT_EQ(makes.load(), 1);
@@ -330,6 +339,7 @@ TEST(StealingPrimitives, EmptyAndSingletonRanges) {
 // ---- guided cursor ----------------------------------------------------
 
 TEST(GuidedCursor, ClaimsShrinkAndCoverEveryIndexExactlyOnce) {
+  const ScopedThreads threads{8};
   lv::obs::set_enabled(true);
   auto& claims = lv::obs::Registry::global().counter(
       "exec.pool.chunks_claimed", lv::obs::Stability::scheduling);
@@ -355,10 +365,9 @@ TEST(GuidedCursor, ClaimsShrinkAndCoverEveryIndexExactlyOnce) {
     // claim counter exactly once per claim of that sequence.
     std::vector<std::atomic<int>> ran(n);
     const std::uint64_t before = claims.value();
-    e::parallel_for(
-        n,
-        [&](std::size_t i) { ran[i].fetch_add(1, std::memory_order_relaxed); },
-        {.threads = 8});
+    for_each_index(n, [&](std::size_t i) {
+      ran[i].fetch_add(1, std::memory_order_relaxed);
+    });
     EXPECT_EQ(claims.value() - before, sizes.size()) << "n " << n;
     for (std::size_t i = 0; i < n; ++i)
       ASSERT_EQ(ran[i].load(), 1) << "n " << n << " index " << i;
@@ -382,6 +391,7 @@ TEST(ChunkedCursor, TinyNWithLargeWidthClaimsExactlyCeilChunks) {
   // For n <= 4 * width every claim is a single index, so a region of n
   // indices makes exactly n claims: no zero-length trailing claim from a
   // worker that arrives after the cursor reached n.
+  const ScopedThreads threads{8};
   lv::obs::set_enabled(true);
   auto& claims = lv::obs::Registry::global().counter(
       "exec.pool.chunks_claimed", lv::obs::Stability::scheduling);
@@ -390,9 +400,8 @@ TEST(ChunkedCursor, TinyNWithLargeWidthClaimsExactlyCeilChunks) {
                               std::size_t{17}, std::size_t{32}}) {
     const std::uint64_t before = claims.value();
     std::atomic<int> ran{0};
-    e::parallel_for(
-        n, [&](std::size_t) { ran.fetch_add(1, std::memory_order_relaxed); },
-        {.threads = 8});
+    for_each_index(
+        n, [&](std::size_t) { ran.fetch_add(1, std::memory_order_relaxed); });
     EXPECT_EQ(ran.load(), static_cast<int>(n));
     EXPECT_EQ(claims.value() - before, n) << "n " << n;
   }
@@ -422,70 +431,6 @@ TEST(ThreadPoolConfig, EnvironmentWidthOutsideTheBoundFallsBack) {
     ::setenv("LVSIM_THREADS", restore.c_str(), 1);
   else
     ::unsetenv("LVSIM_THREADS");
-}
-
-// ---- SweepGrid --------------------------------------------------------
-
-TEST(SweepGrid, OneDimensionalIndexing) {
-  const e::SweepGrid grid = e::SweepGrid::linear(0.0, 1.0, 5);
-  EXPECT_FALSE(grid.is_2d());
-  ASSERT_EQ(grid.size(), 5u);
-  for (std::size_t i = 0; i < 5; ++i) {
-    const auto p = grid.at(i);
-    EXPECT_EQ(p.index, i);
-    EXPECT_EQ(p.ix, i);
-    EXPECT_EQ(p.iy, 0u);
-    EXPECT_EQ(p.x, grid.x_axis()[i]);
-    EXPECT_EQ(p.y, 0.0);
-  }
-}
-
-TEST(SweepGrid, TwoDimensionalRowMajorFastX) {
-  const e::SweepGrid grid{{1.0, 2.0, 3.0}, {10.0, 20.0}};
-  EXPECT_TRUE(grid.is_2d());
-  ASSERT_EQ(grid.size(), 6u);
-  // Row-major: y outer, x fast.
-  const std::size_t want_ix[] = {0, 1, 2, 0, 1, 2};
-  const std::size_t want_iy[] = {0, 0, 0, 1, 1, 1};
-  for (std::size_t i = 0; i < 6; ++i) {
-    const auto p = grid.at(i);
-    EXPECT_EQ(p.ix, want_ix[i]);
-    EXPECT_EQ(p.iy, want_iy[i]);
-    EXPECT_EQ(p.x, grid.x_axis()[p.ix]);
-    EXPECT_EQ(p.y, grid.y_axis()[p.iy]);
-  }
-}
-
-TEST(SweepGrid, LogarithmicAxisMatchesLogspace) {
-  const auto grid = e::SweepGrid::logarithmic(1e-5, 1.0, 11);
-  const auto want = lv::util::logspace(1e-5, 1.0, 11);
-  ASSERT_EQ(grid.x_axis().size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i)
-    EXPECT_EQ(grid.x_axis()[i], want[i]);
-}
-
-// ---- RNG splitting ----------------------------------------------------
-
-TEST(RngSplit, StreamsAreDeterministicAndWidthIndependent) {
-  auto streams_a = e::split_streams(1234, 6);
-  auto streams_b = e::split_streams(1234, 6);
-  ASSERT_EQ(streams_a.size(), 6u);
-  for (std::size_t k = 0; k < 6; ++k)
-    for (int draw = 0; draw < 16; ++draw)
-      EXPECT_EQ(streams_a[k].next_u64(), streams_b[k].next_u64());
-  // stream_for_task(k) equals split_streams(...)[k].
-  auto streams_c = e::split_streams(99, 4);
-  for (std::size_t k = 0; k < 4; ++k) {
-    auto solo = e::stream_for_task(99, k);
-    for (int draw = 0; draw < 16; ++draw)
-      EXPECT_EQ(solo.next_u64(), streams_c[k].next_u64());
-  }
-}
-
-TEST(RngSplit, StreamsDiffer) {
-  auto streams = e::split_streams(42, 3);
-  EXPECT_NE(streams[0].next_u64(), streams[1].next_u64());
-  EXPECT_NE(streams[1].next_u64(), streams[2].next_u64());
 }
 
 // ---- figure pipelines: bit-identical across widths --------------------
@@ -621,15 +566,16 @@ TEST(SweepDeterminism, CharacterizeIvSweeps) {
 // ones at 2 and 8.
 template <class Fn, class Eq>
 void expect_same_at_odd_widths(Fn&& fn, Eq&& eq) {
-  e::set_thread_count(1);
-  const auto reference = fn();
+  const auto reference = [&] {
+    const ScopedThreads serial{1};
+    return fn();
+  }();
   for (const std::size_t width :
        {std::size_t{3}, std::size_t{5}, std::size_t{7}}) {
-    e::set_thread_count(width);
+    const ScopedThreads threads{width};
     const auto got = fn();
     eq(reference, got, width);
   }
-  e::set_thread_count(0);
 }
 
 TEST(ScheduleDeterminism, FaultCampaignBothKernels) {

@@ -15,6 +15,7 @@
 #include "exec/thread_pool.hpp"
 #include "obs/run_report.hpp"
 #include "opt/voltage_opt.hpp"
+#include "scoped_threads.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
@@ -23,6 +24,7 @@
 #include "util/numeric.hpp"
 
 namespace o = lv::obs;
+using lv::test::ScopedThreads;
 
 namespace {
 
@@ -257,7 +259,7 @@ namespace {
 template <class Fn>
 void expect_deterministic_report(Fn&& pipeline) {
   auto run_at = [&](std::size_t width) {
-    lv::exec::set_thread_count(width);
+    const ScopedThreads threads{width};
     o::Registry::global().reset();
     pipeline();
     return o::Registry::global().report();
@@ -277,7 +279,6 @@ void expect_deterministic_report(Fn&& pipeline) {
       EXPECT_EQ(gh.total, h.total) << name << " width " << width;
     }
   }
-  lv::exec::set_thread_count(0);  // restore the default
 }
 
 }  // namespace
@@ -302,9 +303,10 @@ TEST_F(Obs, Fo1MemoCountersAreSchedulingCounters) {
   // the thresholds split across workers: scheduling section only.
   const auto tech = lv::tech::soi_low_vt();
   const lv::timing::RingOscillator ring{101};
-  lv::exec::set_thread_count(1);
-  lv::opt::optimize_vt(tech, ring, 5e6, 1.0, 0.05, 0.55, 26);
-  lv::exec::set_thread_count(0);
+  {
+    const ScopedThreads serial{1};
+    lv::opt::optimize_vt(tech, ring, 5e6, 1.0, 0.05, 0.55, 26);
+  }
   const o::RunReport r = o::Registry::global().report();
   for (const char* name : {"opt.fo1_memo.hits", "opt.fo1_memo.misses"}) {
     EXPECT_EQ(r.counters.count(name), 0u) << name;
@@ -354,15 +356,17 @@ namespace {
 template <class Drive>
 void simulate_per_seed(const lv::circuit::Netlist& nl, Drive&& drive) {
   const auto graph = lv::sim::SimGraph::compile(nl);
-  lv::exec::parallel_for(4, [&](std::size_t seed) {
-    lv::sim::Simulator sim{graph};
-    const auto vecs = lv::sim::random_vectors(
-        32, static_cast<int>(nl.primary_inputs().size()), 9 + seed);
-    for (const auto v : vecs) {
-      drive(sim, v);
-      sim.settle();
-    }
-  });
+  lv::exec::parallel_for_stateful(
+      4, [] { return 0; },
+      [&](int&, std::size_t seed) {
+        lv::sim::Simulator sim{graph};
+        const auto vecs = lv::sim::random_vectors(
+            32, static_cast<int>(nl.primary_inputs().size()), 9 + seed);
+        for (const auto v : vecs) {
+          drive(sim, v);
+          sim.settle();
+        }
+      });
 }
 
 }  // namespace

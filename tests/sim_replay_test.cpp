@@ -19,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "reference_simulator.hpp"
+#include "scoped_threads.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
 #include "util/error.hpp"
@@ -26,6 +27,7 @@
 namespace c = lv::circuit;
 namespace o = lv::obs;
 namespace s = lv::sim;
+using lv::test::ScopedThreads;
 
 namespace {
 
@@ -129,9 +131,10 @@ TEST_F(SimReplay, StatsAndCounterSectionMatchOracleAtEveryWidth) {
       o::RunReport serial;
       for (const std::size_t width : kWidths) {
         SCOPED_TRACE(::testing::Message() << "width " << width);
+        const ScopedThreads threads{width};
         o::Registry::global().reset();
-        const s::ActivityStats got = s::replay_vectors(
-            start, f.nl.primary_inputs(), vecs, {.threads = width});
+        const s::ActivityStats got =
+            s::replay_vectors(start, f.nl.primary_inputs(), vecs);
         expect_equal(got, want);
         const o::RunReport r = o::Registry::global().report();
         if (width == 1) {
@@ -175,8 +178,8 @@ TEST_F(SimReplay, SerialCountersMatchAHandWrittenLoop) {
   const auto want = sim_counters();
 
   o::Registry::global().reset();
-  const auto got = s::replay_vectors(start, nl.primary_inputs(), vecs,
-                                     {.threads = 4});
+  const ScopedThreads threads{4};
+  const auto got = s::replay_vectors(start, nl.primary_inputs(), vecs);
   const auto counters = sim_counters();
   EXPECT_GT(counters.at("sim.events_processed"), 0u);
   EXPECT_EQ(counters, want);
@@ -192,19 +195,22 @@ TEST_F(SimReplay, SeatsOnlyWhenSplitAcrossWorkers) {
   c::build_ripple_carry_adder(nl, 8);
   const auto vecs = s::random_vectors(20000, 16, 3);
   const s::Simulator start = primed(nl, {});
-  s::replay_vectors(start, nl.primary_inputs(), vecs, {.threads = 1});
+  {
+    const ScopedThreads threads{1};
+    s::replay_vectors(start, nl.primary_inputs(), vecs);
+  }
   EXPECT_EQ(seats(), 0u);
-  s::replay_vectors(start, nl.primary_inputs(), vecs, {.threads = 4});
+  const ScopedThreads threads{4};
+  s::replay_vectors(start, nl.primary_inputs(), vecs);
   EXPECT_GT(seats(), 0u);
   // A replay nested in a parallel region (a server request) runs inline
   // on its worker: no split, no seats.
   o::Registry::global().reset();
-  lv::exec::parallel_for(
-      2,
-      [&](std::size_t) {
-        s::replay_vectors(start, nl.primary_inputs(), vecs, {.threads = 4});
-      },
-      {.threads = 2});
+  lv::exec::parallel_for_stateful(
+      2, [] { return 0; },
+      [&](int&, std::size_t) {
+        s::replay_vectors(start, nl.primary_inputs(), vecs);
+      });
   EXPECT_EQ(seats(), 0u);
 }
 
@@ -226,15 +232,29 @@ TEST_F(SimReplay, ClockedNetlistReplaysSeriallyLikeTheLoop) {
     loop.set_bus(inputs, v);
     loop.clock_cycle();
   }
+  // A clocked replay runs in a plain loop: at no width does the pool
+  // start a generation, and nothing is seated.
+  const auto& generations = o::Registry::global().counter(
+      "exec.pool.generations", o::Stability::scheduling);
+  const std::uint64_t before = generations.value();
   for (const std::size_t width : kWidths) {
-    const auto got = s::replay_vectors(start, inputs, vecs, {.threads = width});
+    const ScopedThreads threads{width};
+    const auto got = s::replay_vectors(start, inputs, vecs);
     ASSERT_EQ(got.cycles(), loop.stats().cycles());
     for (c::NetId n = 0; n < nl.net_count(); ++n) {
       ASSERT_EQ(got.transitions(n), loop.stats().transitions(n)) << n;
       ASSERT_EQ(got.settled_changes(n), loop.stats().settled_changes(n)) << n;
     }
   }
+  EXPECT_EQ(generations.value(), before);
   EXPECT_EQ(seats(), 0u);
+  // The counter is live: a combinational replay at width 4 opens one.
+  c::Netlist rca;
+  c::build_ripple_carry_adder(rca, 8);
+  const ScopedThreads threads{4};
+  s::replay_vectors(primed(rca, {}), rca.primary_inputs(),
+                    s::random_vectors(200, 16, 3));
+  EXPECT_EQ(generations.value(), before + 1);
 }
 
 TEST_F(SimReplay, ErrorIsTheLowestFailingIndexAtEveryWidth) {
@@ -271,13 +291,48 @@ TEST_F(SimReplay, ErrorIsTheLowestFailingIndexAtEveryWidth) {
   const s::Simulator start = primed(nl, s::SimConfig{budget});
   for (const std::size_t width : kWidths) {
     SCOPED_TRACE(::testing::Message() << "width " << width);
+    const ScopedThreads threads{width};
     try {
-      s::replay_vectors(start, nl.primary_inputs(), vecs, {.threads = width});
+      s::replay_vectors(start, nl.primary_inputs(), vecs);
       FAIL() << "expected the budget to trip";
     } catch (const lv::check::InputError& e) {
       EXPECT_EQ(e.code(), lv::check::codes::sim_event_budget);
       EXPECT_EQ(std::string{e.what()}.rfind(want, 0), 0u) << e.what();
     }
+  }
+}
+
+TEST_F(SimReplay, ClockedBudgetErrorNamesTheVector) {
+  // Primed with every input at 1 and the flops at 0, each input
+  // register's D and Q differ, so vector 0's clock edge sets off a
+  // larger settle than the constructor and the priming drained together.
+  // A budget of exactly that many events trips on vector 0, and the
+  // serial loop wraps the coded error as the parallel path does.
+  c::Netlist mac;
+  c::build_pipelined_mac(mac, 4, "mac");
+  const c::Bus inputs = mac.primary_inputs();
+  const std::uint64_t ones = (std::uint64_t{1} << inputs.size()) - 1;
+  const auto prime = [&](s::Simulator& sim) {
+    sim.set_bus(inputs, ones);
+    sim.reset_flops(c::Logic::zero);
+    sim.settle();
+  };
+  auto& processed = o::Registry::global().counter("sim.events_processed");
+  const std::uint64_t before = processed.value();
+  s::Simulator twin{mac};
+  prime(twin);
+  const std::uint64_t budget = processed.value() - before;
+  s::Simulator start{mac, s::SimConfig{budget}};
+  prime(start);
+  const std::vector<std::uint64_t> vecs{ones, 0, ones};
+  const ScopedThreads threads{4};
+  try {
+    s::replay_vectors(start, inputs, vecs);
+    FAIL() << "expected the budget to trip";
+  } catch (const lv::check::InputError& e) {
+    EXPECT_EQ(e.code(), lv::check::codes::sim_event_budget);
+    EXPECT_EQ(std::string{e.what()}.rfind("replay vector 0: ", 0), 0u)
+        << e.what();
   }
 }
 

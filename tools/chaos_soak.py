@@ -2,7 +2,7 @@
 """Chaos soak for `lvtool serve` — fault injection under load.
 
 Runs the same deterministic request schedule twice against a real server
-process (independent lvrpc/1 implementation, like serve_soak.py):
+process (through serve_soak.py's lvrpc/1 codec):
 
   1. a clean cycle: no failpoints, responses recorded per (client, index);
   2. a chaos cycle: LVSIM_FAILPOINTS arms every store/svc injection site
@@ -36,17 +36,28 @@ import os
 import random
 import shutil
 import socket
-import struct
 import subprocess
 import sys
 import threading
 import time
 
-MAGIC = b"LVF1"
-VERSION = 1
-HEADER = struct.Struct("<4sIIIQ")  # magic, version, kind, payload_len, id
-
-HELLO, HELLO_OK, REQUEST, RESPONSE, ERROR, SHUTDOWN, SHUTDOWN_OK = range(1, 8)
+# The lvrpc/1 frame and payload codec is serve_soak's; this tool keeps
+# its own connection class, which raises Dropped instead of asserting.
+from serve_soak import (
+    ERROR,
+    HEADER,
+    HELLO,
+    HELLO_OK,
+    MAGIC,
+    REQUEST,
+    RESPONSE,
+    SHUTDOWN,
+    SHUTDOWN_OK,
+    VERSION,
+    decode_response,
+    encode_request,
+    frame,
+)
 
 # The site registry contract. Must match tests/failpoint_test.cpp
 # (RegistryListsEveryCompiledSite) and docs/RESILIENCE.md; `lvtool
@@ -126,59 +137,6 @@ def variant_for(client, index, seed):
     return VARIANTS[(client * 7919 + index * 104729 + seed) % len(VARIANTS)]
 
 
-def frame(kind, request_id, payload=b""):
-    return HEADER.pack(MAGIC, VERSION, kind, len(payload), request_id) + payload
-
-
-def put_str(buf, data):
-    buf += struct.pack("<I", len(data)) + data
-
-
-def encode_request(op, positional=(), options=(), inputs=(), deadline_ms=0):
-    buf = bytearray()
-    put_str(buf, op)
-    buf += struct.pack("<I", deadline_ms)
-    buf += struct.pack("<I", len(options))
-    for key, value in options:
-        put_str(buf, key)
-        put_str(buf, value)
-    buf += struct.pack("<I", len(positional))
-    for pos in positional:
-        put_str(buf, pos)
-    buf += struct.pack("<I", len(inputs))
-    for role, content in inputs:
-        put_str(buf, role)
-        put_str(buf, content)
-    return bytes(buf)
-
-
-class Cursor:
-    def __init__(self, data):
-        self.data, self.pos = data, 0
-
-    def u32(self):
-        (v,) = struct.unpack_from("<I", self.data, self.pos)
-        self.pos += 4
-        return v
-
-    def str(self):
-        n = self.u32()
-        s = self.data[self.pos : self.pos + n]
-        assert len(s) == n, "truncated string in response payload"
-        self.pos += n
-        return s
-
-
-def decode_response(payload):
-    c = Cursor(payload)
-    exit_code = c.u32()
-    out, err = c.str(), c.str()
-    files = [(c.str(), c.str()) for _ in range(c.u32())]
-    diag_json, report_json = c.str(), c.str()
-    assert c.pos == len(payload), "trailing bytes in response payload"
-    return exit_code, out, err, tuple(files), diag_json, report_json
-
-
 class Dropped(Exception):
     """The connection died mid-exchange — retryable under chaos."""
 
@@ -228,7 +186,10 @@ class Conn:
         assert kind == RESPONSE and got_rid == rid, (
             f"bad reply kind={kind} rid={got_rid}"
         )
-        return decode_response(reply)
+        exit_code, out, err, files, diag_json, report_json = decode_response(
+            reply
+        )
+        return exit_code, out, err, tuple(files), diag_json, report_json
 
 
 def run_one(path, rid, payload, chaos, jitter):
