@@ -64,8 +64,8 @@ void run_events(const std::shared_ptr<const lv::sim::SimGraph>& graph,
 
 // One levelized pass, as the fault kernel runs its good machine: every
 // net starts X, the inputs carry a lane pattern, and each combinational
-// instance is evaluated once through the graph's (possibly forged) word
-// plan.
+// instance is evaluated once through its (possibly forged) kind and
+// pins.
 void run_words(const lv::sim::SimGraph& graph,
                const lv::circuit::Netlist& nl) {
   std::vector<lv::sim::LogicW> values(graph.net_count());
@@ -74,7 +74,7 @@ void run_words(const lv::sim::SimGraph& graph,
     values[inputs[i]] = {(~std::uint64_t{0} << 7) >> (i % 5), 0};
   lv::sim::WordEvaluator eval{graph};
   for (const lv::circuit::InstanceId id : nl.topo_order())
-    if (graph.word_ops()[id] != lv::sim::SimGraph::kWordSequential)
+    if (graph.nodes()[id].sequential == 0)
       values[graph.nodes()[id].output] = eval.evaluate(id, values.data());
 }
 

@@ -51,6 +51,9 @@ inline constexpr char act_zero_cycles[] = "act.zero_cycles";  // counts with cyc
 // ---- simulation --------------------------------------------------------
 inline constexpr char sim_event_budget[] =
     "sim.event_budget";  // a settle ran past SimConfig::max_events_per_settle
+inline constexpr char sim_stimulus[] =
+    "sim.stimulus";  // netlist random stimulus cannot drive (0 or > 64 inputs,
+                     // flops for faults)
 
 // ---- guarded numerics (analysis engines) ------------------------------
 inline constexpr char power_nonfinite[] = "power.nonfinite";

@@ -1,39 +1,10 @@
 #include "check/diag.hpp"
 
-#include <cstdio>
 #include <sstream>
 
+#include "util/json.hpp"
+
 namespace lv::check {
-
-namespace {
-
-// Same escaping rules as obs/run_report.cpp: enough for valid JSON from
-// arbitrary code/message/path bytes.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string Diag::to_string() const {
   std::ostringstream out;
@@ -92,12 +63,12 @@ std::string DiagSink::to_json(bool pretty) const {
   for (std::size_t i = 0; i < diags_.size(); ++i) {
     const Diag& d = diags_[i];
     out << ind2 << "{\"severity\":" << sp << '"' << to_string(d.severity)
-        << "\"," << sp << "\"code\":" << sp << '"' << json_escape(d.code)
-        << "\"," << sp << "\"message\":" << sp << '"'
-        << json_escape(d.message) << '"';
+        << "\"," << sp << "\"code\":" << sp << '"'
+        << util::json_escape(d.code) << "\"," << sp << "\"message\":" << sp
+        << '"' << util::json_escape(d.message) << '"';
     if (!d.loc.file.empty())
-      out << ',' << sp << "\"file\":" << sp << '"' << json_escape(d.loc.file)
-          << '"';
+      out << ',' << sp << "\"file\":" << sp << '"'
+          << util::json_escape(d.loc.file) << '"';
     if (d.loc.line > 0) out << ',' << sp << "\"line\":" << sp << d.loc.line;
     out << '}' << (i + 1 < diags_.size() ? "," : "") << nl;
   }

@@ -121,6 +121,9 @@ class TechChecker {
         {"high_vt_offset", t_.high_vt_offset},
         {"standby_body_bias", t_.standby_body_bias},
         {"temp_k", t_.temp_k},
+        {"soias.t_si", t_.soias_geometry.t_si},
+        {"soias.t_box", t_.soias_geometry.t_box},
+        {"soias.t_fox", t_.soias_geometry.t_fox},
     };
     for (const Field& f : scalars)
       if (!std::isfinite(f.value)) nonfinite(f.name, f.value);

@@ -495,25 +495,6 @@ ComparatorPorts build_equality_comparator(Netlist& nl, int width,
   return ports;
 }
 
-NetId build_parity_tree(Netlist& nl, const Bus& bits,
-                        const std::string& module) {
-  u::require(!bits.empty(), "parity: need at least one bit");
-  std::vector<NetId> cur = bits;
-  int round = 0;
-  while (cur.size() > 1) {
-    std::vector<NetId> next;
-    for (std::size_t i = 0; i + 1 < cur.size(); i += 2)
-      next.push_back(nl.add_gate(CellKind::xor2,
-                                 module + "_x" + std::to_string(round) + "_" +
-                                     std::to_string(i / 2),
-                                 {cur[i], cur[i + 1]}, module));
-    if (cur.size() % 2) next.push_back(cur.back());
-    cur = std::move(next);
-    ++round;
-  }
-  return cur.front();
-}
-
 RegisterPorts build_register_bank(Netlist& nl, CellKind style, int width,
                                   const std::string& module, Bus d,
                                   bool mark_outputs) {

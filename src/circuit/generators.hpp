@@ -1,7 +1,7 @@
 // Parameterized netlist generators for the benchmark datapaths the paper
 // profiles: adders (the 8-bit ripple-carry adder of Figs. 8-9), an array
 // multiplier and a barrel shifter (the functional units of Tables 1-3 and
-// Fig. 10), plus registers (Fig. 1), comparators and trees used by tests.
+// Fig. 10), plus registers (Fig. 1) and comparators used by tests.
 //
 // Buses are LSB-first vectors of NetId. Generators either create fresh
 // primary inputs (when given empty buses) or build onto caller nets.
@@ -112,10 +112,6 @@ struct ComparatorPorts {
 ComparatorPorts build_equality_comparator(Netlist& nl, int width,
                                           const std::string& module = "cmp",
                                           Bus a = {}, Bus b = {});
-
-// XOR reduction tree; returns the parity net.
-NetId build_parity_tree(Netlist& nl, const Bus& bits,
-                        const std::string& module = "parity");
 
 struct RegisterPorts {
   Bus d;

@@ -4,35 +4,11 @@
 #include <cstdio>
 #include <sstream>
 
+#include "util/json.hpp"
+
 namespace lv::obs {
 
 namespace {
-
-// Metric names are dotted identifiers, but escape defensively so the
-// output is valid JSON for any registered name.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string json_double(double v) {
   if (!std::isfinite(v)) return "null";  // JSON has no inf/nan
@@ -55,7 +31,7 @@ class Json {
   void field(const std::string& key, const std::string& raw_value) {
     comma();
     newline_indent();
-    out_ << '"' << json_escape(key) << "\":" << (pretty_ ? " " : "")
+    out_ << '"' << util::json_escape(key) << "\":" << (pretty_ ? " " : "")
          << raw_value;
     need_comma_ = true;
   }
@@ -73,7 +49,7 @@ class Json {
     comma();
     newline_indent();
     if (!key.empty())
-      out_ << '"' << json_escape(key) << "\":" << (pretty_ ? " " : "");
+      out_ << '"' << util::json_escape(key) << "\":" << (pretty_ ? " " : "");
     out_ << brace;
     ++depth_;
     need_comma_ = false;

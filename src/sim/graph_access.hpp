@@ -33,10 +33,6 @@ struct GraphAccess {
   static std::vector<circuit::InstanceId>& eval_list(SimGraph& g) {
     return g.eval_list_;
   }
-  static std::vector<SimGraph::Lut>& luts(SimGraph& g) { return g.luts_; }
-  static std::vector<std::uint8_t>& word_ops(SimGraph& g) {
-    return g.word_ops_;
-  }
   static std::vector<circuit::InstanceId>& sequential(SimGraph& g) {
     return g.sequential_;
   }
@@ -49,12 +45,6 @@ struct GraphAccess {
   static const std::vector<std::uint8_t>& net_is_input(const SimGraph& g) {
     return g.net_is_input_;
   }
-
-  // The per-process static compile tables (defined in sim_graph.cpp):
-  // the LUT bank every compiled graph shares, and the set of cell kinds
-  // whose direct word operator passed exhaustive verification.
-  static const std::vector<SimGraph::Lut>& builtin_luts();
-  static bool word_direct_verified(circuit::CellKind kind);
 };
 
 }  // namespace lv::sim::detail

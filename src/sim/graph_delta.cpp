@@ -98,22 +98,13 @@ std::shared_ptr<const SimGraph> recompile_incremental(
   GA::input_nets(*g) = base_graph.input_nets();
   GA::eval_offsets(*g) = base_graph.eval_offsets();
   GA::eval_list(*g) = base_graph.eval_list();
-  GA::luts(*g) = GA::builtin_luts();
-  GA::word_ops(*g) = base_graph.word_ops();
   GA::sequential(*g) = base_graph.sequential_instances();
   GA::tie_inits(*g) = base_graph.tie_inits();
   GA::net_is_input(*g) = GA::net_is_input(base_graph);
 
   auto& nodes = GA::nodes(*g);
-  for (const InstanceId i : delta.changed) {
-    const auto& inst = edited.instance(i);
-    const CellInfo& info = circuit::cell_info(inst.kind);
-    nodes[i].kind = static_cast<std::uint8_t>(inst.kind);
-    GA::word_ops(*g)[i] = info.sequential ? SimGraph::kWordSequential
-                          : GA::word_direct_verified(inst.kind)
-                              ? static_cast<std::uint8_t>(inst.kind)
-                              : SimGraph::kWordLut;
-  }
+  for (const InstanceId i : delta.changed)
+    nodes[i].kind = static_cast<std::uint8_t>(edited.instance(i).kind);
 
   if (arity_changed) {
     // Pin spans shift: relay the flat input array in instance order,

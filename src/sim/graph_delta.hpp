@@ -7,11 +7,11 @@
 // outputs, modules) — the only differences are per-instance cell kinds
 // and input wiring, and the compiled graph can be produced by copying
 // the base graph's arrays and patching exactly what the edit touched:
-// the changed instances' nodes and word plan, their pin spans, and —
-// when wiring moved — the combinational-consumer CSR. Everything
-// untouched is carried over verbatim, which is what makes the result
-// bit-identical to a from-scratch compile (pinned by
-// sim_incremental_test).
+// the changed instances' nodes (a node's kind is all the word and LUT
+// evaluators read), their pin spans, and — when wiring moved — the
+// combinational-consumer CSR. Everything untouched is carried over
+// verbatim, which is what makes the result bit-identical to a
+// from-scratch compile (pinned by sim_incremental_test).
 //
 // recompile_incremental returns nullptr whenever the edit falls outside
 // that envelope (misaligned netlists, a combinational<->sequential kind

@@ -18,6 +18,14 @@ lv::failpoint::Site fp_graph_decode{"sim.graph_decode"};
 // A blob of any other version is refused; callers recompile.
 constexpr std::uint32_t kGraphVersion = 2;
 
+// The blob holds one word-plan byte per node, derived from the node:
+// its CellKind, or this marker for a flop.
+constexpr std::uint8_t kWordSequential = 0xfd;
+
+std::uint8_t word_op(const SimGraph::Node& node) {
+  return node.sequential != 0 ? kWordSequential : node.kind;
+}
+
 void put_u32_vec(util::ByteWriter& w, const std::vector<std::uint32_t>& v) {
   w.u64(v.size());
   for (const std::uint32_t x : v) w.u32(x);
@@ -48,8 +56,8 @@ std::string encode_graph(const SimGraph& g) {
   put_u32_vec(w, g.input_nets());
   put_u32_vec(w, g.eval_offsets());
   put_u32_vec(w, g.eval_list());
-  w.u64(g.word_ops().size());
-  for (const std::uint8_t op : g.word_ops()) w.u8(op);
+  w.u64(g.instance_count());
+  for (const auto& node : g.nodes()) w.u8(word_op(node));
   w.u64(g.tie_inits().size());
   for (const auto& tie : g.tie_inits()) {
     w.u32(tie.net);
@@ -131,21 +139,14 @@ std::shared_ptr<const SimGraph> decode_graph(const circuit::Netlist& netlist,
   for (const auto inst : eval_list)
     require(inst < inst_count, "graph_io: eval consumer out of range");
 
-  auto& word_ops = GA::word_ops(*g);
   {
     const std::uint64_t n = r.u64();
     require(n == inst_count, "graph_io: word plan size mismatch");
-    word_ops.resize(static_cast<std::size_t>(n));
-    for (std::size_t i = 0; i < word_ops.size(); ++i) {
-      // A node's word op is its own kind or the LUT fallback, or the
-      // sequential marker exactly when the node is sequential.
-      const std::uint8_t op = word_ops[i] = r.u8();
-      const SimGraph::Node& node = nodes[i];
-      require(node.sequential != 0
-                  ? op == SimGraph::kWordSequential
-                  : op == node.kind || op == SimGraph::kWordLut,
+    // Exactly the byte the encoder derives: any other kind's operator
+    // would read pins the node does not have.
+    for (const auto& node : nodes)
+      require(r.u8() == word_op(node),
               "graph_io: word plan op does not fit its node");
-    }
   }
 
   auto& tie_inits = GA::tie_inits(*g);
@@ -174,10 +175,6 @@ std::shared_ptr<const SimGraph> decode_graph(const circuit::Netlist& netlist,
   }
 
   require(r.done(), "graph_io: trailing bytes");
-
-  // The LUT bank is per-process static content, identical for every
-  // graph — reinstall instead of shipping it in the blob.
-  GA::luts(*g) = GA::builtin_luts();
   return g;
 }
 

@@ -2,12 +2,14 @@
 // graphs (lv-graph/2, layout in docs/FORMATS.md).
 //
 // encode_graph flattens the compiled arrays except what the nodes' cell
-// kinds already determine: the LUT bank (a per-process static shared by
-// all graphs, reinstalled on decode), each node's sequential flag and
-// the list of sequential instances (derived from the kinds on decode,
-// as compile does). decode_graph
-// checks every index against the netlist it is being attached to and
-// each node's input count against its cell's arity, and throws
+// kinds already determine: each node's sequential flag and the list of
+// sequential instances are derived from the kinds on decode, as compile
+// does (the LUT bank is per-process data, never part of a graph). The
+// one derived field the layout keeps is a word-plan byte per node: the
+// node's kind, or 0xfd for a flop, and decode accepts no other byte.
+// decode_graph checks every index against the netlist it is being
+// attached to and each node's input count against its cell's arity,
+// and throws
 // util::Error on any inconsistency — the caller treats that as a stale
 // entry and recompiles, so a stale or damaged blob can cost a
 // recompile, never an out-of-bounds index. The checks are structural:

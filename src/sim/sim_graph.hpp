@@ -17,7 +17,10 @@
 //     evaluation is a shift/or gather plus one 256-byte table lookup.
 //     The tables are *built* through circuit::evaluate_cell, which is
 //     what makes the LUT path bit-identical to the interpreted kernel by
-//     construction.
+//     construction. They are per-process constants (luts()), so a
+//     compile, a decode or an incremental recompile copies none of them,
+//     and the 64-lane word evaluation (word_eval.hpp) needs nothing but
+//     each node's kind.
 //
 // Every gate has unit delay: an evaluation at tick t schedules its
 // output at t + 1, so glitches come from path-depth imbalance alone
@@ -51,7 +54,7 @@ class SimGraph {
  public:
   // Inputs to a LUT-evaluated cell pack into 2 bits each (Logic::zero=0,
   // Logic::one=1, Logic::x=2), so 4 inputs index a 256-entry table.
-  // Every combinational library cell fits (kind_luts() enforces it).
+  // Every combinational library cell fits (luts() enforces it).
   static constexpr int kMaxLutInputs = 4;
   using Lut = std::array<circuit::Logic, 256>;
 
@@ -60,15 +63,6 @@ class SimGraph {
   static constexpr std::size_t kMaxNets = std::size_t{1} << 30;
   // Throws a coded InputError (net.too_large) unless `net_count` fits.
   static void require_net_capacity(std::size_t net_count);
-
-  // Word-level evaluation plan (sim::WordEvaluator): word_ops()[i] is
-  // the CellKind evaluated directly as bitwise ops on whole 64-lane
-  // words, or one of the sentinels below. Direct kinds are admitted only
-  // after their word operator is verified against circuit::evaluate_cell
-  // over every 3^k input combination (sim_graph.cpp), so word evaluation
-  // is lane-for-lane identical to the scalar LUTs by construction.
-  static constexpr std::uint8_t kWordLut = 0xfe;         // per-lane LUT path
-  static constexpr std::uint8_t kWordSequential = 0xfd;  // flop: never evaluated
 
   // Per-instance evaluation record (hot: keep it small and flat).
   struct Node {
@@ -112,10 +106,9 @@ class SimGraph {
   }
 
   // One table per CellKind (sequential kinds' tables are never read).
-  const std::vector<Lut>& luts() const { return luts_; }
-
-  // Per-instance word-level plan (see kWordLut / kWordSequential above).
-  const std::vector<std::uint8_t>& word_ops() const { return word_ops_; }
+  // The bank is per-process constant data, built once and shared by
+  // every graph.
+  static const std::vector<Lut>& luts();
 
   const std::vector<circuit::InstanceId>& sequential_instances() const {
     return sequential_;
@@ -147,8 +140,6 @@ class SimGraph {
   std::vector<circuit::NetId> input_nets_;
   std::vector<std::uint32_t> eval_offsets_;
   std::vector<circuit::InstanceId> eval_list_;
-  std::vector<Lut> luts_;
-  std::vector<std::uint8_t> word_ops_;
   std::vector<circuit::InstanceId> sequential_;
   std::vector<TieInit> tie_inits_;
   std::vector<std::uint8_t> net_is_input_;

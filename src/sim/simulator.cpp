@@ -135,7 +135,7 @@ Simulator::Simulator(std::shared_ptr<const SimGraph> graph, SimConfig config)
   in_nets_ = graph_->input_nets().data();
   eval_offsets_ = graph_->eval_offsets().data();
   eval_list_ = graph_->eval_list().data();
-  luts_ = graph_->luts().data();
+  luts_ = SimGraph::luts().data();
   captures_.reserve(graph_->sequential_instances().size());
   // Tie cells establish constants immediately.
   for (const auto& tie : graph_->tie_inits())
@@ -350,10 +350,6 @@ void Simulator::set_module_clock_enable(const std::string& module,
     disabled_modules_.erase(module);
   else
     disabled_modules_.insert(module);
-}
-
-bool Simulator::module_clock_enabled(const std::string& module) const {
-  return disabled_modules_.count(module) == 0;
 }
 
 void Simulator::clear_stats() {

@@ -100,7 +100,6 @@ class Simulator {
 
   const circuit::Netlist& netlist() const { return graph_->netlist(); }
   const SimGraph& graph() const { return *graph_; }
-  std::shared_ptr<const SimGraph> shared_graph() const { return graph_; }
 
   // ---- stimulus ----
   void set_input(circuit::NetId net, circuit::Logic value);
@@ -142,7 +141,6 @@ class Simulator {
   // ---- clock gating (paper Fig. 7: "gated clocks ... shut down the
   // unit to eliminate switching") ----
   void set_module_clock_enable(const std::string& module, bool enabled);
-  bool module_clock_enabled(const std::string& module) const;
 
   // ---- statistics ----
   const ActivityStats& stats() const { return stats_; }

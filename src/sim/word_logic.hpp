@@ -15,12 +15,11 @@
 //
 // The operators below implement the same truth tables as
 // circuit/logic.hpp, evaluated on all 64 lanes at once with a handful of
-// bitwise instructions. They are *verified*, not trusted: SimGraph's
-// word-plan lowering (sim_graph.cpp) checks every candidate direct
-// operator against circuit::evaluate_cell over all 3^k input
-// combinations at process startup and demotes any mismatching cell kind
-// to the per-lane LUT fallback — so every lane of a word evaluation is
-// bit-identical to the scalar LUTs by construction.
+// bitwise instructions. Every combinational cell kind has one, and they
+// are the only word-level evaluation: tests/sim_bitparallel_test.cpp
+// checks each against circuit::evaluate_cell over all 3^k input
+// combinations, with a different combination in every lane, so a wrong
+// or missing operator fails the test suite.
 #pragma once
 
 #include <cstdint>
@@ -108,27 +107,8 @@ constexpr LogicW w_mux(LogicW a, LogicW b, LogicW s) {
 
 // ---- direct word evaluation per cell kind ------------------------------
 
-// True when `kind` has a direct word-level implementation below. Whether
-// a SimGraph actually *uses* it is decided by the verified table in
-// sim_graph.cpp (word_plan()), which checks each implementation against
-// circuit::evaluate_cell before admitting it.
-constexpr bool word_op_candidate(circuit::CellKind kind) {
-  using K = circuit::CellKind;
-  switch (kind) {
-    case K::inv: case K::buf:
-    case K::nand2: case K::nand3: case K::nand4:
-    case K::nor2: case K::nor3: case K::nor4:
-    case K::and2: case K::or2: case K::xor2: case K::xnor2:
-    case K::aoi21: case K::oai21: case K::mux2:
-    case K::tie0: case K::tie1:
-      return true;
-    default:
-      return false;
-  }
-}
-
-// Evaluates a direct-capable combinational cell on all 64 lanes.
-// Precondition: word_op_candidate(kind); `in` holds input_count words.
+// Evaluates a combinational cell on all 64 lanes. `in` holds the cell's
+// input_count words; a sequential kind has no operator and yields X.
 constexpr LogicW word_evaluate_direct(circuit::CellKind kind,
                                       const LogicW* in) {
   using K = circuit::CellKind;

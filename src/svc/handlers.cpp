@@ -119,6 +119,21 @@ store::Key128 process_memo_key(const Request& req, const std::string& name) {
   return h.digest();
 }
 
+// Random stimulus drives every primary input from one 64-bit vector, so a
+// netlist with no inputs or more than 64 is the caller's input error,
+// raised before any simulation work.
+void require_stimulus_inputs(const c::Netlist& nl) {
+  const std::size_t n = nl.primary_inputs().size();
+  if (n == 0)
+    throw chk::InputError(chk::codes::sim_stimulus,
+                          "netlist has no primary inputs");
+  if (n > 64)
+    throw chk::InputError(chk::codes::sim_stimulus,
+                          "netlist has " + std::to_string(n) +
+                              " primary inputs; random stimulus drives at "
+                              "most 64");
+}
+
 // Random stimulus over all primary inputs; returns the accumulated
 // statistics. Runs over the design's shared compiled graph, so a
 // session's repeat simulations skip graph compilation, and replays a
@@ -128,10 +143,9 @@ lv::sim::ActivityStats simulate_random(const Session::Design& design,
                                        std::size_t vectors,
                                        std::uint64_t seed) {
   const c::Netlist& nl = design.netlist();
+  require_stimulus_inputs(nl);
   lv::sim::Simulator sim{design.graph()};
   const c::Bus inputs = nl.primary_inputs();
-  u::require(!inputs.empty(), "netlist has no primary inputs");
-  u::require(inputs.size() <= 64, "more than 64 primary inputs");
   sim.set_bus(inputs, 0);
   if (!nl.sequential_instances().empty())
     sim.reset_flops(c::Logic::zero);
@@ -419,6 +433,11 @@ Response op_faults(ServiceContext& ctx, const Request& req,
   Response r;
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
+  if (!nl.sequential_instances().empty())
+    throw chk::InputError(chk::codes::sim_stimulus,
+                          "faults grades combinational netlists only, and "
+                          "this netlist has flip-flops");
+  require_stimulus_inputs(nl);
   const auto vecs = lv::sim::random_vectors(
       static_cast<std::size_t>(args.integer("--vectors")),
       static_cast<int>(nl.primary_inputs().size()),

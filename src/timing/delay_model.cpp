@@ -27,14 +27,6 @@ double DelayModel::delay_for_load(double c_load, double drive_mult) const {
   return alpha_power_delay(c_load, vdd_, drive_mult, unit_drive_);
 }
 
-double DelayModel::instance_delay(const circuit::Netlist& netlist,
-                                  const circuit::LoadModel& loads,
-                                  circuit::InstanceId instance) const {
-  const auto& inst = netlist.instance(instance);
-  const auto& info = circuit::cell_info(inst.kind);
-  return delay_for_load(loads.net_load(inst.output), info.drive_mult);
-}
-
 double DelayModel::inverter_fo1_delay() const {
   return delay_for_load(fo1_cap_, 1.0);
 }

@@ -17,8 +17,6 @@
 // lv_analysis sits below lv_timing and links no timing code.
 #pragma once
 
-#include "circuit/load_model.hpp"
-#include "circuit/netlist.hpp"
 #include "tech/process.hpp"
 
 namespace lv::timing {
@@ -72,11 +70,6 @@ class DelayModel {
   // Delay of a driver with strength `drive_mult` into load `c_load` [s]:
   // t = c_load * vdd / (2 * drive_mult * unit_drive_current()).
   double delay_for_load(double c_load, double drive_mult = 1.0) const;
-
-  // Delay of one netlist instance given a LoadModel built at the same vdd.
-  double instance_delay(const circuit::Netlist& netlist,
-                        const circuit::LoadModel& loads,
-                        circuit::InstanceId instance) const;
 
   // Fanout-of-1 inverter stage delay [s] — the ring-oscillator stage used
   // by the Figs. 3-4 experiments.

@@ -67,6 +67,10 @@ TEST(ValidateTech, NanThresholdRejected) {
   expect_tech_rejected("tech_nan_vt0.lvtech", codes::tech_nonfinite);
 }
 
+TEST(ValidateTech, NanSoiasThicknessRejected) {
+  expect_tech_rejected("tech_nan_tsi.lvtech", codes::tech_nonfinite);
+}
+
 TEST(ValidateTech, NegativeCapacitanceRejected) {
   expect_tech_rejected("tech_negative_cap.lvtech", codes::tech_nonpositive);
 }

@@ -57,8 +57,10 @@ inline std::string encode_graph_v1(const SimGraph& g) {
     w.u64(delays.empty() ? 0 : *std::max_element(delays.begin(),
                                                   delays.end()));
   }
-  w.u64(g.word_ops().size());
-  for (const std::uint8_t op : g.word_ops()) w.u8(op);
+  // Word plan: each node's kind, 0xfd for a flop.
+  w.u64(g.instance_count());
+  for (const auto& node : g.nodes())
+    w.u8(node.sequential != 0 ? 0xfd : node.kind);
   put_u32_vec(g.sequential_instances());
   w.u64(g.tie_inits().size());
   for (const auto& tie : g.tie_inits()) {

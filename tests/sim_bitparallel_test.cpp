@@ -1,22 +1,26 @@
 // 64-lane word evaluation suite (sim::WordEvaluator, the gate
 // evaluation of the fault kernel).
 //
-// The contract under test is *per-lane bit-exactness*. For every
-// combinational instance, the verified direct word operator, the forced
-// per-lane LUT fallback and the scalar kernel's LUT applied lane by lane
-// must produce the same word, X lanes included. And a levelized pass in
-// topological order — how the fault kernel computes its good machine —
-// must leave every lane of every net at the value the scalar event
-// kernel settles that lane's stimulus to. No tolerances: equality is
-// exact. The fault kernel itself is pinned against a serial interpreted
-// oracle in sim_fault_test.cpp.
+// The contract under test is *per-lane bit-exactness*. Every
+// combinational kind's direct word operator must reproduce
+// circuit::evaluate_cell on every three-valued input combination, in
+// every lane. For every combinational instance of a generated netlist,
+// the evaluator must produce the word the scalar kernel's LUT gives lane
+// by lane, X lanes included. And a levelized pass in topological order —
+// how the fault kernel computes its good machine — must leave every lane
+// of every net at the value the scalar event kernel settles that lane's
+// stimulus to. No tolerances: equality is exact. The fault kernel itself
+// is pinned against a serial interpreted oracle in sim_fault_test.cpp.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "circuit/cells.hpp"
 #include "circuit/generators.hpp"
 #include "circuit/netlist.hpp"
 #include "sim/sim_graph.hpp"
@@ -38,22 +42,18 @@ s::LogicW random_word(lv::util::Xoshiro256& rng) {
 }
 
 // For every combinational instance of `nl`, fed random input words: the
-// direct operator, the forced LUT fallback and the scalar LUT applied
-// lane by lane must agree. Returns how many instances took a direct
-// operator, so a caller can tell both paths were exercised.
-std::size_t expect_word_paths_agree(const c::Netlist& nl,
-                                    std::uint64_t seed) {
+// evaluator and the scalar LUT applied lane by lane must agree. Returns
+// how many instances were checked.
+std::size_t expect_words_match_lut(const c::Netlist& nl, std::uint64_t seed) {
   const auto graph = s::SimGraph::compile(nl);
-  const s::WordEvaluator direct{*graph};
-  const s::WordEvaluator fallback{*graph, /*force_lut_fallback=*/true};
+  const s::WordEvaluator eval{*graph};
   lv::util::Xoshiro256 rng{seed};
   std::vector<s::LogicW> values(graph->net_count());
-  std::size_t direct_ops = 0;
+  std::size_t checked = 0;
   for (c::InstanceId id = 0; id < graph->instance_count(); ++id) {
-    const std::uint8_t op = graph->word_ops()[id];
-    if (op == s::SimGraph::kWordSequential) continue;
-    direct_ops += op != s::SimGraph::kWordLut;
     const s::SimGraph::Node& node = graph->nodes()[id];
+    if (node.sequential != 0) continue;
+    ++checked;
     const c::NetId* ins = graph->input_nets().data() + node.in_begin;
     for (unsigned k = 0; k < node.in_count; ++k)
       values[ins[k]] = random_word(rng);
@@ -63,16 +63,13 @@ std::size_t expect_word_paths_agree(const c::Netlist& nl,
       for (unsigned k = 0; k < node.in_count; ++k)
         idx |= static_cast<unsigned>(s::lane_of(values[ins[k]], lane))
                << (2u * k);
-      want = s::with_lane(want, lane, graph->luts()[node.kind][idx]);
+      want = s::with_lane(want, lane, s::SimGraph::luts()[node.kind][idx]);
     }
-    const s::LogicW got_direct = direct.evaluate(id, values.data());
-    const s::LogicW got_fallback = fallback.evaluate(id, values.data());
-    EXPECT_EQ(got_direct, want) << "instance '" << nl.instance(id).name << "'";
-    EXPECT_EQ(got_fallback, want)
-        << "instance '" << nl.instance(id).name << "'";
-    if (got_direct != want || got_fallback != want) break;
+    const s::LogicW got = eval.evaluate(id, values.data());
+    EXPECT_EQ(got, want) << "instance '" << nl.instance(id).name << "'";
+    if (got != want) break;
   }
-  return direct_ops;
+  return checked;
 }
 
 // Per-net words of a levelized pass, as the fault kernel computes its
@@ -145,10 +142,53 @@ std::vector<std::vector<s::LogicW>> random_rounds(const c::Netlist& nl,
 
 }  // namespace
 
-TEST(SimBitParallel, LutFallbackMatchesDirectOperators) {
-  // Differential test of the two word evaluation paths against the
-  // scalar LUT, X lanes included, on every combinational instance of
-  // the adder, both multipliers and the clocked multiply-accumulate.
+TEST(SimBitParallel, EveryCombinationalKindMatchesEvaluateCell) {
+  // Exhaustive check of each word operator: every 3^k input combination
+  // of every combinational kind in the catalog. Lane L carries the
+  // combination rotated by L, so neighbouring lanes hold different
+  // combinations and a lane-mixing bug in the bitplane algebra cannot
+  // hide behind uniform lanes.
+  constexpr std::array<c::Logic, 3> codes{c::Logic::zero, c::Logic::one,
+                                          c::Logic::x};
+  std::size_t kinds = 0;
+  for (std::size_t k = 0; k < static_cast<std::size_t>(c::CellKind::kind_count);
+       ++k) {
+    const auto kind = static_cast<c::CellKind>(k);
+    const c::CellInfo& info = c::cell_info(kind);
+    if (info.sequential) continue;
+    ++kinds;
+    SCOPED_TRACE(std::string{info.name});
+    const auto n = static_cast<std::size_t>(info.input_count);
+    ASSERT_LE(n, std::size_t{s::SimGraph::kMaxLutInputs});
+    std::size_t combos = 1;
+    for (std::size_t p = 0; p < n; ++p) combos *= 3;
+    // Combination i assigns pin p the base-3 digit p of i.
+    std::vector<std::array<c::Logic, s::SimGraph::kMaxLutInputs>> pins(combos);
+    std::vector<c::Logic> want(combos);
+    for (std::size_t i = 0; i < combos; ++i) {
+      std::size_t rest = i;
+      for (std::size_t p = 0; p < n; ++p, rest /= 3)
+        pins[i][p] = codes[rest % 3];
+      want[i] = c::evaluate_cell(kind, {pins[i].data(), n});
+    }
+    for (std::size_t i = 0; i < combos; ++i) {
+      std::array<s::LogicW, s::SimGraph::kMaxLutInputs> words{};
+      for (unsigned lane = 0; lane < s::kLaneCount; ++lane)
+        for (std::size_t p = 0; p < n; ++p)
+          words[p] = s::with_lane(words[p], lane, pins[(i + lane) % combos][p]);
+      const s::LogicW got = s::word_evaluate_direct(kind, words.data());
+      for (unsigned lane = 0; lane < s::kLaneCount; ++lane)
+        ASSERT_EQ(s::lane_of(got, lane), want[(i + lane) % combos])
+            << "combination " << (i + lane) % combos << " in lane " << lane;
+    }
+  }
+  EXPECT_GT(kinds, 0u);
+}
+
+TEST(SimBitParallel, DirectOperatorsMatchScalarLutPerLane) {
+  // The evaluator against the scalar LUT applied lane by lane, X lanes
+  // included, on every combinational instance of the adder, both
+  // multipliers and the clocked multiply-accumulate.
   std::vector<std::unique_ptr<c::Netlist>> graphs;
   const auto add = [&](auto build) {
     graphs.push_back(std::make_unique<c::Netlist>());
@@ -161,7 +201,7 @@ TEST(SimBitParallel, LutFallbackMatchesDirectOperators) {
   std::uint64_t seed = 7000;
   for (const auto& nl : graphs) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
-    EXPECT_GT(expect_word_paths_agree(*nl, seed++), 0u);
+    EXPECT_GT(expect_words_match_lut(*nl, seed++), 0u);
   }
 }
 

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "check/ingest.hpp"
 #include "circuit/generators.hpp"
@@ -51,11 +52,6 @@ void expect_round_trip_identical(const c::Netlist& nl) {
   const auto decoded = s::decode_graph(nl, blob);
   ASSERT_NE(decoded, nullptr);
   EXPECT_EQ(s::encode_graph(*decoded), blob);
-  // The LUT bank is not serialized (reinstalled from the built-in bank);
-  // it must still match the compiled graph's.
-  ASSERT_EQ(decoded->luts().size(), compiled->luts().size());
-  for (std::size_t i = 0; i < decoded->luts().size(); ++i)
-    EXPECT_EQ(decoded->luts()[i], compiled->luts()[i]) << "lut " << i;
   // Derived on decode, not serialized: must match the compiled graph's.
   for (std::size_t i = 0; i < compiled->instance_count(); ++i)
     EXPECT_EQ(decoded->nodes()[i].sequential, compiled->nodes()[i].sequential)
@@ -157,9 +153,10 @@ TEST(SimGraphIo, RejectsNodeInputCountOtherThanItsArity) {
 }
 
 TEST(SimGraphIo, RejectsWordOpThatDoesNotFitItsNode) {
-  // A direct word operator evaluates its own kind's pins, so a forged op
-  // of a wider kind would read pins the node does not have; a flop's op
-  // must stay the sequential marker.
+  // A node's word-plan byte is derived: its own kind, or 0xfd for a
+  // flop. A forged op of a wider kind would read pins the node does not
+  // have, and the retired per-lane LUT marker 0xfe is refused like any
+  // other byte.
   const c::Netlist nl = lv::check::require_netlist(kSequentialNetlist);
   const auto graph = s::SimGraph::compile(nl);
   const std::string blob = s::encode_graph(*graph);
@@ -170,18 +167,23 @@ TEST(SimGraphIo, RejectsWordOpThatDoesNotFitItsNode) {
       8 + 4 * graph->input_nets().size() +
       8 + 4 * graph->eval_offsets().size() +
       8 + 4 * graph->eval_list().size() + 8;
+  constexpr std::uint8_t kFlop = 0xfd;
+  constexpr std::uint8_t kRetiredLut = 0xfe;
   const auto& nodes = graph->nodes();
   for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const bool flop = nodes[i].sequential != 0;
     ASSERT_EQ(static_cast<std::uint8_t>(blob[first_op + i]),
-              graph->word_ops()[i]);
-    const std::uint8_t forged =
-        nodes[i].sequential != 0
-            ? s::SimGraph::kWordLut
-            : static_cast<std::uint8_t>(c::CellKind::nand4);
-    if (forged == nodes[i].kind) continue;
-    std::string mutated = blob;
-    mutated[first_op + i] = static_cast<char>(forged);
-    EXPECT_THROW(s::decode_graph(nl, mutated), u::Error) << "node " << i;
+              flop ? kFlop : nodes[i].kind);
+    std::vector<std::uint8_t> forged{kRetiredLut};
+    if (!flop) forged.push_back(kFlop);
+    if (nodes[i].kind != static_cast<std::uint8_t>(c::CellKind::nand4))
+      forged.push_back(static_cast<std::uint8_t>(c::CellKind::nand4));
+    for (const std::uint8_t op : forged) {
+      std::string mutated = blob;
+      mutated[first_op + i] = static_cast<char>(op);
+      EXPECT_THROW(s::decode_graph(nl, mutated), u::Error)
+          << "node " << i << " op " << int{op};
+    }
   }
 }
 

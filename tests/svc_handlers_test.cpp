@@ -210,6 +210,36 @@ TEST(SvcHandlers, VectorCountMustBeANonNegativeInteger) {
   EXPECT_NE(ok.out.find("simulated 3 cycles"), std::string::npos) << ok.out;
 }
 
+TEST(SvcHandlers, NetlistsRandomStimulusCannotDriveAreCodedInputErrors) {
+  // Flip-flops for the combinational-only fault grader, no primary
+  // inputs, or more than 64 of them: exit 2 with sim.stimulus, not an
+  // internal error.
+  svc::Session session{1};
+  const std::string dff =
+      "lvnet 1\nclock clk\ninput d\nnet q\ngate f0 DFF q d clk\n"
+      "output q\n";
+  const std::string no_inputs = "lvnet 1\nnet y\ngate t0 TIE1 y\noutput y\n";
+  const svc::Response rca33 = run(session, "gen", {"rca", "33"});
+  ASSERT_EQ(rca33.exit_code, 0) << rca33.err;
+  const std::pair<std::string, std::vector<std::string>> cases[] = {
+      {dff, {"faults", "x.lvnet"}},
+      {no_inputs, {"faults", "x.lvnet"}},
+      {no_inputs, {"simulate", "x.lvnet"}},
+      {no_inputs, {"glitch", "x.lvnet", "soi_low_vt"}},
+      {rca33.out, {"faults", "x.lvnet"}},
+      {rca33.out, {"simulate", "x.lvnet"}},
+  };
+  for (const auto& [netlist, args] : cases) {
+    const std::vector<std::string> positional(args.begin() + 1, args.end());
+    const svc::Response r =
+        run(session, args[0], positional, {}, {{"netlist", netlist}});
+    EXPECT_EQ(r.exit_code, 2) << args[0] << ": " << r.err;
+    EXPECT_NE(r.err.find(chk::codes::sim_stimulus), std::string::npos)
+        << args[0] << ": " << r.err;
+    EXPECT_TRUE(r.out.empty()) << args[0];
+  }
+}
+
 namespace {
 
 // Positionals that pass every op's declared types: the first choice of a

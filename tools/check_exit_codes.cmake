@@ -121,3 +121,19 @@ foreach(case
   expect_exit(2 ${LVTOOL} ${parts})
   expect_match("${LAST_ERR}" "${code}")
 endforeach()
+
+# A netlist the random stimulus cannot drive is the caller's input error
+# (exit 2, sim.stimulus), raised before any simulation: flip-flops for
+# the combinational-only fault grader, no primary inputs, more than 64.
+file(WRITE ${WORK}/dff.lvnet
+     "lvnet 1\nclock clk\ninput d\nnet q\ngate f0 DFF q d clk\noutput q\n")
+file(WRITE ${WORK}/no_inputs.lvnet
+     "lvnet 1\nnet y\ngate t0 TIE1 y\noutput y\n")
+expect_exit(0 ${LVTOOL} gen rca 33 -o ${WORK}/rca33.lvnet)
+foreach(cmdline
+    "faults;${WORK}/dff.lvnet"
+    "simulate;${WORK}/no_inputs.lvnet"
+    "simulate;${WORK}/rca33.lvnet")
+  expect_exit(2 ${LVTOOL} ${cmdline})
+  expect_match("${LAST_ERR}" "sim.stimulus")
+endforeach()
