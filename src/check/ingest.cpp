@@ -1,7 +1,10 @@
 #include "check/ingest.hpp"
 
-#include <fstream>
-#include <sstream>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <utility>
 
 #include "check/codes.hpp"
@@ -41,15 +44,35 @@ auto collect(DiagSink& sink, const char* fallback_code, Fn&& fn)
 }  // namespace
 
 std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0)
     throw InputError(codes::io_open, "cannot open '" + path + "'", {path, 0});
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad())
-    throw InputError(codes::io_open, "error reading '" + path + "'",
-                     {path, 0});
-  return buf.str();
+  // Sized from the file, plus one byte so the read that meets end of
+  // file needs no growth: a regular file takes one read() and the EOF
+  // read. A pipe or a file that grows takes the doubling below.
+  struct stat st {};
+  std::string text(
+      ::fstat(fd, &st) == 0 && st.st_size > 0
+          ? static_cast<std::size_t>(st.st_size) + 1
+          : std::size_t{4096},
+      '\0');
+  std::size_t size = 0;
+  for (;;) {
+    if (size == text.size()) text.resize(2 * size);
+    const ssize_t n = ::read(fd, text.data() + size, text.size() - size);
+    if (n > 0) {
+      size += static_cast<std::size_t>(n);
+    } else if (n == 0) {
+      break;
+    } else if (errno != EINTR) {
+      ::close(fd);
+      throw InputError(codes::io_open, "error reading '" + path + "'",
+                       {path, 0});
+    }
+  }
+  ::close(fd);
+  text.resize(size);
+  return text;
 }
 
 std::optional<tech::Process> load_techfile_text(std::string_view text,

@@ -6,14 +6,21 @@
 //   parallel_map<T>(n, fn)              — out[i] = fn(i)
 //   parallel_map_stateful<T>(n, mk, fn) — out[i] = fn(state, i), one
 //                                         `mk()` state per worker (used
-//                                         for AnalysisContext clones and
-//                                         per-worker fault propagators)
+//                                         for AnalysisContext clones)
 //   parallel_for_stateful(n, mk, fn)    — fn(state, i), same states, for
 //                                         loops that accumulate into the
-//                                         state instead of per-index slots
+//                                         state or write slots of their
+//                                         own (per-worker fault
+//                                         propagators, one index per
+//                                         fault or per block)
 //
 // A region's width is thread_count() (`--threads`, LVSIM_THREADS,
-// set_thread_count), capped at n, or 1 on a pool worker.
+// set_thread_count), capped at n, or 1 on a pool worker. A width-1
+// region (n == 1 included) runs inline on the caller and never touches
+// the pool. A caller whose work is too small to pay for the pool passes
+// one index covering all of it; there is no width parameter. The fault
+// campaign does this for a block below its measured work threshold
+// (sim/fault.hpp).
 //
 // Determinism contract: results are written into per-index slots, and
 // callers fold them in serial index order on the calling thread, so

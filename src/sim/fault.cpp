@@ -32,6 +32,13 @@ namespace {
 
 constexpr std::size_t kNeverDetected = std::numeric_limits<std::size_t>::max();
 
+// A block whose live faults x gates is below this grades inline: the
+// pool hand-off, and on the first pooled block the thread start-up, cost
+// more than spreading its propagation saves. Measured with interleaved
+// --threads 1/4 spawns (EXPERIMENTS.md, "Fixed cost of a short run"):
+// ks32's first block (4.7e5) is faster inline, mul10's (6.3e5) pooled.
+constexpr std::size_t kPoolWork = 500'000;
+
 // Gate-word evaluations: one good-machine pass per block plus every gate
 // a fault's propagation re-evaluated. Stability::exact, since each
 // fault's propagation depends only on (fault, block) and the count is
@@ -180,10 +187,18 @@ std::vector<std::size_t> first_detections_word(
             "fault_coverage: X at outputs of the good machine");
 
     const Block block{graph, order, position, is_output, good, valid};
-    const auto outcomes = exec::parallel_map_stateful<FaultOutcome>(
-        live.size(), [&] { return Propagator{block}; },
-        [&](Propagator& w, std::size_t k) {
-          return propagate(block, w, faults[live[k]]);
+    // Index i grades live[i * span, (i + 1) * span): one index per fault
+    // when the block pays for the pool, else one index for them all, so
+    // the block runs inline on this thread.
+    const std::size_t span =
+        live.size() * order.size() < kPoolWork ? live.size() : 1;
+    std::vector<FaultOutcome> outcomes(live.size());
+    exec::parallel_for_stateful(
+        (live.size() + span - 1) / span, [&] { return Propagator{block}; },
+        [&](Propagator& w, std::size_t i) {
+          const std::size_t end = std::min(live.size(), (i + 1) * span);
+          for (std::size_t k = i * span; k < end; ++k)
+            outcomes[k] = propagate(block, w, faults[live[k]]);
         });
     // Serial fold in fault order.
     std::size_t kept = 0;

@@ -21,7 +21,16 @@
 // Cost is O(blocks x (gates + gates disturbed per live fault)). The
 // disturbed cone is usually a small share of the netlist, and most
 // faults are detected in the first block. Faults within a block are
-// independent, so they spread over the exec workers.
+// independent, so they can spread over the exec workers, but only a
+// block whose live faults x gates reaches a measured threshold (5e5)
+// does, one exec index per fault. A smaller block is one index covering
+// every live fault, graded inline on the calling thread: a few hundred
+// microseconds of work cost less there than a pool hand-off and, on the
+// first pooled block, the start of the pool's threads. At 256 vectors
+// alu16, ks32 and mul8 never start the pool and mul12 pools only its
+// first block (EXPERIMENTS.md, "Fixed cost of a short run"). The rule
+// reads the netlist and the vectors alone, so the result, every exact
+// counter and the split into exec indices are the same at any width.
 #pragma once
 
 #include <cstdint>

@@ -687,6 +687,14 @@ namespace {
 
 constexpr long long kMax = LLONG_MAX;
 constexpr auto kMaxThreads = static_cast<long long>(lv::exec::kMaxThreads);
+// Per-request caps, so a typo fails as cli.number before any allocation.
+// 2^20 vectors hold 8 MB of stimulus and cover the ~10^6-vector runs the
+// kernels are sized for (perfbench's largest is 8 000). A 256-bit
+// generator is the widest datapath the toolkit models; `gen mul 256`
+// already peaks at ~280 MB (57 MB of netlist text), and the generators
+// grow with the square of the width.
+constexpr long long kMaxVectors = 1ll << 20;
+constexpr long long kMaxGenWidth = 256;
 const Arg kNetlist = arg::file("<netlist>", "netlist", "netlist file (.lvnet)");
 const Arg kTech = arg::file(
     "<tech>", "tech",
@@ -698,7 +706,8 @@ const Arg kSeed = arg::integer("--seed", 0, kMax, "1", "stimulus seed");
 const Arg kOut = arg::text("--out", "output netlist file", "-o");
 const Arg kMargin = arg::number("--margin", "0.05", "timing margin");
 Arg vectors(const char* fallback) {
-  return arg::integer("--vectors", 0, kMax, fallback, "random input vectors");
+  return arg::integer("--vectors", 0, kMaxVectors, fallback,
+                      "random input vectors");
 }
 
 // Every `file` entry is an input slot `lvtool client` uploads.
@@ -729,7 +738,8 @@ const std::vector<OpSpec>& registry() {
         {{"gen", "generate a datapath netlist",
           {arg::one_of("<kind>", "rca|cla|csel|ks|mul|shifter|alu|cskip|wmul",
                        "circuit"),
-           arg::integer("<width>", 1, INT_MAX, "", "operand width, bits")},
+           arg::integer("<width>", 1, kMaxGenWidth, "",
+                        "operand width, bits")},
           {kOut}},
          op_gen},
         {{"stats", "netlist size, depth and cell histogram", {kNetlist}, {}},

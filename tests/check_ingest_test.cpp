@@ -6,8 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <string>
+#include <thread>
 
 #include "check/codes.hpp"
 #include "check/diag.hpp"
@@ -29,6 +36,36 @@ TEST(ReadFile, MissingFileThrowsIoOpen) {
   } catch (const chk::InputError& e) {
     EXPECT_EQ(e.code(), codes::io_open);
   }
+}
+
+TEST(ReadFile, UnreadablePathThrowsIoOpen) {
+  // A directory opens but cannot be read: io.open, not an empty file.
+  const std::string dir = std::filesystem::temp_directory_path().string();
+  try {
+    chk::read_file(dir);
+    FAIL() << "expected InputError";
+  } catch (const chk::InputError& e) {
+    EXPECT_EQ(e.code(), codes::io_open);
+    EXPECT_EQ(std::string(e.what()), "error reading '" + dir + "'");
+  }
+}
+
+TEST(ReadFile, ReadsAPipeToItsEnd) {
+  // A pipe has no size to start from, so the string grows as it reads;
+  // 10 000 bytes take two doublings past the first 4 KiB.
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("read_file_" + std::to_string(::getpid()) + ".fifo");
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  std::string text;
+  for (int i = 0; i < 10000; ++i) text += static_cast<char>('a' + i % 26);
+  std::thread writer{[&] {
+    std::ofstream out{path, std::ios::binary};
+    out << text;
+  }};
+  const std::string got = chk::read_file(path.string());
+  writer.join();
+  std::filesystem::remove(path);
+  EXPECT_EQ(got, text);
 }
 
 TEST(RequireTechfile, ValidTextRoundTrips) {

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/generators.hpp"
@@ -533,13 +534,21 @@ TEST(SweepDeterminism, DualVtAssignmentWithBatchRetry) {
 }
 
 TEST(SweepDeterminism, FaultCampaign) {
-  lv::circuit::Netlist nl;
-  lv::circuit::build_ripple_carry_adder(nl, 8);
-  const auto vecs = lv::sim::random_vectors(
-      48, static_cast<int>(nl.primary_inputs().size()), 7);
-  expect_same_at_all_widths(
-      [&] { return lv::sim::fault_coverage(nl, vecs); },
-      expect_same_coverage);
+  // rca8 grades every block inline; mul12's first block is above the
+  // campaign's pool threshold (Obs.FaultCampaignStartsThePoolOnlyWhenItPays),
+  // so it pins the pooled path and its hand-over to inline blocks.
+  lv::circuit::Netlist rca;
+  lv::circuit::build_ripple_carry_adder(rca, 8);
+  lv::circuit::Netlist mul;
+  lv::circuit::build_array_multiplier(mul, 12);
+  for (const auto& [nl, count] : {std::pair{&rca, 48}, std::pair{&mul, 256}}) {
+    const auto vecs = lv::sim::random_vectors(
+        static_cast<std::size_t>(count),
+        static_cast<int>(nl->primary_inputs().size()), 7);
+    expect_same_at_all_widths(
+        [&] { return lv::sim::fault_coverage(*nl, vecs); },
+        expect_same_coverage);
+  }
 }
 
 TEST(SweepDeterminism, CharacterizeIvSweeps) {
@@ -579,13 +588,19 @@ void expect_same_at_odd_widths(Fn&& fn, Eq&& eq) {
 }
 
 TEST(ScheduleDeterminism, FaultCampaignBothKernels) {
-  lv::circuit::Netlist nl;
-  lv::circuit::build_carry_lookahead_adder(nl, 8);
-  const auto vecs = lv::sim::random_vectors(
-      40, static_cast<int>(nl.primary_inputs().size()), 11);
-  expect_same_at_odd_widths(
-      [&] { return lv::sim::fault_coverage(nl, vecs); },
-      expect_same_coverage);
+  // cla8 runs inline, mul12's first block on the pool (see FaultCampaign).
+  lv::circuit::Netlist cla;
+  lv::circuit::build_carry_lookahead_adder(cla, 8);
+  lv::circuit::Netlist mul;
+  lv::circuit::build_array_multiplier(mul, 12);
+  for (const auto& [nl, count] : {std::pair{&cla, 40}, std::pair{&mul, 256}}) {
+    const auto vecs = lv::sim::random_vectors(
+        static_cast<std::size_t>(count),
+        static_cast<int>(nl->primary_inputs().size()), 11);
+    expect_same_at_odd_widths(
+        [&] { return lv::sim::fault_coverage(*nl, vecs); },
+        expect_same_coverage);
+  }
 }
 
 TEST(ScheduleDeterminism, Fig10EnergyRatioGrid) {

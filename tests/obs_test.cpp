@@ -347,6 +347,39 @@ TEST_F(Obs, FaultCampaignCountersAreWidthInvariant) {
             kChain + kChain * (kChain - 1) / 2);
 }
 
+TEST_F(Obs, FaultCampaignStartsThePoolOnlyWhenItPays) {
+  // A 64-vector block whose live faults x gates is below the campaign's
+  // threshold is one exec index, graded inline. At 256 vectors alu16
+  // stays below it in every block and never hands work to the pool;
+  // mul12's first block is above it and runs one index per fault there.
+  const ScopedThreads threads{4};
+  const auto grade = [](const lv::circuit::Netlist& nl) {
+    const auto vecs = lv::sim::random_vectors(
+        256, static_cast<int>(nl.primary_inputs().size()), 1);
+    o::Registry::global().reset();
+    lv::sim::fault_coverage(nl, vecs);
+    return o::Registry::global().report();
+  };
+  const auto generations = [](const o::RunReport& r) {
+    const auto it = r.scheduling_counters.find("exec.pool.generations");
+    return it == r.scheduling_counters.end() ? 0u : it->second;
+  };
+
+  lv::circuit::Netlist alu16;
+  lv::circuit::build_alu(alu16, 16);
+  const o::RunReport alu = grade(alu16);
+  EXPECT_EQ(generations(alu), 0u);
+  EXPECT_EQ(alu.counters.at("exec.parallel_items"),
+            alu.counters.at("exec.parallel_calls"));
+
+  lv::circuit::Netlist mul12;
+  lv::circuit::build_array_multiplier(mul12, 12);
+  const o::RunReport mul = grade(mul12);
+  EXPECT_GE(generations(mul), 1u);
+  EXPECT_GT(mul.counters.at("exec.parallel_items"),
+            mul.counters.at("exec.parallel_calls"));
+}
+
 namespace {
 
 // Simulates 32 random stimuli on each of 4 seeds, one simulator per

@@ -193,6 +193,16 @@ TEST(SimBitParallel, FaultKernelsAgreeExactly) {
   random_case("csel8", [](c::Netlist& nl) {  // TIE0 and TIE1 carry-ins
     c::build_carry_select_adder(nl, 8);
   });
+  // mul10's block (~1 100 live faults x ~560 gates) is above the
+  // campaign's pool threshold, so it is graded one exec index per fault;
+  // every block of the circuits above is one index. Two vectors keep
+  // the oracle's ~1 100 fault machines cheap.
+  {
+    Case k{"mul10", {}, {}};
+    c::build_array_multiplier(k.nl, 10);
+    k.vecs = s::random_vectors(2, 20, 17);
+    cases.push_back(std::move(k));
+  }
   // Net ids out of topological order: y is declared before m, its
   // driver's input, so a fault machine that re-propagates m after y was
   // forced can lose y's stuck value.

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "circuit/generators.hpp"
@@ -208,25 +209,33 @@ TEST(SimKernelEquivalence, FaultCampaignCoverageUnchangedAtAllWidths) {
   // The compiled kernel (one shared SimGraph across all fault machines)
   // must leave campaign verdicts untouched, and the lv::exec pinning
   // strategy extends to it: identical coverage at thread widths 1/2/8.
-  c::Netlist nl;
-  c::build_ripple_carry_adder(nl, 10);
-  const auto vecs = s::random_vectors(
-      48, static_cast<int>(nl.primary_inputs().size()), 7);
+  // rca10 grades every block inline; mul12's first block is above the
+  // pool threshold, so it covers the pooled path too.
+  c::Netlist rca;
+  c::build_ripple_carry_adder(rca, 10);
+  c::Netlist mul;
+  c::build_array_multiplier(mul, 12);
+  for (const auto& [nl, count] : {std::pair{&rca, 48}, std::pair{&mul, 256}}) {
+    const auto vecs =
+        s::random_vectors(static_cast<std::size_t>(count),
+                          static_cast<int>(nl->primary_inputs().size()), 7);
 
-  lv::exec::set_thread_count(1);
-  const auto reference = s::fault_coverage(nl, vecs);
-  EXPECT_GT(reference.detected, 0u);
-  for (const std::size_t width : {std::size_t{2}, std::size_t{8}}) {
-    lv::exec::set_thread_count(width);
-    const auto got = s::fault_coverage(nl, vecs);
-    EXPECT_EQ(got.total_faults, reference.total_faults) << "width " << width;
-    EXPECT_EQ(got.detected, reference.detected) << "width " << width;
-    EXPECT_EQ(got.coverage, reference.coverage) << "width " << width;
-    ASSERT_EQ(got.undetected.size(), reference.undetected.size())
-        << "width " << width;
-    for (std::size_t k = 0; k < got.undetected.size(); ++k) {
-      EXPECT_EQ(got.undetected[k].net, reference.undetected[k].net);
-      EXPECT_EQ(got.undetected[k].stuck_at, reference.undetected[k].stuck_at);
+    lv::exec::set_thread_count(1);
+    const auto reference = s::fault_coverage(*nl, vecs);
+    EXPECT_GT(reference.detected, 0u);
+    for (const std::size_t width : {std::size_t{2}, std::size_t{8}}) {
+      lv::exec::set_thread_count(width);
+      const auto got = s::fault_coverage(*nl, vecs);
+      EXPECT_EQ(got.total_faults, reference.total_faults) << "width " << width;
+      EXPECT_EQ(got.detected, reference.detected) << "width " << width;
+      EXPECT_EQ(got.coverage, reference.coverage) << "width " << width;
+      ASSERT_EQ(got.undetected.size(), reference.undetected.size())
+          << "width " << width;
+      for (std::size_t k = 0; k < got.undetected.size(); ++k) {
+        EXPECT_EQ(got.undetected[k].net, reference.undetected[k].net);
+        EXPECT_EQ(got.undetected[k].stuck_at,
+                  reference.undetected[k].stuck_at);
+      }
     }
   }
   lv::exec::set_thread_count(0);

@@ -327,6 +327,35 @@ TEST(SvcHandlers, IntegerOptionsAreCheckedAgainstTheirRange) {
   EXPECT_NE(k1.out.find("#1 "), std::string::npos) << k1.out;
 }
 
+TEST(SvcHandlers, VectorCountAboveTheCapIsRejected) {
+  // 2^20 vectors is the per-request cap: one more is cli.number (exit 2)
+  // before any stimulus is allocated, for every command that takes it,
+  // and `lvtool help` states the bound.
+  svc::Session session{1};
+  const std::map<std::string, std::string> net = {{"netlist", kAndNetlist}};
+  const std::pair<const char*, std::vector<std::string>> commands[] = {
+      {"simulate", {"t.lvnet"}},
+      {"faults", {"t.lvnet"}},
+      {"glitch", {"t.lvnet", "soias"}}};
+  for (const auto& [name, positionals] : commands)
+    expect_code(run(session, name, positionals, {{"--vectors", "1048577"}},
+                    net),
+                chk::codes::cli_number, std::string(name) + " --vectors");
+  EXPECT_NE(svc::help_text().find("integer in [0, 1048576]"),
+            std::string::npos);
+}
+
+TEST(SvcHandlers, GeneratorWidthAboveTheCapIsRejected) {
+  // 256 bits is the widest generator: 257 is cli.number (exit 2) before
+  // any gate is built, and the bound itself still generates.
+  svc::Session session{1};
+  expect_code(run(session, "gen", {"mul", "257"}), chk::codes::cli_number,
+              "gen mul 257");
+  const svc::Response rca256 = run(session, "gen", {"rca", "256"});
+  EXPECT_EQ(rca256.exit_code, 0) << rca256.err;
+  EXPECT_NE(svc::help_text().find("integer in [1, 256]"), std::string::npos);
+}
+
 TEST(SvcHandlers, ThreadCountsAboveTheBoundAreRejected) {
   // Validation fails before any pool or worker starts; no test starts
   // one at the bound itself.
