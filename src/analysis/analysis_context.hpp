@@ -66,10 +66,11 @@ class AnalysisContext {
 
   // Independent copy for a parallel worker: the mutable caches (evaluated
   // loads, memo tables) are deep-copied and the process value duplicated,
-  // while the immutable netlist — and the structure caches it owns — stay
-  // shared. A clone behaves exactly like a context freshly constructed at
-  // the same operating point (pinned by tests/analysis_context_test.cpp);
-  // set_operating_point on either side never affects the other.
+  // while the netlist stays shared; it builds its structure once, under
+  // its own lock, whichever clone asks first. A clone behaves exactly like
+  // a context freshly constructed at the same operating point (pinned by
+  // tests/analysis_context_test.cpp); set_operating_point on either side
+  // never affects the other.
   AnalysisContext clone() const { return AnalysisContext{*this}; }
 
   // Clones are handed to workers by value (exec::parallel_map_stateful).

@@ -1,4 +1,3 @@
-#include <algorithm>
 #include <cctype>
 #include <map>
 #include <set>
@@ -34,15 +33,8 @@ bool split_bus_name(const std::string& name, std::string& prefix,
 
 class NetlistChecker {
  public:
-  // Fanout is recomputed here rather than taken from Netlist::fanout():
-  // that accessor builds the topological cache as a side effect, which
-  // throws on exactly the cyclic netlists this checker must survive.
   NetlistChecker(const c::Netlist& netlist, DiagSink& sink)
-      : nl_(netlist), sink_(sink), fanout_(netlist.net_count()) {
-    for (InstanceId i = 0; i < nl_.instance_count(); ++i)
-      for (const NetId in : nl_.instance(i).inputs)
-        fanout_[in].push_back(i);
-  }
+      : nl_(netlist), sink_(sink) {}
 
   void run() {
     check_instances();
@@ -82,15 +74,16 @@ class NetlistChecker {
       const c::Net& net = nl_.net(n);
       const bool driven =
           net.driver != kNoDriver || net.is_primary_input || net.is_clock;
-      if (!driven && !fanout_[n].empty()) {
+      const auto consumers = nl_.fanout(n);
+      if (!driven && !consumers.empty()) {
         // Name one consumer so the user can find the site.
-        const c::Instance& user = nl_.instance(fanout_[n].front());
+        const c::Instance& user = nl_.instance(consumers.front());
         sink_.error(codes::net_undriven, "net '" + net.name +
                                              "' is used by gate '" +
                                              user.name +
                                              "' but has no driver");
       }
-      if (driven && fanout_[n].empty() && !net.is_primary_output &&
+      if (driven && consumers.empty() && !net.is_primary_output &&
           !net.is_clock && !net.is_primary_input)
         sink_.warning(codes::net_dangling,
                       "net '" + net.name +
@@ -98,55 +91,19 @@ class NetlistChecker {
     }
   }
 
-  // Kahn's algorithm over combinational instances; anything left with
-  // unresolved predecessors sits on (or behind) a combinational loop.
-  // This mirrors Netlist::topo_order() but reports instead of throwing,
-  // and names the gates involved.
+  // The netlist's own topological sort leaves out every combinational
+  // gate on (or behind) a loop; name the first few in instance order.
   void check_cycles() {
-    const std::size_t count = nl_.instance_count();
-    std::vector<int> pending(count, 0);
-    std::vector<InstanceId> ready;
-    for (InstanceId i = 0; i < count; ++i) {
-      const c::Instance& inst = nl_.instance(i);
-      if (c::cell_info(inst.kind).sequential) continue;
-      int preds = 0;
-      for (const NetId in : inst.inputs) {
-        const c::Net& net = nl_.net(in);
-        if (net.driver != kNoDriver &&
-            !c::cell_info(nl_.instance(net.driver).kind).sequential)
-          ++preds;
-      }
-      pending[i] = preds;
-      if (preds == 0) ready.push_back(i);
-    }
-    std::size_t resolved = 0;
-    std::size_t comb_count = 0;
-    for (InstanceId i = 0; i < count; ++i)
-      if (!c::cell_info(nl_.instance(i).kind).sequential) ++comb_count;
-    while (!ready.empty()) {
-      const InstanceId i = ready.back();
-      ready.pop_back();
-      ++resolved;
-      for (const InstanceId consumer : fanout_[nl_.instance(i).output]) {
-        if (c::cell_info(nl_.instance(consumer).kind).sequential) continue;
-        // A consumer may take the same net on several pins.
-        for (const NetId in : nl_.instance(consumer).inputs)
-          if (in == nl_.instance(i).output && --pending[consumer] == 0)
-            ready.push_back(consumer);
-      }
-    }
-    if (resolved == comb_count) return;
+    const auto& cyclic = nl_.cyclic_instances();
+    if (cyclic.empty()) return;
     std::string members;
-    int shown = 0;
-    for (InstanceId i = 0; i < count && shown < 8; ++i) {
-      if (c::cell_info(nl_.instance(i).kind).sequential || pending[i] == 0)
-        continue;
-      if (shown++ > 0) members += ", ";
-      members += nl_.instance(i).name;
+    for (std::size_t k = 0; k < cyclic.size() && k < 8; ++k) {
+      if (k > 0) members += ", ";
+      members += nl_.instance(cyclic[k]).name;
     }
     sink_.error(codes::net_cycle,
                 "combinational cycle through " +
-                    std::to_string(comb_count - resolved) +
+                    std::to_string(cyclic.size()) +
                     " gate(s), including: " + members);
   }
 
@@ -184,7 +141,6 @@ class NetlistChecker {
 
   const c::Netlist& nl_;
   DiagSink& sink_;
-  std::vector<std::vector<InstanceId>> fanout_;
 };
 
 }  // namespace

@@ -17,7 +17,7 @@ NetId Netlist::add_net(const std::string& name) {
   if (!net_by_name_.emplace(name, id).second)
     throw u::Error("Netlist: duplicate net name '" + name + "'");
   nets_.push_back(Net{name, false, false, false, ~InstanceId{0}});
-  invalidate_caches();
+  structure_.drop();
   return id;
 }
 
@@ -39,6 +39,7 @@ NetId Netlist::add_clock(const std::string& name) {
 void Netlist::mark_output(NetId net) {
   nets_.at(net).is_primary_output = true;
   outputs_.push_back(net);
+  structure_.drop();
 }
 
 NetId Netlist::add_gate(CellKind kind, const std::string& name,
@@ -67,7 +68,7 @@ NetId Netlist::add_gate_onto(CellKind kind, const std::string& name,
   const InstanceId id = static_cast<InstanceId>(instances_.size());
   instances_.push_back(Instance{name, kind, inputs, out, module});
   nets_[out].driver = id;
-  invalidate_caches();
+  structure_.drop();
   return out;
 }
 
@@ -76,85 +77,83 @@ NetId Netlist::find_net(std::string_view name) const {
   return it == net_by_name_.end() ? kInvalidNet : it->second;
 }
 
-void Netlist::build_caches() const {
+Netlist::Structure Netlist::build_structure() const {
+  Structure s;
   // CSR fanout: one counting pass, prefix sum, one fill pass. Filling in
   // ascending instance order preserves the historical per-net consumer
   // order (instance ids ascending), which the event kernel's evaluation
   // order — and therefore its bit-exact statistics — depends on.
-  fanout_offsets_.assign(nets_.size() + 1, 0);
+  auto& offsets = s.fanout_offsets;
+  offsets.assign(nets_.size() + 1, 0);
   for (const Instance& inst : instances_)
-    for (const NetId in : inst.inputs) ++fanout_offsets_[in + 1];
+    for (const NetId in : inst.inputs) ++offsets[in + 1];
   for (std::size_t n = 1; n <= nets_.size(); ++n)
-    fanout_offsets_[n] += fanout_offsets_[n - 1];
-  fanout_list_.resize(fanout_offsets_[nets_.size()]);
-  std::vector<std::uint32_t> cursor(fanout_offsets_.begin(),
-                                    fanout_offsets_.end() - 1);
+    offsets[n] += offsets[n - 1];
+  s.fanout_list.resize(offsets[nets_.size()]);
+  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
   for (InstanceId i = 0; i < instances_.size(); ++i)
     for (const NetId in : instances_[i].inputs)
-      fanout_list_[cursor[in]++] = i;
+      s.fanout_list[cursor[in]++] = i;
 
-  auto consumers = [this](NetId n) {
-    return std::span<const InstanceId>{
-        fanout_list_.data() + fanout_offsets_[n],
-        fanout_offsets_[n + 1] - fanout_offsets_[n]};
+  // Kahn topological sort over combinational instances only, counting
+  // one predecessor per pin. Sequential outputs behave as sources;
+  // sequential inputs as sinks.
+  auto sequential = [this](InstanceId i) {
+    return cell_info(instances_[i].kind).sequential;
   };
-
-  // Kahn topological sort over combinational instances only. Sequential
-  // outputs behave as sources; sequential inputs as sinks.
   std::vector<int> pending(instances_.size(), 0);
-  for (InstanceId i = 0; i < instances_.size(); ++i) {
-    const Instance& inst = instances_[i];
-    if (cell_info(inst.kind).sequential) continue;
-    for (const NetId in : inst.inputs) {
-      const InstanceId drv = nets_[in].driver;
-      if (drv != ~InstanceId{0} && !cell_info(instances_[drv].kind).sequential)
-        ++pending[i];
-    }
-  }
   std::queue<InstanceId> ready;
-  for (InstanceId i = 0; i < instances_.size(); ++i)
-    if (!cell_info(instances_[i].kind).sequential && pending[i] == 0)
-      ready.push(i);
-
-  topo_cache_.clear();
+  for (InstanceId i = 0; i < instances_.size(); ++i) {
+    if (sequential(i)) {
+      s.flops.push_back(i);
+      continue;
+    }
+    for (const NetId in : instances_[i].inputs) {
+      const InstanceId drv = nets_[in].driver;
+      if (drv != ~InstanceId{0} && !sequential(drv)) ++pending[i];
+    }
+    if (pending[i] == 0) ready.push(i);
+  }
   while (!ready.empty()) {
     const InstanceId i = ready.front();
     ready.pop();
-    topo_cache_.push_back(i);
-    for (const InstanceId consumer : consumers(instances_[i].output)) {
-      if (cell_info(instances_[consumer].kind).sequential) continue;
-      if (--pending[consumer] == 0) ready.push(consumer);
+    s.topo.push_back(i);
+    const NetId out = instances_[i].output;
+    for (std::uint32_t k = offsets[out]; k < offsets[out + 1]; ++k) {
+      const InstanceId consumer = s.fanout_list[k];
+      if (!sequential(consumer) && --pending[consumer] == 0)
+        ready.push(consumer);
     }
   }
-  std::size_t comb_count = 0;
-  for (const Instance& inst : instances_)
-    if (!cell_info(inst.kind).sequential) ++comb_count;
-  if (topo_cache_.size() != comb_count)
-    throw check::InputError(check::codes::net_cycle,
-                            "Netlist: combinational cycle detected");
-  caches_valid_ = true;
+  for (InstanceId i = 0; i < instances_.size(); ++i)
+    if (pending[i] != 0) s.cyclic.push_back(i);
+  return s;
+}
+
+const Netlist::Structure& Netlist::structure() const {
+  if (!structure_.built) {
+    const std::lock_guard lock{structure_.mu};
+    if (!structure_.built) {
+      structure_.value = build_structure();
+      structure_.built = true;
+    }
+  }
+  return structure_.value;
 }
 
 std::span<const InstanceId> Netlist::fanout(NetId net) const {
-  if (!caches_valid_) build_caches();
   if (net >= nets_.size()) throw u::Error("Netlist: fanout net out of range");
-  return {fanout_list_.data() + fanout_offsets_[net],
-          fanout_offsets_[net + 1] - fanout_offsets_[net]};
-}
-
-const std::vector<std::uint32_t>& Netlist::fanout_offsets() const {
-  if (!caches_valid_) build_caches();
-  return fanout_offsets_;
-}
-
-const std::vector<InstanceId>& Netlist::fanout_list() const {
-  if (!caches_valid_) build_caches();
-  return fanout_list_;
+  const Structure& s = structure();
+  return {s.fanout_list.data() + s.fanout_offsets[net],
+          s.fanout_offsets[net + 1] - s.fanout_offsets[net]};
 }
 
 const std::vector<InstanceId>& Netlist::topo_order() const {
-  if (!caches_valid_) build_caches();
-  return topo_cache_;
+  const Structure& s = structure();
+  if (!s.cyclic.empty())
+    throw check::InputError(check::codes::net_cycle,
+                            "Netlist: combinational cycle detected");
+  return s.topo;
 }
 
 std::vector<int> Netlist::levelize() const {
@@ -169,13 +168,6 @@ std::vector<int> Netlist::levelize() const {
     net_level[instances_[i].output] = level[i];
   }
   return level;
-}
-
-std::vector<InstanceId> Netlist::sequential_instances() const {
-  std::vector<InstanceId> out;
-  for (InstanceId i = 0; i < instances_.size(); ++i)
-    if (cell_info(instances_[i].kind).sequential) out.push_back(i);
-  return out;
 }
 
 std::vector<std::string> Netlist::modules() const {

@@ -5,9 +5,19 @@
 // *module tag* (e.g. "adder", "multiplier") — the granularity at which the
 // paper's burst-mode analysis gates clocks and switches thresholds
 // ("functional units, or blocks, share a common V_T", Section 5.2).
+//
+// Sharing. The derived structure — consumer lists, combinational order,
+// cycle members and flop list — is built together on first use, under a
+// lock the netlist owns, and read without a lock afterwards. Any number of
+// threads may therefore call the const queries on one netlist at once,
+// including the first call. Every mutator drops the structure; mutating a
+// netlist while another thread reads it is a data race and out of
+// contract.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -68,8 +78,9 @@ class Netlist {
   const std::vector<NetId>& primary_outputs() const { return outputs_; }
   NetId clock_net() const { return clock_; }  // kInvalidNet when none
 
-  // Instances whose inputs include `net` (consumers), in ascending
-  // instance order. A view into the CSR fanout arrays below.
+  // Instances whose inputs include `net` (consumers), one entry per pin,
+  // in ascending instance order. A view into the CSR fanout arrays below.
+  // Never throws on a cyclic netlist.
   std::span<const InstanceId> fanout(NetId net) const;
   // Number of gate input pins attached to `net`.
   std::size_t fanout_pins(NetId net) const { return fanout(net).size(); }
@@ -78,19 +89,32 @@ class Netlist {
   // consumers of net n are fanout_list()[fanout_offsets()[n] ..
   // fanout_offsets()[n+1]). Flat contiguous storage so compiled engines
   // (sim::SimGraph) can walk fanout without pointer chasing.
-  const std::vector<std::uint32_t>& fanout_offsets() const;
-  const std::vector<InstanceId>& fanout_list() const;
+  const std::vector<std::uint32_t>& fanout_offsets() const {
+    return structure().fanout_offsets;
+  }
+  const std::vector<InstanceId>& fanout_list() const {
+    return structure().fanout_list;
+  }
 
   // Topological order of *combinational* instances (sequential cells are
-  // treated as sources/sinks). Throws lv::util::Error on a combinational
-  // cycle. The result is cached until the netlist is modified.
+  // treated as sources/sinks). Throws check::InputError (net.cycle) on a
+  // combinational cycle.
   const std::vector<InstanceId>& topo_order() const;
+
+  // Combinational instances no topological order can place — those on a
+  // combinational cycle and those fed from one — in ascending instance
+  // order. Empty when the netlist is acyclic.
+  const std::vector<InstanceId>& cyclic_instances() const {
+    return structure().cyclic;
+  }
 
   // Per-instance logic level (inputs/flop outputs are level 0).
   std::vector<int> levelize() const;
 
-  // All sequential instances.
-  std::vector<InstanceId> sequential_instances() const;
+  // All sequential instances, in ascending instance order.
+  const std::vector<InstanceId>& sequential_instances() const {
+    return structure().flops;
+  }
 
   // Distinct module tags in insertion order ("" excluded).
   std::vector<std::string> modules() const;
@@ -117,13 +141,46 @@ class Netlist {
   };
   std::unordered_map<std::string, NetId, NameHash, std::equal_to<>>
       net_by_name_;
-  mutable std::vector<std::uint32_t> fanout_offsets_;
-  mutable std::vector<InstanceId> fanout_list_;
-  mutable std::vector<InstanceId> topo_cache_;
-  mutable bool caches_valid_ = false;
 
-  void invalidate_caches() { caches_valid_ = false; }
-  void build_caches() const;
+  struct Structure {
+    std::vector<std::uint32_t> fanout_offsets;
+    std::vector<InstanceId> fanout_list;
+    std::vector<InstanceId> topo;
+    std::vector<InstanceId> cyclic;
+    std::vector<InstanceId> flops;
+  };
+  // The structure plus the lock and flag that guard its one build. A copy
+  // or move takes the source's structure if built, never its lock, so
+  // Netlist keeps its defaulted copy and move.
+  struct StructureSlot {
+    StructureSlot() = default;
+    StructureSlot(const StructureSlot& other) { take(other); }
+    StructureSlot(StructureSlot&& other) noexcept { take(std::move(other)); }
+    StructureSlot& operator=(const StructureSlot& other) {
+      take(other);
+      return *this;
+    }
+    StructureSlot& operator=(StructureSlot&& other) noexcept {
+      take(std::move(other));
+      return *this;
+    }
+    template <typename Slot>  // copies from an lvalue, moves from an rvalue
+    void take(Slot&& other) {
+      const bool ready = other.built;
+      value = ready ? std::forward<Slot>(other).value : Structure{};
+      built = ready;
+    }
+    // Marks the structure stale; the next query rebuilds it.
+    void drop() { built = false; }
+
+    std::mutex mu;
+    std::atomic<bool> built{false};
+    Structure value;
+  };
+  mutable StructureSlot structure_;
+
+  const Structure& structure() const;
+  Structure build_structure() const;
 };
 
 }  // namespace lv::circuit

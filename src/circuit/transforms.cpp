@@ -153,16 +153,11 @@ Netlist insert_fanout_buffers(const Netlist& input, int max_fanout,
   // reserves one pin for the link to the next buffer, so no segment
   // exceeds the limit even counting the buffers' own input pins.
   const auto fanout_limit = static_cast<std::size_t>(max_fanout);
-  std::vector<std::size_t> total_pins(input.net_count(), 0);
-  for (const auto& inst : input.instances())
-    for (const NetId in : inst.inputs)
-      if (!input.net(in).is_clock) ++total_pins[in];
-
   std::vector<std::vector<NetId>> buffered(input.net_count());
   std::vector<std::size_t> pin_counter(input.net_count(), 0);
   auto pin_net = [&](NetId original) -> NetId {
     const std::size_t pin = pin_counter[original]++;
-    if (total_pins[original] <= fanout_limit) return net_map[original];
+    if (input.fanout_pins(original) <= fanout_limit) return net_map[original];
     const std::size_t direct = fanout_limit - 1;  // one slot for buffer 0
     if (pin < direct) return net_map[original];
     const std::size_t buf_index = (pin - direct) / (fanout_limit - 1);

@@ -26,7 +26,6 @@ ParallelismResult explore_parallelism(const circuit::Netlist& netlist,
   // best-point selection folds serially in lane order afterwards.
   const analysis::AnalysisContext proto{netlist, process,
                                         {.temp_k = process.temp_k}};
-  proto.netlist().topo_order();  // warm lazy caches before fan-out
 
   ParallelismResult result;
   result.sweep = exec::parallel_map_stateful<ParallelismPoint>(

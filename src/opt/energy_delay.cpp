@@ -21,11 +21,9 @@ EnergyDelayResult explore_energy_delay(const circuit::Netlist& netlist,
   u::require(points >= 2, "explore_energy_delay: need >= 2 points");
 
   // Prototype context: each worker gets a clone() so set_operating_point
-  // and the memo caches stay thread-private; the netlist's structure
-  // caches are shared read-only.
+  // and the memo caches stay thread-private; the netlist is shared.
   const analysis::AnalysisContext proto{
       netlist, process, {.vdd = vdd_lo, .temp_k = process.temp_k}};
-  proto.netlist().topo_order();  // warm lazy caches before fan-out
 
   const auto vdds =
       u::linspace(vdd_lo, vdd_hi, static_cast<std::size_t>(points));

@@ -151,7 +151,6 @@ std::vector<std::size_t> first_detections_word(
     const SimGraph& graph, const std::vector<Fault>& faults,
     const circuit::Bus& inputs, const circuit::Bus& outputs,
     const std::vector<std::uint64_t>& vectors) {
-  // Resolved before the fan-out: the netlist builds its caches lazily.
   const auto& order = graph.netlist().topo_order();
   std::vector<std::uint32_t> position(graph.instance_count());
   for (std::size_t p = 0; p < order.size(); ++p)

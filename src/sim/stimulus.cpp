@@ -130,8 +130,6 @@ ActivityStats replay_vectors(const Simulator& primed,
                   /*clocked=*/true);
     return sim.stats();
   }
-  primed.netlist().topo_order();  // build the lazy cache seat() reads
-                                  // before workers share it
   constexpr std::size_t kUnknown = std::numeric_limits<std::size_t>::max();
   struct Worker {
     Simulator sim;

@@ -23,9 +23,12 @@
 //
 // One Session per protocol connection (the server), one per process (the
 // CLI). Thread-safe: a session's requests may run on several svc workers
-// concurrently; racing misses may both parse, but the insert re-checks
-// the bucket under the lock and keeps exactly one entry (the loser
-// adopts the winner's value).
+// concurrently (a client may pipeline requests on one connection);
+// racing misses may both parse, but the insert re-checks the bucket under
+// the lock and keeps exactly one entry (the loser adopts the winner's
+// value). Requests over one Design share its netlist read-only — the
+// netlist builds its derived structure once under its own lock — and its
+// graph, compiled once under the Design's lock.
 #pragma once
 
 #include <cstdint>

@@ -16,9 +16,8 @@ std::vector<NetId> endpoint_nets(const circuit::Netlist& netlist) {
   std::vector<char> endpoint(netlist.net_count(), 0);
   for (NetId n = 0; n < netlist.net_count(); ++n)
     endpoint[n] = netlist.net(n).is_primary_output ? 1 : 0;
-  for (const auto& inst : netlist.instances())
-    if (circuit::cell_info(inst.kind).sequential)
-      for (const NetId in : inst.inputs) endpoint[in] = 1;
+  for (const InstanceId i : netlist.sequential_instances())
+    for (const NetId in : netlist.instance(i).inputs) endpoint[in] = 1;
   std::vector<NetId> out;
   for (NetId n = 0; n < netlist.net_count(); ++n)
     if (endpoint[n] != 0) out.push_back(n);

@@ -11,6 +11,8 @@
 #include "check/diag.hpp"
 #include "check/ingest.hpp"
 #include "circuit/netlist.hpp"
+#include "svc/service.hpp"
+#include "svc/session.hpp"
 
 namespace chk = lv::check;
 namespace codes = lv::check::codes;
@@ -85,6 +87,23 @@ TEST(ValidateTech, VddOrderingRejected) {
 
 TEST(ValidateNetlist, CombinationalCycleRejected) {
   expect_netlist_rejected("net_cycle.lvnet", codes::net_cycle);
+}
+
+// gm reads net a on two pins; the loop gm -> n2 -> gb -> n1 -> gm must
+// still be found and named, with the exit code of an input error.
+TEST(ValidateNetlist, CycleThroughRepeatedPinRejected) {
+  lv::svc::Session session{1};
+  lv::svc::ServiceContext ctx{session};
+  lv::svc::Request request;
+  request.op = "check";
+  request.params.positional = {std::string(LVSIM_FIXTURE_DIR) +
+                               "/net_cycle_repeated_pin.lvnet"};
+  const lv::svc::Response r = lv::svc::run_request(ctx, request);
+  EXPECT_EQ(r.exit_code, 2) << r.out << r.err;
+  EXPECT_NE(r.out.find("[net.cycle] combinational cycle through 2 gate(s), "
+                       "including: gm, gb"),
+            std::string::npos)
+      << r.out;
 }
 
 TEST(ValidateNetlist, DoubleDriverRejected) {

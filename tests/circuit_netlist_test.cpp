@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
+#include "check/diag.hpp"
 #include "circuit/generators.hpp"
 #include "util/error.hpp"
 
@@ -94,6 +99,38 @@ TEST(Netlist, TopoOrderRespectsDependencies) {
   EXPECT_LT(pos[1], pos[2]);
 }
 
+TEST(Netlist, CyclicNetlistKeepsFanoutAndNamesItsLoop) {
+  // g2 reads w1 on both pins; g1 and g2 form a loop, g3 hangs behind it.
+  c::Netlist nl;
+  const auto a = nl.add_input("a");
+  const auto w1 = nl.add_net("w1");
+  const auto w2 = nl.add_net("w2");
+  nl.add_gate_onto(c::CellKind::nand2, "g1", {a, w2}, w1);
+  nl.add_gate_onto(c::CellKind::mux2, "g2", {w1, w1, a}, w2);
+  nl.add_gate(c::CellKind::inv, "g3", {w2});
+  EXPECT_EQ(nl.fanout(w1).size(), 2u);
+  EXPECT_EQ(nl.fanout_pins(w2), 2u);
+  EXPECT_EQ(nl.cyclic_instances(), (std::vector<c::InstanceId>{0, 1, 2}));
+  EXPECT_THROW(nl.topo_order(), lv::check::InputError);
+  EXPECT_THROW(nl.validate(), lv::check::InputError);
+}
+
+TEST(Netlist, CopiesAndMovesCarryTheBuiltStructure) {
+  c::Netlist nl;
+  c::build_register_bank(nl, c::CellKind::dff_tspc, 4);
+  const auto order = nl.topo_order();
+  c::Netlist copy = nl;
+  EXPECT_EQ(copy.topo_order(), order);
+  EXPECT_EQ(copy.sequential_instances(), nl.sequential_instances());
+  c::Netlist moved = std::move(copy);
+  EXPECT_EQ(moved.topo_order(), order);
+  EXPECT_EQ(moved.fanout_list(), nl.fanout_list());
+  // A mutation after the copy rebuilds the copy's structure only.
+  moved.add_gate(c::CellKind::inv, "extra", {moved.primary_inputs()[0]});
+  EXPECT_EQ(moved.topo_order().size(), order.size() + 1);
+  EXPECT_EQ(nl.topo_order(), order);
+}
+
 TEST(Netlist, LevelizeIncreasesAlongChains) {
   c::Netlist nl;
   auto rca = c::build_ripple_carry_adder(nl, 8);
@@ -161,4 +198,54 @@ TEST(Generators, RegisterBankCreatesClockAndFlops) {
   EXPECT_EQ(nl.sequential_instances().size(), 8u);
   EXPECT_EQ(reg.q.size(), 8u);
   EXPECT_NO_THROW(nl.validate());
+}
+
+// The first structural query on a shared netlist may come from any thread:
+// every one of them must see the structure a serial caller sees.
+TEST(NetlistSharing, FirstQueriesFromManyThreadsSeeTheSerialStructure) {
+  auto fresh = [] {
+    c::Netlist nl;
+    c::build_pipelined_mac(nl, 6);
+    nl.add_net("unused");  // drops anything the generator built
+    return nl;
+  };
+  const c::Netlist serial = fresh();
+  const auto serial_order = serial.topo_order();
+  const auto serial_flops = serial.sequential_instances();
+  std::vector<std::vector<c::InstanceId>> serial_fanout;
+  for (c::NetId n = 0; n < serial.net_count(); ++n) {
+    const auto f = serial.fanout(n);
+    serial_fanout.emplace_back(f.begin(), f.end());
+  }
+  ASSERT_FALSE(serial_flops.empty());
+
+  constexpr std::size_t kThreads = 8;
+  const c::Netlist shared = fresh();
+  std::atomic<std::size_t> waiting{kThreads};
+  std::vector<int> matches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      // Rotate which query comes first.
+      std::vector<c::InstanceId> order, flops;
+      std::vector<std::vector<c::InstanceId>> fanout;
+      for (std::size_t q = 0; q < 3; ++q) {
+        switch ((t + q) % 3) {
+          case 0: order = shared.topo_order(); break;
+          case 1: flops = shared.sequential_instances(); break;
+          default:
+            for (c::NetId n = 0; n < shared.net_count(); ++n) {
+              const auto f = shared.fanout(n);
+              fanout.emplace_back(f.begin(), f.end());
+            }
+        }
+      }
+      matches[t] = order == serial_order && flops == serial_flops &&
+                   fanout == serial_fanout;
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(matches[t], 1) << t;
 }

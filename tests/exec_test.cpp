@@ -376,7 +376,7 @@ TEST(GuidedCursor, ClaimsShrinkAndCoverEveryIndexExactlyOnce) {
   lv::obs::set_enabled(false);
 }
 
-TEST(ChunkedCursor, AutoChunkIsExactCeiling) {
+TEST(GuidedCursor, AutoChunkIsExactCeiling) {
   // The opening claim is exactly ceil(n / (4 * width)), never the
   // n/(4w) + 1 overshoot, and never below one index.
   EXPECT_EQ(e::detail::guided_claim(16, 2), 2u);  // overshoot would be 3
@@ -388,7 +388,7 @@ TEST(ChunkedCursor, AutoChunkIsExactCeiling) {
   EXPECT_EQ(e::detail::guided_claim(33, 8), 2u);
 }
 
-TEST(ChunkedCursor, TinyNWithLargeWidthClaimsExactlyCeilChunks) {
+TEST(GuidedCursor, TinyNWithLargeWidthClaimsExactlyCeilChunks) {
   // For n <= 4 * width every claim is a single index, so a region of n
   // indices makes exactly n claims: no zero-length trailing claim from a
   // worker that arrives after the cursor reached n.
@@ -587,7 +587,7 @@ void expect_same_at_odd_widths(Fn&& fn, Eq&& eq) {
   }
 }
 
-TEST(ScheduleDeterminism, FaultCampaignBothKernels) {
+TEST(OddWidthDeterminism, FaultCampaign) {
   // cla8 runs inline, mul12's first block on the pool (see FaultCampaign).
   lv::circuit::Netlist cla;
   lv::circuit::build_carry_lookahead_adder(cla, 8);
@@ -603,7 +603,7 @@ TEST(ScheduleDeterminism, FaultCampaignBothKernels) {
   }
 }
 
-TEST(ScheduleDeterminism, Fig10EnergyRatioGrid) {
+TEST(OddWidthDeterminism, Fig10EnergyRatioGrid) {
   lv::circuit::Netlist nl;
   lv::circuit::build_ripple_carry_adder(nl, 8);
   const auto tech = lv::tech::soias();

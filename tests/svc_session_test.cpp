@@ -9,12 +9,15 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "check/ingest.hpp"
+#include "circuit/generators.hpp"
+#include "circuit/netlist_io.hpp"
 #include "graph_blob_v1.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
@@ -22,6 +25,7 @@
 #include "sim/sim_graph.hpp"
 #include "store/artifact_store.hpp"
 #include "store/design_codec.hpp"
+#include "svc/service.hpp"
 #include "svc/session.hpp"
 #include "util/binio.hpp"
 
@@ -166,6 +170,59 @@ TEST(SvcSession, RacingMissesKeepExactlyOneEntry) {
   for (std::size_t i = 1; i < kThreads; ++i)
     EXPECT_EQ(results[i], results[0]) << "thread " << i;
   EXPECT_EQ(session.cached_designs(), 1u);
+}
+
+// Requests pipelined on one connection share its Session and, when they
+// name the same text, one Design: their first structural queries on its
+// netlist may come at the same time. Each round uploads text no request
+// has seen, and every answer must equal the serial one.
+TEST(SvcSession, ConcurrentRequestsOnOneFreshDesign) {
+  std::string base;
+  {
+    lv::circuit::Netlist nl;
+    lv::circuit::build_ripple_carry_adder(nl, 16);
+    base = lv::circuit::to_netlist_text(nl);
+  }
+  auto run = [](svc::Session& session, const std::string& op,
+                const std::string& text) {
+    svc::ServiceContext ctx{session};
+    svc::Request request;
+    request.op = op;
+    request.params.positional = {"rca16.lvnet"};
+    if (op == "simulate")
+      request.params.options = {{"--vectors", "200"}};
+    else
+      request.params.positional.push_back("soi_low_vt");
+    request.inputs = {{"netlist", text}};
+    return svc::run_request(ctx, request);
+  };
+  const std::vector<std::pair<std::string, std::string>> phases = {
+      {"timing", "power"}, {"simulate", "paths"}};
+  std::map<std::string, std::string> serial;
+  {
+    svc::Session session{1};
+    for (const auto& [first, second] : phases)
+      for (const auto& op : {first, second}) {
+        const svc::Response r = run(session, op, base);
+        ASSERT_EQ(r.exit_code, 0) << op << ": " << r.err;
+        serial[op] = r.out;
+      }
+  }
+
+  svc::Session session{2};
+  for (int round = 0; round < 20; ++round) {
+    const std::string text = base + "# round " + std::to_string(round) + "\n";
+    for (const auto& [first, second] : phases) {
+      svc::Response a, b;
+      std::thread other{[&, op = second] { b = run(session, op, text); }};
+      a = run(session, first, text);
+      other.join();
+      EXPECT_EQ(a.exit_code, 0) << first << ": " << a.err;
+      EXPECT_EQ(b.exit_code, 0) << second << ": " << b.err;
+      EXPECT_EQ(a.out, serial[first]) << "round " << round;
+      EXPECT_EQ(b.out, serial[second]) << "round " << round;
+    }
+  }
 }
 
 TEST(SvcSession, WarmRestartSkipsParseAndCompile) {

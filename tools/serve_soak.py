@@ -8,6 +8,9 @@ malformed payloads, garbage bytes, oversized frames — from many client
 threads, then asserts:
 
   * every valid request got exit code 0, every malformed one exit code 2;
+  * requests pipelined on one connection (timing, power, paths and
+    simulate over one fresh upload, all sent before any reply is read)
+    each come back once, matched by request id, with exit code 0;
   * protocol violations got error frames and only killed their own
     connection;
   * the per-session content-hash cache saw hits (svc.cache_hits > 0);
@@ -222,6 +225,51 @@ def client_worker(path, worker_id, n_requests, stats):
         conn.close()
 
 
+PIPELINED_CONNECTIONS, PIPELINED_ROUNDS = 4, 5
+PIPELINED_OPS = (
+    (b"timing", [b"soak_rca.lvnet", b"soi_low_vt"], []),
+    (b"power", [b"soak_rca.lvnet", b"soi_low_vt"], []),
+    (b"paths", [b"soak_rca.lvnet", b"soi_low_vt"], []),
+    (b"simulate", [b"soak_rca.lvnet"], [(b"--vectors", b"128")]),
+)
+
+
+def pipelined_worker(path, worker_id, netlist, stats):
+    """Each round uploads netlist text this session has not seen and sends
+    every op in PIPELINED_OPS before reading a reply, so the server runs
+    them concurrently over one fresh design."""
+    try:
+        conn = Conn(path)
+    except Exception as e:  # noqa: BLE001 - report, don't crash the thread
+        stats.fail(f"pipelined {worker_id}: connect failed: {e}")
+        return
+    try:
+        for r in range(PIPELINED_ROUNDS):
+            text = netlist + f"# connection {worker_id} round {r}\n".encode()
+            pending = {}
+            for k, (op, positional, options) in enumerate(PIPELINED_OPS):
+                rid = 900000 + worker_id * 1000 + r * 10 + k
+                pending[rid] = op
+                conn.send_raw(frame(REQUEST, rid, encode_request(
+                    op, positional=positional, options=options,
+                    inputs=[(b"netlist", text)])))
+            while pending:
+                reply = conn.read_frame()
+                assert reply is not None, "connection closed mid pipeline"
+                kind, rid, payload = reply
+                assert kind == RESPONSE, f"pipelined reply kind {kind}"
+                assert rid in pending, f"unexpected reply id {rid}"
+                op = pending.pop(rid)
+                exit_code, _, err, *_ = decode_response(payload)
+                assert exit_code == 0, f"{op.decode()} -> {exit_code}: {err!r}"
+                with stats.lock:
+                    stats.ok += 1
+    except (AssertionError, OSError) as e:
+        stats.fail(f"pipelined {worker_id}: {e!r}")
+    finally:
+        conn.close()
+
+
 def scrape_counter(report_json, section, name):
     report = json.loads(report_json)
     return report.get(section, {}).get(name, 0)
@@ -340,6 +388,31 @@ def main():
             t.join()
         elapsed = time.time() - started
 
+        # Pipelined phase: several requests of one session in flight at
+        # once, over a netlist big enough to take real work.
+        rca = subprocess.run(
+            [args.lvtool, "gen", "rca", "16"], check=True,
+            stdout=subprocess.PIPE,
+        ).stdout
+        pipelined = [
+            threading.Thread(
+                target=pipelined_worker, args=(path, c, rca, stats)
+            )
+            for c in range(PIPELINED_CONNECTIONS)
+        ]
+        for t in pipelined:
+            t.start()
+        for t in pipelined:
+            t.join()
+        pipelined_ok = (PIPELINED_CONNECTIONS * PIPELINED_ROUNDS
+                        * len(PIPELINED_OPS))
+        if stats.errors:
+            if server.poll() is None:
+                server.kill()
+            _, err = server.communicate()
+            sys.exit("soak failures:\n" + "\n".join(stats.errors[:20])
+                     + f"\nserver stderr (tail):\n{err[-4000:]}")
+
         # Oversized frame: a header whose length field exceeds the cap.
         probe = Conn(path)
         probe.send_raw(HEADER.pack(MAGIC, VERSION, REQUEST, 1 << 30, 424242))
@@ -426,12 +499,14 @@ def main():
         if stats.errors:
             sys.exit("soak failures:\n" + "\n".join(stats.errors[:20]))
         sent = per_client * args.clients
-        violations = sent - stats.ok - stats.rejected
+        violations = sent + pipelined_ok - stats.ok - stats.rejected
         print(
             f"soak ok: {sent} concurrent requests "
             f"({stats.ok} valid, {stats.rejected} rejected, "
             f"{violations} framing violations) "
             f"across {args.clients} clients in {elapsed:.1f}s; "
+            f"{pipelined_ok} pipelined requests on {PIPELINED_CONNECTIONS} "
+            f"connections; "
             f"server handled {responses} requests total, "
             f"cache_hits={cache_hits}, warm store_hits={store_hits}, "
             f"clean shutdown"
