@@ -1,16 +1,12 @@
 #include "check/ingest.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <utility>
 
 #include "check/codes.hpp"
 #include "circuit/netlist_io.hpp"
 #include "sim/activity_io.hpp"
 #include "tech/techfile.hpp"
+#include "util/file.hpp"
 
 namespace lv::check {
 
@@ -44,35 +40,13 @@ auto collect(DiagSink& sink, const char* fallback_code, Fn&& fn)
 }  // namespace
 
 std::string read_file(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0)
-    throw InputError(codes::io_open, "cannot open '" + path + "'", {path, 0});
-  // Sized from the file, plus one byte so the read that meets end of
-  // file needs no growth: a regular file takes one read() and the EOF
-  // read. A pipe or a file that grows takes the doubling below.
-  struct stat st {};
-  std::string text(
-      ::fstat(fd, &st) == 0 && st.st_size > 0
-          ? static_cast<std::size_t>(st.st_size) + 1
-          : std::size_t{4096},
-      '\0');
-  std::size_t size = 0;
-  for (;;) {
-    if (size == text.size()) text.resize(2 * size);
-    const ssize_t n = ::read(fd, text.data() + size, text.size() - size);
-    if (n > 0) {
-      size += static_cast<std::size_t>(n);
-    } else if (n == 0) {
-      break;
-    } else if (errno != EINTR) {
-      ::close(fd);
-      throw InputError(codes::io_open, "error reading '" + path + "'",
-                       {path, 0});
-    }
-  }
-  ::close(fd);
-  text.resize(size);
-  return text;
+  util::ReadFailure failure{};
+  if (auto text = util::read_file(path, &failure)) return *std::move(text);
+  throw InputError(codes::io_open,
+                   (failure == util::ReadFailure::open ? "cannot open '"
+                                                       : "error reading '") +
+                       path + "'",
+                   {path, 0});
 }
 
 std::optional<tech::Process> load_techfile_text(std::string_view text,
@@ -80,7 +54,7 @@ std::optional<tech::Process> load_techfile_text(std::string_view text,
                                                 const std::string& filename) {
   sink.set_context_file(filename);
   auto parsed = collect(sink, codes::tech_syntax, [&] {
-    return tech::parse_techfile(text, /*validate=*/false);
+    return tech::parse_techfile(text);
   });
   if (!parsed) return std::nullopt;
   const std::size_t before = sink.error_count();
@@ -94,7 +68,7 @@ std::optional<circuit::Netlist> load_netlist_text(std::string_view text,
                                                   const std::string& filename) {
   sink.set_context_file(filename);
   auto parsed = collect(sink, codes::net_syntax, [&] {
-    return circuit::parse_netlist_text(text, /*validate=*/false);
+    return circuit::parse_netlist_text(text);
   });
   if (!parsed) return std::nullopt;
   const std::size_t before = sink.error_count();

@@ -5,12 +5,13 @@
 // power/timing/optimum-V_T numbers; warnings flag suspicious-but-usable
 // inputs (dead nets, bus index gaps, physically odd ranges).
 //
-// The checks here are a strict superset of the construction-time
-// invariants (`Process::validate`, `Netlist::validate`): everything those
-// throw on is reported as a coded diagnostic, plus the deep physical /
-// structural checks that only matter for external inputs (NaN/Inf fields,
-// parameter ranges from the device literature, bus consistency,
-// activity-count plausibility).
+// The errors for a process or a netlist are not written here. Each type
+// states its rules once, next to its definition (Process::visit_rules,
+// with the device slots' kMosfetFields and kSoiasFields, and
+// Netlist::visit_rules); validate forwards every finding they report,
+// and the constructors and validate() members throw the first. So an
+// object passes `lvtool check` exactly when it can be built, with the
+// same code and message either way. This file adds only the warnings.
 #pragma once
 
 #include "check/diag.hpp"
@@ -20,17 +21,14 @@
 
 namespace lv::check {
 
-// Physical sanity of a process description: every numeric field finite;
-// positivity of capacitances, currents, drive constants, and geometry;
-// literature ranges (alpha in [1,2], n_sub in [1,3], subthreshold slope
-// sane); vdd_min <= vdd_nominal <= vdd_max; NMOS/PMOS slot consistency;
-// per-VT-control requirements (SOIAS geometry, dual-VT offset).
+// Every Process::visit_rules finding as an error, plus a warning for a
+// temp_k outside the calibrated 150-500 K range.
 void validate(const tech::Process& process, DiagSink& sink);
 
-// Structural sanity of a netlist: pin counts vs the cell catalog, nets
-// used but never driven, combinational cycles (reported with the gates on
-// the loop), flop clocking, plus warnings for dangling nets, missing
-// primary outputs, and bus index gaps (a0/a2 declared but a1 missing).
+// Every Netlist::visit_rules finding as an error (unclocked flops,
+// undriven nets, combinational cycles named by their gates), plus
+// warnings for dangling nets, bus index gaps (a0/a2 declared but a1
+// missing) and a netlist with gates but no primary outputs.
 void validate(const circuit::Netlist& netlist, DiagSink& sink);
 
 // Plausibility of activity statistics against their netlist: settled

@@ -12,10 +12,7 @@ namespace lv::check {
 namespace {
 
 namespace c = lv::circuit;
-using c::InstanceId;
 using c::NetId;
-
-constexpr InstanceId kNoDriver = ~InstanceId{0};
 
 // Splits "a12" into ("a", 12); returns false when the name has no
 // trailing digits (then it is not a bus bit).
@@ -31,15 +28,18 @@ bool split_bus_name(const std::string& name, std::string& prefix,
   return true;
 }
 
+// The netlist's own rules (Netlist::visit_rules) give the errors; this
+// adds the warnings only a report to the user needs.
 class NetlistChecker {
  public:
   NetlistChecker(const c::Netlist& netlist, DiagSink& sink)
       : nl_(netlist), sink_(sink) {}
 
   void run() {
-    check_instances();
-    check_undriven_and_dangling();
-    check_cycles();
+    nl_.visit_rules([this](const char* code, std::string message) {
+      sink_.error(code, std::move(message));
+    });
+    check_dangling();
     check_buses();
     if (nl_.primary_outputs().empty() && nl_.instance_count() > 0)
       sink_.warning(codes::net_no_outputs,
@@ -47,64 +47,15 @@ class NetlistChecker {
   }
 
  private:
-  void check_instances() {
-    for (InstanceId i = 0; i < nl_.instance_count(); ++i) {
-      const c::Instance& inst = nl_.instance(i);
-      const c::CellInfo& info = c::cell_info(inst.kind);
-      if (inst.inputs.size() != static_cast<std::size_t>(info.input_count))
-        sink_.error(codes::net_arity,
-                    "gate '" + inst.name + "' (" + std::string(info.name) +
-                        ") has " + std::to_string(inst.inputs.size()) +
-                        " inputs, catalog says " +
-                        std::to_string(info.input_count));
-      if (info.sequential) {
-        const bool clocked = inst.inputs.size() == 2 &&
-                             nl_.clock_net() != c::kInvalidNet &&
-                             inst.inputs[1] == nl_.clock_net();
-        if (!clocked)
-          sink_.error(codes::net_clocking,
-                      "flop '" + inst.name +
-                          "' is not clocked by the declared clock net");
-      }
-    }
-  }
-
-  void check_undriven_and_dangling() {
+  void check_dangling() {
     for (NetId n = 0; n < nl_.net_count(); ++n) {
       const c::Net& net = nl_.net(n);
-      const bool driven =
-          net.driver != kNoDriver || net.is_primary_input || net.is_clock;
-      const auto consumers = nl_.fanout(n);
-      if (!driven && !consumers.empty()) {
-        // Name one consumer so the user can find the site.
-        const c::Instance& user = nl_.instance(consumers.front());
-        sink_.error(codes::net_undriven, "net '" + net.name +
-                                             "' is used by gate '" +
-                                             user.name +
-                                             "' but has no driver");
-      }
-      if (driven && consumers.empty() && !net.is_primary_output &&
-          !net.is_clock && !net.is_primary_input)
+      if (net.is_driven() && nl_.fanout(n).empty() &&
+          !net.is_primary_output && !net.is_clock && !net.is_primary_input)
         sink_.warning(codes::net_dangling,
                       "net '" + net.name +
                           "' drives nothing and is not an output");
     }
-  }
-
-  // The netlist's own topological sort leaves out every combinational
-  // gate on (or behind) a loop; name the first few in instance order.
-  void check_cycles() {
-    const auto& cyclic = nl_.cyclic_instances();
-    if (cyclic.empty()) return;
-    std::string members;
-    for (std::size_t k = 0; k < cyclic.size() && k < 8; ++k) {
-      if (k > 0) members += ", ";
-      members += nl_.instance(cyclic[k]).name;
-    }
-    sink_.error(codes::net_cycle,
-                "combinational cycle through " +
-                    std::to_string(cyclic.size()) +
-                    " gate(s), including: " + members);
   }
 
   // Bus-consistency heuristic over primary inputs and outputs: names of

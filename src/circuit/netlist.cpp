@@ -149,11 +149,21 @@ std::span<const InstanceId> Netlist::fanout(NetId net) const {
 }
 
 const std::vector<InstanceId>& Netlist::topo_order() const {
-  const Structure& s = structure();
-  if (!s.cyclic.empty())
-    throw check::InputError(check::codes::net_cycle,
-                            "Netlist: combinational cycle detected");
-  return s.topo;
+  visit_cycle_rule(check::rule::throw_first);
+  return structure().topo;
+}
+
+// Names the first few gates no order can place, in instance order.
+std::string Netlist::cycle_message() const {
+  const auto& cyclic = structure().cyclic;
+  std::string message = "combinational cycle through " +
+                        std::to_string(cyclic.size()) +
+                        " gate(s), including: ";
+  for (std::size_t k = 0; k < cyclic.size() && k < 8; ++k) {
+    if (k > 0) message += ", ";
+    message += instances_[cyclic[k]].name;
+  }
+  return message;
 }
 
 std::vector<int> Netlist::levelize() const {
@@ -187,32 +197,6 @@ std::unordered_map<std::string, std::size_t> Netlist::kind_histogram() const {
   return hist;
 }
 
-void Netlist::validate() const {
-  for (const Instance& inst : instances_) {
-    const CellInfo& info = cell_info(inst.kind);
-    // Messages are built only on failure: validate runs per compile.
-    if (inst.inputs.size() != static_cast<std::size_t>(info.input_count))
-      throw u::Error("Netlist: instance '" + inst.name +
-                     "' input count mismatch");
-    for (const NetId in : inst.inputs) {
-      const Net& n = nets_.at(in);
-      if (n.driver == ~InstanceId{0} && !n.is_primary_input && !n.is_clock)
-        throw u::Error("Netlist: net '" + n.name + "' used by '" +
-                       inst.name + "' is undriven");
-    }
-    if (inst.output >= nets_.size())
-      throw u::Error("Netlist: instance '" + inst.name +
-                     "' output out of range");
-  }
-  // Sequential cells must be clocked by the clock net (pin 1 by convention).
-  for (const InstanceId i : sequential_instances()) {
-    const Instance& inst = instances_[i];
-    u::require(inst.inputs.size() == 2,
-               "Netlist: flop '" + inst.name + "' must have (d, clk)");
-    u::require(clock_ != kInvalidNet && inst.inputs[1] == clock_,
-               "Netlist: flop '" + inst.name + "' not connected to the clock");
-  }
-  topo_order();  // throws on combinational cycles
-}
+void Netlist::validate() const { visit_rules(check::rule::throw_first); }
 
 }  // namespace lv::circuit

@@ -24,6 +24,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "check/rule.hpp"
 #include "circuit/cells.hpp"
 
 namespace lv::circuit {
@@ -39,6 +40,11 @@ struct Net {
   bool is_primary_output = false;
   bool is_clock = false;
   InstanceId driver = ~InstanceId{0};  // invalid when input/undriven
+
+  // A gate, a primary input or the clock gives the net its value.
+  bool is_driven() const {
+    return driver != ~InstanceId{0} || is_primary_input || is_clock;
+  }
 };
 
 struct Instance {
@@ -97,8 +103,8 @@ class Netlist {
   }
 
   // Topological order of *combinational* instances (sequential cells are
-  // treated as sources/sinks). Throws check::InputError (net.cycle) on a
-  // combinational cycle.
+  // treated as sources/sinks). Throws the cycle rule's check::InputError
+  // (net.cycle) on a combinational cycle.
   const std::vector<InstanceId>& topo_order() const;
 
   // Combinational instances no topological order can place — those on a
@@ -121,9 +127,16 @@ class Netlist {
   // Gate count per cell kind.
   std::unordered_map<std::string, std::size_t> kind_histogram() const;
 
-  // Structural checks: every instance input exists and is driven or is a
-  // primary input/clock; single driver per net; input counts match the
-  // catalog. Throws with a description of the first violation.
+  // The error rules of a netlist, written once for `lvtool check` and
+  // validate(): every flop clocked by the declared clock net (pin 1),
+  // every net a gate reads driven, and no combinational cycle.
+  // report(code, message) receives each finding in that order. Pin
+  // counts, net ids and single drivers need no rule: add_gate_onto, the
+  // only way an instance is made, refuses to break them.
+  template <typename Report>
+  void visit_rules(Report&& report) const;
+
+  // Throws the first finding of visit_rules as a coded check::InputError.
   void validate() const;
 
  private:
@@ -181,6 +194,35 @@ class Netlist {
 
   const Structure& structure() const;
   Structure build_structure() const;
+
+  // The cycle rule, shared by visit_rules and topo_order.
+  template <typename Report>
+  void visit_cycle_rule(Report& report) const {
+    if (!structure().cyclic.empty())
+      report(check::codes::net_cycle, cycle_message());
+  }
+  std::string cycle_message() const;
 };
+
+template <typename Report>
+void Netlist::visit_rules(Report&& report) const {
+  for (const InstanceId i : sequential_instances()) {
+    const Instance& flop = instances_[i];
+    if (clock_ == kInvalidNet || flop.inputs[1] != clock_)
+      report(check::codes::net_clocking,
+             "flop '" + flop.name +
+                 "' is not clocked by the declared clock net");
+  }
+  for (NetId n = 0; n < nets_.size(); ++n) {
+    const Net& net = nets_[n];
+    if (net.is_driven()) continue;
+    // Name one consumer so the user can find the site.
+    if (const auto consumers = fanout(n); !consumers.empty())
+      report(check::codes::net_undriven,
+             "net '" + net.name + "' is used by gate '" +
+                 instances_[consumers.front()].name + "' but has no driver");
+  }
+  visit_cycle_rule(report);
+}
 
 }  // namespace lv::circuit

@@ -56,7 +56,7 @@ void split_words(std::string_view line, std::vector<std::string_view>& out) {
 
 }  // namespace
 
-Netlist parse_netlist_text(std::string_view text, bool validate) {
+Netlist parse_netlist_text(std::string_view text) {
   Netlist nl;
   int line_no = 0;
   bool saw_header = false;
@@ -153,7 +153,6 @@ Netlist parse_netlist_text(std::string_view text, bool validate) {
   }
   if (!saw_header)
     throw check::InputError(check::codes::net_syntax, "netlist: empty input");
-  if (validate) nl.validate();
   return nl;
 }
 

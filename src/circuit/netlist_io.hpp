@@ -23,11 +23,11 @@ namespace lv::circuit {
 std::string to_netlist_text(const Netlist& netlist);
 
 // Throws lv::check::InputError (a lv::util::Error carrying a coded
-// diagnostic with the line number) on malformed input. With `validate`
-// (the default) the returned netlist has been validate()d — which throws
-// on combinational cycles; lv::check's loaders pass false and run the
-// deeper coded validators instead. Names may not start with "module="
-// (reserved by the gate-statement grammar).
-Netlist parse_netlist_text(std::string_view text, bool validate = true);
+// diagnostic with the line number) on malformed input. Syntax only: the
+// result may still break Netlist::visit_rules (an undriven net, an
+// unclocked flop, a combinational cycle), so a caller that needs a usable
+// netlist reads the text through check::require_netlist. Names may not
+// start with "module=" (reserved by the gate-statement grammar).
+Netlist parse_netlist_text(std::string_view text);
 
 }  // namespace lv::circuit

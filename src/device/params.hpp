@@ -8,9 +8,7 @@
 //  * voltage-dependent capacitances (Fig. 1).
 #pragma once
 
-#include <string>
-
-#include "util/error.hpp"
+#include "check/rule.hpp"
 
 namespace lv::device {
 
@@ -75,30 +73,44 @@ struct MosfetParams {
   // Gate-drain/source overlap capacitance per width [F/m].
   double c_overlap_w = 2.0e-10;
 
-  // Validates physical sanity; throws lv::util::Error on nonsense.
-  void validate() const {
-    namespace u = lv::util;
-    u::require(vt0 > 0.0 && vt0 < 2.0, "MosfetParams: vt0 out of range");
-    u::require(gamma >= 0.0, "MosfetParams: gamma must be >= 0");
-    u::require(phi2f > 0.0, "MosfetParams: phi2f must be > 0");
-    u::require(dibl >= 0.0 && dibl < 0.5, "MosfetParams: dibl out of range");
-    u::require(n_sub >= 1.0 && n_sub <= 3.0, "MosfetParams: n_sub out of range");
-    u::require(i_at_vt > 0.0, "MosfetParams: i_at_vt must be > 0");
-    u::require(alpha >= 1.0 && alpha <= 2.0, "MosfetParams: alpha out of range");
-    u::require(k_drive > 0.0, "MosfetParams: k_drive must be > 0");
-    u::require(kv > 0.0, "MosfetParams: kv must be > 0");
-    u::require(cox_area > 0.0, "MosfetParams: cox_area must be > 0");
-    u::require(l_drawn > 0.0, "MosfetParams: l_drawn must be > 0");
-    u::require(cg_floor_frac > 0.0 && cg_floor_frac <= 1.0,
-               "MosfetParams: cg_floor_frac out of (0,1]");
-    u::require(cg_sigma > 0.0, "MosfetParams: cg_sigma must be > 0");
-    u::require(cj0_area >= 0.0 && phi_b > 0.0 && mj > 0.0 && mj < 1.0,
-               "MosfetParams: junction parameters out of range");
-  }
+  // Throws the first finding of the rules below as a coded
+  // check::InputError, its fields named after the polarity ("nmos.vt0").
+  void validate() const;
 };
 
 inline const char* to_string(Polarity p) {
   return p == Polarity::nmos ? "nmos" : "pmos";
+}
+
+// The error rules of a parameter set, one row per numeric field in
+// declaration order: every row must be finite, and each bound comes from
+// the device literature (alpha in [1, 2], n_sub in [1, 3], a DIBL
+// coefficient of at most 0.5 V/V). `lvtool check`, the techfile
+// reader and writer, and every device constructor read this one table.
+inline constexpr check::rule::Field<MosfetParams> kMosfetFields[] = {
+    {"vt0", &MosfetParams::vt0, 1e-3, 2.0},
+    {"gamma", &MosfetParams::gamma, 0.0},
+    {"phi2f", &MosfetParams::phi2f, check::rule::kPositive},
+    {"dibl", &MosfetParams::dibl, 0.0, 0.5},
+    {"vt_tempco", &MosfetParams::vt_tempco},
+    {"n_sub", &MosfetParams::n_sub, 1.0, 3.0},
+    {"i_at_vt", &MosfetParams::i_at_vt, check::rule::kPositive},
+    {"alpha", &MosfetParams::alpha, 1.0, 2.0},
+    {"k_drive", &MosfetParams::k_drive, check::rule::kPositive},
+    {"kv", &MosfetParams::kv, check::rule::kPositive},
+    {"cox_area", &MosfetParams::cox_area, check::rule::kPositive},
+    {"l_drawn", &MosfetParams::l_drawn, check::rule::kPositive},
+    {"cg_floor_frac", &MosfetParams::cg_floor_frac, 1e-6, 1.0},
+    {"cg_sigma", &MosfetParams::cg_sigma, check::rule::kPositive},
+    {"cj0_area", &MosfetParams::cj0_area, 0.0},
+    {"phi_b", &MosfetParams::phi_b, check::rule::kPositive},
+    {"mj", &MosfetParams::mj, 1e-6, 1.0 - 1e-6},
+    {"drain_extent", &MosfetParams::drain_extent, 0.0},
+    {"c_overlap_w", &MosfetParams::c_overlap_w, 0.0},
+};
+
+inline void MosfetParams::validate() const {
+  check::rule::require(*this, kMosfetFields, to_string(polarity));
 }
 
 }  // namespace lv::device

@@ -8,7 +8,7 @@ namespace u = lv::util;
 
 SoiasDevice::SoiasDevice(Mosfet base, SoiasGeometry geometry)
     : base_{std::move(base)}, geometry_{geometry} {
-  geometry_.validate();
+  check::rule::require(geometry_, kSoiasFields, "soias");
 }
 
 double SoiasDevice::coupling_ratio() const {

@@ -24,11 +24,15 @@ struct SoiasGeometry {
   double t_si = 45e-9;    // silicon film thickness [m]
   double t_box = 90e-9;   // buried (back) oxide thickness [m]
   double t_fox = 9e-9;    // front gate oxide thickness [m]
+};
 
-  void validate() const {
-    lv::util::require(t_si > 0 && t_box > 0 && t_fox > 0,
-                      "SoiasGeometry: thicknesses must be > 0");
-  }
+// The error rules of a geometry: every thickness finite and > 0. Fields
+// are named "soias.t_si" in messages. A process checks finiteness always
+// and positivity only when it uses the back gate; SoiasDevice checks both.
+inline constexpr check::rule::Field<SoiasGeometry> kSoiasFields[] = {
+    {"t_si", &SoiasGeometry::t_si, check::rule::kPositive},
+    {"t_box", &SoiasGeometry::t_box, check::rule::kPositive},
+    {"t_fox", &SoiasGeometry::t_fox, check::rule::kPositive},
 };
 
 class SoiasDevice {

@@ -33,9 +33,8 @@ struct GraphAccess {
   static std::vector<circuit::InstanceId>& eval_list(SimGraph& g) {
     return g.eval_list_;
   }
-  static std::vector<circuit::InstanceId>& sequential(SimGraph& g) {
-    return g.sequential_;
-  }
+  // Rebuilds the eval CSR from the graph's netlist and installed nodes.
+  static void build_eval_csr(SimGraph& g) { g.build_eval_csr(); }
   static std::vector<SimGraph::TieInit>& tie_inits(SimGraph& g) {
     return g.tie_inits_;
   }

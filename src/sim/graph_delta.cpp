@@ -98,7 +98,6 @@ std::shared_ptr<const SimGraph> recompile_incremental(
   GA::input_nets(*g) = base_graph.input_nets();
   GA::eval_offsets(*g) = base_graph.eval_offsets();
   GA::eval_list(*g) = base_graph.eval_list();
-  GA::sequential(*g) = base_graph.sequential_instances();
   GA::tie_inits(*g) = base_graph.tie_inits();
   GA::net_is_input(*g) = GA::net_is_input(base_graph);
 
@@ -129,24 +128,8 @@ std::shared_ptr<const SimGraph> recompile_incremental(
     }
   }
 
-  if (rewired) {
-    // Consumer sets moved: rebuild the combinational-consumer CSR from
-    // the edited netlist's fanout cache (same filter, same order as a
-    // full compile).
-    const auto& full_offsets = edited.fanout_offsets();
-    const auto& full_list = edited.fanout_list();
-    auto& eval_offsets = GA::eval_offsets(*g);
-    auto& eval_list = GA::eval_list(*g);
-    eval_offsets.assign(edited.net_count() + 1, 0);
-    eval_list.clear();
-    for (NetId n = 0; n < edited.net_count(); ++n) {
-      for (std::uint32_t k = full_offsets[n]; k < full_offsets[n + 1]; ++k) {
-        const InstanceId consumer = full_list[k];
-        if (nodes[consumer].sequential == 0) eval_list.push_back(consumer);
-      }
-      eval_offsets[n + 1] = static_cast<std::uint32_t>(eval_list.size());
-    }
-  }
+  // Consumer sets moved: rebuild the eval CSR exactly as a full compile.
+  if (rewired) GA::build_eval_csr(*g);
 
   if (tie_changed) {
     auto& ties = GA::tie_inits(*g);

@@ -92,7 +92,6 @@ std::shared_ptr<const SimGraph> decode_graph(const circuit::Netlist& netlist,
 
   auto& nodes = GA::nodes(*g);
   nodes.resize(static_cast<std::size_t>(inst_count));
-  auto& sequential = GA::sequential(*g);
   constexpr auto kind_count =
       static_cast<std::uint8_t>(circuit::CellKind::kind_count);
   for (circuit::InstanceId i = 0; i < nodes.size(); ++i) {
@@ -105,14 +104,16 @@ std::shared_ptr<const SimGraph> decode_graph(const circuit::Netlist& netlist,
     require(node.kind < kind_count, "graph_io: node kind out of range");
     // The kind decides everything else about the node, as in compile:
     // its arity (which keeps a LUT index inside its 256-entry table),
-    // its table (luts()[kind]) and whether it is a flop that
-    // clock_cycle() samples.
+    // its table (luts()[kind]) and whether it is a flop. clock_cycle()
+    // samples the netlist's flops, so the blob must agree with it there.
     const circuit::CellInfo& info =
         circuit::cell_info(static_cast<circuit::CellKind>(node.kind));
     require(node.in_count == info.input_count,
             "graph_io: node input count differs from its cell's arity");
+    require(info.sequential ==
+                circuit::cell_info(netlist.instance(i).kind).sequential,
+            "graph_io: node flop flag differs from its instance");
     node.sequential = info.sequential ? 1 : 0;
-    if (info.sequential) sequential.push_back(i);
   }
 
   auto& input_nets = GA::input_nets(*g);

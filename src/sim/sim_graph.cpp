@@ -100,19 +100,26 @@ SimGraph::SimGraph(const circuit::Netlist& netlist) : netlist_{netlist} {
     node.sequential = info.sequential ? 1 : 0;
     input_nets_.insert(input_nets_.end(), inst.inputs.begin(),
                        inst.inputs.end());
-    if (info.sequential) sequential_.push_back(i);
     if (inst.kind == CellKind::tie0)
       tie_inits_.push_back({inst.output, Logic::zero});
     else if (inst.kind == CellKind::tie1)
       tie_inits_.push_back({inst.output, Logic::one});
   }
 
-  // Event-propagation CSR: the netlist's full consumer CSR filtered down
-  // to combinational consumers, preserving ascending-instance order (the
-  // evaluation order the bit-exact statistics contract depends on).
-  const auto& full_offsets = netlist.fanout_offsets();
-  const auto& full_list = netlist.fanout_list();
+  build_eval_csr();
+
+  net_is_input_.assign(net_count_, 0);
+  for (const NetId n : netlist.primary_inputs()) net_is_input_[n] = 1;
+}
+
+// The netlist's full consumer CSR filtered down to combinational
+// consumers, preserving ascending-instance order (the evaluation order
+// the bit-exact statistics contract depends on).
+void SimGraph::build_eval_csr() {
+  const auto& full_offsets = netlist_.fanout_offsets();
+  const auto& full_list = netlist_.fanout_list();
   eval_offsets_.assign(net_count_ + 1, 0);
+  eval_list_.clear();
   eval_list_.reserve(full_list.size());
   for (NetId n = 0; n < net_count_; ++n) {
     for (std::uint32_t k = full_offsets[n]; k < full_offsets[n + 1]; ++k) {
@@ -121,9 +128,6 @@ SimGraph::SimGraph(const circuit::Netlist& netlist) : netlist_{netlist} {
     }
     eval_offsets_[n + 1] = static_cast<std::uint32_t>(eval_list_.size());
   }
-
-  net_is_input_.assign(net_count_, 0);
-  for (const NetId n : netlist.primary_inputs()) net_is_input_[n] = 1;
 }
 
 }  // namespace lv::sim

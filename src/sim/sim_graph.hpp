@@ -110,8 +110,9 @@ class SimGraph {
   // every graph.
   static const std::vector<Lut>& luts();
 
+  // The netlist's flops, in ascending instance order.
   const std::vector<circuit::InstanceId>& sequential_instances() const {
-    return sequential_;
+    return netlist_.sequential_instances();
   }
   const std::vector<TieInit>& tie_inits() const { return tie_inits_; }
 
@@ -134,13 +135,16 @@ class SimGraph {
   SimGraph(RawTag, const circuit::Netlist& netlist) : netlist_{netlist} {}
   friend struct detail::GraphAccess;
 
+  // Fills the event-propagation CSR from the netlist's consumer CSR and
+  // nodes_ (compile and incremental recompile share it).
+  void build_eval_csr();
+
   const circuit::Netlist& netlist_;
   std::size_t net_count_ = 0;
   std::vector<Node> nodes_;
   std::vector<circuit::NetId> input_nets_;
   std::vector<std::uint32_t> eval_offsets_;
   std::vector<circuit::InstanceId> eval_list_;
-  std::vector<circuit::InstanceId> sequential_;
   std::vector<TieInit> tie_inits_;
   std::vector<std::uint8_t> net_is_input_;
 };

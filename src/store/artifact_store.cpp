@@ -10,6 +10,7 @@
 #include "obs/metrics.hpp"
 #include "util/binio.hpp"
 #include "util/failpoint.hpp"
+#include "util/file.hpp"
 
 namespace lv::store {
 
@@ -64,15 +65,6 @@ constexpr char kMagic[4] = {'L', 'V', 'S', 'T'};
 constexpr std::uint32_t kEntryVersion = 1;
 constexpr std::size_t kMaxGroupIndexKeys = 64;
 
-std::optional<std::string> read_file(const fs::path& p) {
-  std::ifstream in{p, std::ios::binary};
-  if (!in) return std::nullopt;
-  std::string data{std::istreambuf_iterator<char>{in},
-                   std::istreambuf_iterator<char>{}};
-  if (in.bad()) return std::nullopt;
-  return data;
-}
-
 bool is_hex32(std::string_view s) {
   if (s.size() != 32) return false;
   for (const char c : s)
@@ -113,7 +105,7 @@ fs::path ArtifactStore::group_path(std::string_view kind,
 std::optional<std::string> ArtifactStore::get(std::string_view kind,
                                               const Key128& key) {
   const fs::path path = entry_path(kind, key);
-  auto raw = read_file(path);
+  auto raw = util::read_file(path.string());  // unreadable: a miss
   if (raw) {
     if (const auto f = fp_read.fire()) {
       if (f.action == failpoint::Action::error) {
@@ -241,7 +233,7 @@ bool ArtifactStore::put(std::string_view kind, const Key128& key,
     fs::create_directories(gpath.parent_path(), ec);
     const std::string hex = to_hex(key);
     std::vector<std::string> lines{hex};
-    if (const auto existing = read_file(gpath)) {
+    if (const auto existing = util::read_file(gpath.string())) {
       std::size_t pos = 0;
       while (pos < existing->size() && lines.size() < kMaxGroupIndexKeys) {
         std::size_t nl = existing->find('\n', pos);
@@ -282,7 +274,7 @@ std::vector<Key128> ArtifactStore::group_keys(std::string_view kind,
   std::optional<std::string> data;
   {
     std::lock_guard<std::mutex> lock{group_mu_};
-    data = read_file(group_path(kind, group));
+    data = util::read_file(group_path(kind, group).string());
   }
   if (!data) return keys;
   std::size_t pos = 0;

@@ -5,37 +5,19 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <thread>
 
 #include "check/codes.hpp"
 #include "check/diag.hpp"
 #include "svc/handlers.hpp"
 #include "svc/protocol.hpp"
+#include "svc/service.hpp"
+#include "util/file.hpp"
 
 namespace lv::svc {
 
 namespace {
-
-// Reads a local file if it exists; nullopt otherwise (predefined tech
-// names and server-local paths are forwarded untouched).
-std::optional<std::string> read_if_exists(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) return std::nullopt;
-  std::ostringstream text;
-  text << in.rdbuf();
-  if (!in && !in.eof()) return std::nullopt;
-  return text.str();
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out{path, std::ios::binary};
-  if (!out || !(out << content))
-    throw check::InputError(check::codes::io_write,
-                            "cannot write '" + path + "'", {path, 0});
-}
 
 // One blocking round-trip; enforces the expected reply kind and maps
 // error frames / violations to coded InputErrors.
@@ -93,14 +75,7 @@ int attempt(const ClientOptions& options, const Request* request) {
   const Frame reply =
       round_trip(fd, reader, FrameKind::request, 1,
                  encode_request(*request), FrameKind::response);
-  const Response response = decode_response(reply.payload);
-
-  // Same materialization order as the CLI adapter: artifacts first, so
-  // a failed write aborts before any stdout is emitted.
-  for (const auto& file : response.files) write_file(file.path, file.content);
-  if (!response.err.empty()) std::fputs(response.err.c_str(), stderr);
-  if (!response.out.empty()) std::fputs(response.out.c_str(), stdout);
-  return response.exit_code;
+  return materialize(decode_response(reply.payload));
 }
 
 }  // namespace
@@ -134,7 +109,9 @@ int run_client(const ClientOptions& options, int argc, char** argv,
         else if (slot.option != nullptr)
           value = req.params.text(slot.option);
         if (!value) continue;
-        if (auto content = read_if_exists(*value))
+        // A value that is no readable local file (a predefined tech name,
+        // a server-local path) is forwarded untouched.
+        if (auto content = util::read_file(*value))
           req.inputs[slot.role] = std::move(*content);
       }
     }

@@ -1,6 +1,8 @@
 #include "svc/service.hpp"
 
+#include <cstdio>
 #include <exception>
+#include <fstream>
 #include <stdexcept>
 
 #include "check/codes.hpp"
@@ -17,6 +19,23 @@ namespace {
 lv::failpoint::Site fp_worker{"svc.worker"};
 
 }  // namespace
+
+int materialize(const Response& response) {
+  for (const auto& file : response.files) {
+    if (file.path == "-") continue;
+    std::ofstream out{file.path, std::ios::binary};
+    if (!out || !(out << file.content))
+      throw check::InputError(check::codes::io_write,
+                              "cannot write '" + file.path + "'",
+                              {file.path, 0});
+  }
+  std::fputs(response.err.c_str(), stderr);
+  std::fputs(response.out.c_str(), stdout);
+  for (const auto& file : response.files)
+    if (file.path == "-")
+      std::fwrite(file.content.data(), 1, file.content.size(), stdout);
+  return response.exit_code;
+}
 
 void attach_run_report(Response& response, const Request& request) {
   const bool stats_text = request.params.flag("--stats");

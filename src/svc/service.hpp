@@ -23,6 +23,13 @@ namespace lv::svc {
 
 Response run_request(ServiceContext& ctx, const Request& request);
 
+// Puts a Response where the user asked, the same way for `lvtool <cmd>`,
+// `lvtool serve` and `lvtool client`: every file artifact first (a
+// failed write throws InputError(io.write) before any output), then the
+// stderr and stdout bytes, then, on stdout, the content of each artifact
+// whose path is "-". Returns the response's exit code.
+int materialize(const Response& response);
+
 // The shared RunReport emission helper: when the request carries
 // --stats / --stats-json, snapshots the global registry into
 // Response::report_json, appends the text report to Response::out

@@ -50,29 +50,7 @@ dev::Mosfet Process::make_high_vt_pmos(double w_mult) const {
   return dev::Mosfet{pmos, unit_pmos_width * w_mult, high_vt_offset};
 }
 
-void Process::validate() const {
-  namespace u = lv::util;
-  u::require(!name.empty(), "Process: name must not be empty");
-  nmos.validate();
-  pmos.validate();
-  u::require(nmos.polarity == dev::Polarity::nmos,
-             "Process: nmos params must have nmos polarity");
-  u::require(pmos.polarity == dev::Polarity::pmos,
-             "Process: pmos params must have pmos polarity");
-  u::require(vdd_min > 0.0 && vdd_min <= vdd_nominal && vdd_nominal <= vdd_max,
-             "Process: require 0 < vdd_min <= vdd_nominal <= vdd_max");
-  u::require(unit_nmos_width > 0.0 && unit_pmos_width > 0.0,
-             "Process: unit widths must be > 0");
-  u::require(wire_cap_per_m >= 0.0 && avg_wire_per_fanout >= 0.0,
-             "Process: wire parameters must be >= 0");
-  u::require(temp_k > 0.0, "Process: temperature must be > 0");
-  if (vt_control == VtControl::soias_backgate) soias_geometry.validate();
-  if (vt_control == VtControl::dual_vt)
-    u::require(high_vt_offset > 0.0, "Process: dual-VT offset must be > 0");
-  if (vt_control == VtControl::body_bias)
-    u::require(standby_body_bias >= 0.0,
-               "Process: standby body bias must be >= 0");
-}
+void Process::validate() const { visit_rules(check::rule::throw_first); }
 
 namespace {
 

@@ -13,8 +13,10 @@
 //   * bulk_body_bias  — triple-well bulk with substrate-bias standby.
 #pragma once
 
+#include <cmath>
 #include <string>
 
+#include "check/rule.hpp"
 #include "device/capacitance.hpp"
 #include "device/mosfet.hpp"
 #include "device/soias.hpp"
@@ -75,9 +77,84 @@ struct Process {
   device::Mosfet make_high_vt_nmos(double w_mult = 1.0) const;
   device::Mosfet make_high_vt_pmos(double w_mult = 1.0) const;
 
-  // Throws lv::util::Error when inconsistent.
+  // The error rules of a process, written once for `lvtool check` and
+  // validate(): every numeric field finite, each device slot within
+  // kMosfetFields and of its own polarity, 0 < vdd_min <= vdd_nominal <=
+  // vdd_max, positive widths, non-negative wiring, and what the process's
+  // VT control needs (SOIAS geometry and swing, dual-VT offset, body
+  // bias). report(code, message) receives each finding in that order.
+  template <typename Report>
+  void visit_rules(Report&& report) const;
+
+  // Throws the first finding of visit_rules as a coded check::InputError.
   void validate() const;
 };
+
+// The numeric process-level fields, in techfile order: every one must be
+// finite; visit_rules states their other rules.
+inline constexpr check::rule::Field<Process> kProcessFields[] = {
+    {"vdd_nominal", &Process::vdd_nominal},
+    {"vdd_min", &Process::vdd_min},
+    {"vdd_max", &Process::vdd_max},
+    {"wire_cap_per_m", &Process::wire_cap_per_m},
+    {"avg_wire_per_fanout", &Process::avg_wire_per_fanout},
+    {"unit_nmos_width", &Process::unit_nmos_width},
+    {"unit_pmos_width", &Process::unit_pmos_width},
+    {"backgate_swing", &Process::backgate_swing},
+    {"high_vt_offset", &Process::high_vt_offset},
+    {"standby_body_bias", &Process::standby_body_bias},
+    {"temp_k", &Process::temp_k},
+};
+
+template <typename Report>
+void Process::visit_rules(Report&& report) const {
+  namespace r = check::rule;
+  namespace codes = check::codes;
+  if (name.empty()) report(codes::tech_range, "process name must not be empty");
+  const auto slot = [&](const char* section, const device::MosfetParams& p,
+                        device::Polarity expected) {
+    r::finite_fields(p, device::kMosfetFields, section, report);
+    if (p.polarity != expected)
+      report(codes::tech_polarity, std::string("[") + section +
+                                       "] parameters carry " +
+                                       device::to_string(p.polarity) +
+                                       " polarity");
+    r::bounded_fields(p, device::kMosfetFields, section, report);
+  };
+  slot("nmos", nmos, device::Polarity::nmos);
+  slot("pmos", pmos, device::Polarity::pmos);
+
+  r::finite_fields(*this, kProcessFields, "", report);
+  r::finite_fields(soias_geometry, device::kSoiasFields, "soias", report);
+  if (std::isfinite(vdd_min) && std::isfinite(vdd_nominal) &&
+      std::isfinite(vdd_max) &&
+      !(vdd_min > 0.0 && vdd_min <= vdd_nominal && vdd_nominal <= vdd_max))
+    report(codes::tech_vdd_order,
+           "require 0 < vdd_min <= vdd_nominal <= vdd_max (got " +
+               std::to_string(vdd_min) + " / " + std::to_string(vdd_nominal) +
+               " / " + std::to_string(vdd_max) + ")");
+  static constexpr r::Field<Process> kBounds[] = {
+      {"unit_nmos_width", &Process::unit_nmos_width, r::kPositive},
+      {"unit_pmos_width", &Process::unit_pmos_width, r::kPositive},
+      {"wire_cap_per_m", &Process::wire_cap_per_m, 0.0},
+      {"avg_wire_per_fanout", &Process::avg_wire_per_fanout, 0.0},
+      {"temp_k", &Process::temp_k, r::kPositive},
+  };
+  r::bounded_fields(*this, kBounds, "", report);
+
+  if (vt_control == VtControl::soias_backgate) {
+    r::bounded_fields(soias_geometry, device::kSoiasFields, "soias", report);
+    r::bounded(*this, {"backgate_swing", &Process::backgate_swing, 0.0}, "",
+               report);
+  }
+  if (vt_control == VtControl::dual_vt)
+    r::bounded(*this,
+               {"high_vt_offset", &Process::high_vt_offset, r::kPositive}, "",
+               report);
+  if (vt_control == VtControl::body_bias)
+    r::bounded(*this, {"standby_body_bias", &Process::standby_body_bias, 0.0},
+               "", report);
+}
 
 // ---- Predefined processes (paper calibration points) ----------------------
 // 0.6 um bulk CMOS at 3 V, VT ~ 0.7 V, S ~ 85 mV/dec.

@@ -2,18 +2,16 @@
 
 #include <charconv>
 #include <cstdio>
-#include <map>
+#include <span>
 #include <sstream>
 
 #include "check/codes.hpp"
 #include "check/diag.hpp"
-#include "util/error.hpp"
 
 namespace lv::tech {
 
 namespace {
 
-namespace u = lv::util;
 namespace dev = lv::device;
 
 std::string format_double(double v) {
@@ -24,28 +22,24 @@ std::string format_double(double v) {
   return buf;
 }
 
-void emit_mosfet(std::ostringstream& out, const char* section,
-                 const dev::MosfetParams& p) {
-  out << '[' << section << "]\n";
-  out << "vt0 = " << format_double(p.vt0) << '\n';
-  out << "gamma = " << format_double(p.gamma) << '\n';
-  out << "phi2f = " << format_double(p.phi2f) << '\n';
-  out << "dibl = " << format_double(p.dibl) << '\n';
-  out << "vt_tempco = " << format_double(p.vt_tempco) << '\n';
-  out << "n_sub = " << format_double(p.n_sub) << '\n';
-  out << "i_at_vt = " << format_double(p.i_at_vt) << '\n';
-  out << "alpha = " << format_double(p.alpha) << '\n';
-  out << "k_drive = " << format_double(p.k_drive) << '\n';
-  out << "kv = " << format_double(p.kv) << '\n';
-  out << "cox_area = " << format_double(p.cox_area) << '\n';
-  out << "l_drawn = " << format_double(p.l_drawn) << '\n';
-  out << "cg_floor_frac = " << format_double(p.cg_floor_frac) << '\n';
-  out << "cg_sigma = " << format_double(p.cg_sigma) << '\n';
-  out << "cj0_area = " << format_double(p.cj0_area) << '\n';
-  out << "phi_b = " << format_double(p.phi_b) << '\n';
-  out << "mj = " << format_double(p.mj) << '\n';
-  out << "drain_extent = " << format_double(p.drain_extent) << '\n';
-  out << "c_overlap_w = " << format_double(p.c_overlap_w) << '\n';
+using check::rule::Fields;
+
+template <typename T>
+void emit_fields(std::ostringstream& out, const T& object, Fields<T> fields) {
+  for (const auto& f : fields)
+    out << f.name << " = " << format_double(object.*f.member) << '\n';
+}
+
+// Sets the field named `key`; false when no field has that name.
+template <typename T>
+bool assign_field(T& object, Fields<T> fields, std::string_view key,
+                  double value) {
+  for (const auto& f : fields) {
+    if (key != f.name) continue;
+    object.*f.member = value;
+    return true;
+  }
+  return false;
 }
 
 std::string_view trim(std::string_view s) {
@@ -74,35 +68,6 @@ double parse_number(std::string_view value, int line) {
   return out;
 }
 
-bool assign_mosfet_key(dev::MosfetParams& p, std::string_view key,
-                       double value) {
-  static const std::map<std::string_view, double dev::MosfetParams::*> fields = {
-      {"vt0", &dev::MosfetParams::vt0},
-      {"gamma", &dev::MosfetParams::gamma},
-      {"phi2f", &dev::MosfetParams::phi2f},
-      {"dibl", &dev::MosfetParams::dibl},
-      {"vt_tempco", &dev::MosfetParams::vt_tempco},
-      {"n_sub", &dev::MosfetParams::n_sub},
-      {"i_at_vt", &dev::MosfetParams::i_at_vt},
-      {"alpha", &dev::MosfetParams::alpha},
-      {"k_drive", &dev::MosfetParams::k_drive},
-      {"kv", &dev::MosfetParams::kv},
-      {"cox_area", &dev::MosfetParams::cox_area},
-      {"l_drawn", &dev::MosfetParams::l_drawn},
-      {"cg_floor_frac", &dev::MosfetParams::cg_floor_frac},
-      {"cg_sigma", &dev::MosfetParams::cg_sigma},
-      {"cj0_area", &dev::MosfetParams::cj0_area},
-      {"phi_b", &dev::MosfetParams::phi_b},
-      {"mj", &dev::MosfetParams::mj},
-      {"drain_extent", &dev::MosfetParams::drain_extent},
-      {"c_overlap_w", &dev::MosfetParams::c_overlap_w},
-  };
-  const auto it = fields.find(key);
-  if (it == fields.end()) return false;
-  p.*(it->second) = value;
-  return true;
-}
-
 VtControl parse_vt_control(std::string_view value, int line) {
   if (value == "fixed") return VtControl::fixed;
   if (value == "soias_backgate") return VtControl::soias_backgate;
@@ -118,28 +83,21 @@ std::string to_techfile(const Process& t) {
   out << "lvtech 1\n";
   out << "[process]\n";
   out << "name = " << t.name << '\n';
-  out << "vdd_nominal = " << format_double(t.vdd_nominal) << '\n';
-  out << "vdd_min = " << format_double(t.vdd_min) << '\n';
-  out << "vdd_max = " << format_double(t.vdd_max) << '\n';
-  out << "wire_cap_per_m = " << format_double(t.wire_cap_per_m) << '\n';
-  out << "avg_wire_per_fanout = " << format_double(t.avg_wire_per_fanout) << '\n';
-  out << "unit_nmos_width = " << format_double(t.unit_nmos_width) << '\n';
-  out << "unit_pmos_width = " << format_double(t.unit_pmos_width) << '\n';
+  // vt_control follows the unit widths, where files have always had it.
+  const Fields<Process> scalars = kProcessFields;
+  emit_fields(out, t, scalars.first(7));
   out << "vt_control = " << to_string(t.vt_control) << '\n';
-  out << "backgate_swing = " << format_double(t.backgate_swing) << '\n';
-  out << "high_vt_offset = " << format_double(t.high_vt_offset) << '\n';
-  out << "standby_body_bias = " << format_double(t.standby_body_bias) << '\n';
-  out << "temp_k = " << format_double(t.temp_k) << '\n';
-  emit_mosfet(out, "nmos", t.nmos);
-  emit_mosfet(out, "pmos", t.pmos);
+  emit_fields(out, t, scalars.subspan(7));
+  out << "[nmos]\n";
+  emit_fields<dev::MosfetParams>(out, t.nmos, dev::kMosfetFields);
+  out << "[pmos]\n";
+  emit_fields<dev::MosfetParams>(out, t.pmos, dev::kMosfetFields);
   out << "[soias]\n";
-  out << "t_si = " << format_double(t.soias_geometry.t_si) << '\n';
-  out << "t_box = " << format_double(t.soias_geometry.t_box) << '\n';
-  out << "t_fox = " << format_double(t.soias_geometry.t_fox) << '\n';
+  emit_fields<dev::SoiasGeometry>(out, t.soias_geometry, dev::kSoiasFields);
   return out.str();
 }
 
-Process parse_techfile(std::string_view text, bool validate) {
+Process parse_techfile(std::string_view text) {
   Process t = soi_low_vt();  // defaults; files state what they change
   t.name = "unnamed";
   t.nmos.polarity = dev::Polarity::nmos;
@@ -188,34 +146,23 @@ Process parse_techfile(std::string_view text, bool validate) {
         t.name = std::string(value);
       } else if (key == "vt_control") {
         t.vt_control = parse_vt_control(value, line_no);
-      } else {
-        const double v = parse_number(value, line_no);
-        if (key == "vdd_nominal") t.vdd_nominal = v;
-        else if (key == "vdd_min") t.vdd_min = v;
-        else if (key == "vdd_max") t.vdd_max = v;
-        else if (key == "wire_cap_per_m") t.wire_cap_per_m = v;
-        else if (key == "avg_wire_per_fanout") t.avg_wire_per_fanout = v;
-        else if (key == "unit_nmos_width") t.unit_nmos_width = v;
-        else if (key == "unit_pmos_width") t.unit_pmos_width = v;
-        else if (key == "backgate_swing") t.backgate_swing = v;
-        else if (key == "high_vt_offset") t.high_vt_offset = v;
-        else if (key == "standby_body_bias") t.standby_body_bias = v;
-        else if (key == "temp_k") t.temp_k = v;
-        else fail(line_no, "unknown [process] key '" + std::string(key) + "'",
-                  check::codes::tech_unknown_key);
+      } else if (!assign_field<Process>(t, kProcessFields, key,
+                                        parse_number(value, line_no))) {
+        fail(line_no, "unknown [process] key '" + std::string(key) + "'",
+             check::codes::tech_unknown_key);
       }
     } else if (section == "nmos" || section == "pmos") {
       auto& p = section == "nmos" ? t.nmos : t.pmos;
-      if (!assign_mosfet_key(p, key, parse_number(value, line_no)))
+      if (!assign_field<dev::MosfetParams>(p, dev::kMosfetFields, key,
+                                           parse_number(value, line_no)))
         fail(line_no, "unknown [" + section + "] key '" + std::string(key) + "'",
              check::codes::tech_unknown_key);
     } else if (section == "soias") {
-      const double v = parse_number(value, line_no);
-      if (key == "t_si") t.soias_geometry.t_si = v;
-      else if (key == "t_box") t.soias_geometry.t_box = v;
-      else if (key == "t_fox") t.soias_geometry.t_fox = v;
-      else fail(line_no, "unknown [soias] key '" + std::string(key) + "'",
-                check::codes::tech_unknown_key);
+      if (!assign_field<dev::SoiasGeometry>(t.soias_geometry,
+                                            dev::kSoiasFields, key,
+                                            parse_number(value, line_no)))
+        fail(line_no, "unknown [soias] key '" + std::string(key) + "'",
+             check::codes::tech_unknown_key);
     } else {
       fail(line_no, "key outside any section");
     }
@@ -223,7 +170,6 @@ Process parse_techfile(std::string_view text, bool validate) {
 
   if (!saw_header)
     throw check::InputError(check::codes::tech_syntax, "techfile: empty input");
-  if (validate) t.validate();
   return t;
 }
 

@@ -31,9 +31,9 @@ std::string to_techfile(const Process& process);
 
 // Parses a tech file; throws lv::check::InputError (a lv::util::Error
 // carrying a coded diagnostic with the line number) on any syntax error,
-// unknown section/key, or non-numeric value. `validate` runs the
-// construction-time Process::validate() invariants; lv::check's loaders
-// pass false and run the deeper coded validators instead.
-Process parse_techfile(std::string_view text, bool validate = true);
+// unknown section/key, or non-numeric value. Syntax only: the values are
+// not checked against Process::visit_rules, so a caller that needs a
+// usable process reads the file through check::require_techfile.
+Process parse_techfile(std::string_view text);
 
 }  // namespace lv::tech

@@ -116,12 +116,13 @@ TEST(LoadNetlist, CollectsMultipleErrorsInOnePass) {
 
 namespace {
 
-// A process that passes construction-time checks but poisons every delay
-// computation: vt_tempco is not covered by MosfetParams finiteness checks,
-// and vt(T) = vt0 + vt_tempco * (T - Tref) drags NaN into the models.
+// A process whose devices still build but that poisons every load: the
+// engines read a Process without running its rules, and a NaN wire
+// capacitance drags NaN into each gate's load, so only the guards stand
+// between it and the reported numbers.
 lv::tech::Process poisoned_process() {
   auto t = lv::tech::soi_low_vt();
-  t.nmos.vt_tempco = std::numeric_limits<double>::quiet_NaN();
+  t.wire_cap_per_m = std::numeric_limits<double>::quiet_NaN();
   return t;
 }
 

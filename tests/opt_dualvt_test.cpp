@@ -190,7 +190,7 @@ TEST(DualVt, NonFiniteDelayIsACodedInputError) {
   c::Netlist nl;
   c::build_ripple_carry_adder(nl, 2);
   auto poisoned = dual();
-  poisoned.nmos.vt_tempco = std::numeric_limits<double>::quiet_NaN();
+  poisoned.wire_cap_per_m = std::numeric_limits<double>::quiet_NaN();
   try {
     (void)o::assign_dual_vt(nl, poisoned, 1.0, 0.05);
     FAIL() << "expected InputError";

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "check/codes.hpp"
+#include "check/ingest.hpp"
 #include "util/error.hpp"
 
 namespace tech = lv::tech;
@@ -72,8 +74,14 @@ TEST(Techfile, UnknownVtControlRejected) {
 }
 
 TEST(Techfile, ParsedProcessIsValidated) {
-  // vdd_min > vdd_nominal must fail Process::validate inside the parser.
-  EXPECT_THROW(tech::parse_techfile(
-                   "lvtech 1\n[process]\nname = x\nvdd_min = 5.0\n"),
-               u::Error);
+  // The parser checks syntax only; vdd_min > vdd_nominal is a rule of
+  // Process, which the validated entry point applies.
+  const std::string text = "lvtech 1\n[process]\nname = x\nvdd_min = 5.0\n";
+  EXPECT_NO_THROW(tech::parse_techfile(text));
+  try {
+    (void)lv::check::require_techfile(text);
+    FAIL() << "expected InputError";
+  } catch (const lv::check::InputError& e) {
+    EXPECT_EQ(e.code(), lv::check::codes::tech_vdd_order);
+  }
 }

@@ -5,7 +5,7 @@ file(MAKE_DIRECTORY ${WORK})
 set(NETLIST ${WORK}/check_adder.lvnet)
 
 function(expect_exit expected)
-  execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc
+  execute_process(COMMAND ${ARGN} WORKING_DIRECTORY ${WORK} RESULT_VARIABLE rc
                   OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL ${expected})
     message(FATAL_ERROR "expected exit ${expected}, got ${rc}: ${ARGN}\n"
@@ -55,6 +55,25 @@ expect_match("${LAST_OUT}" "tech.nonfinite")
 expect_match("${LAST_OUT}" "tech.range")
 file(READ ${WORK}/bad_diags.json _json)
 expect_match("${_json}" "lv-diag/1")
+
+# A value on its bound passes check, and every analysis builds its
+# devices from it: a 2.0 V threshold is the top of vt0's range.
+file(WRITE ${WORK}/vt0_bound.lvtech
+     "lvtech 1\n[process]\nname = hi_vt\n[nmos]\nvt0 = 2.0\n")
+expect_exit(0 ${LVTOOL} check ${WORK}/vt0_bound.lvtech)
+expect_exit(0 ${LVTOOL} timing ${NETLIST} ${WORK}/vt0_bound.lvtech)
+
+# "-" as a file-output value means stdout, after the response text: the
+# lv-diag/1 report follows the text report, and no file named "-" is
+# left in the working directory.
+expect_exit(2 ${LVTOOL} check
+            ${CMAKE_CURRENT_LIST_DIR}/../tests/fixtures/net_cycle.lvnet
+            --diag-json -)
+expect_match("${LAST_OUT}" "net.cycle")
+expect_match("${LAST_OUT}" "\"schema\": \"lv-diag/1\"")
+if(EXISTS ${WORK}/-)
+  message(FATAL_ERROR "--diag-json - wrote a file named '-'")
+endif()
 
 # Warnings alone keep exit 0 — unless --strict promotes them.
 file(WRITE ${WORK}/gap.lvnet

@@ -9,7 +9,6 @@
 // declared once, in the svc tables; `lvtool help` prints them.
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <utility>
 
@@ -31,13 +30,6 @@ namespace {
 
 namespace chk = lv::check;
 namespace svc = lv::svc;
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out{path, std::ios::binary};
-  if (!out || !(out << content))
-    throw chk::InputError(chk::codes::io_write,
-                          "cannot write '" + path + "'", {path, 0});
-}
 
 // Configures the process-global artifact store from --cache-dir /
 // --cache-max-bytes. No resolvable directory (or an explicit "none")
@@ -73,13 +65,14 @@ int cmd_serve(const svc::Params& args) {
   options.session_cache_bytes =
       static_cast<std::uint64_t>(args.integer("--session-cache-bytes"));
 
-  const int rc = svc::serve(options);
+  svc::Response r;
+  r.exit_code = svc::serve(options);
   // Server run report: cumulative across every request it served.
   const lv::obs::RunReport report = lv::obs::Registry::global().report();
   if (const auto stats_json = args.text("--stats-json"))
-    write_file(*stats_json, report.to_json());
-  if (args.flag("--stats")) std::fputs(report.to_text().c_str(), stdout);
-  return rc;
+    r.files.push_back({*stats_json, report.to_json()});
+  if (args.flag("--stats")) r.out = report.to_text();
+  return svc::materialize(r);
 }
 
 // client options end at the first positional, the forwarded subcommand;
@@ -147,14 +140,7 @@ int main(int argc, char** argv) {
     svc::Request request;
     request.op = cmd;
     request.params = std::move(args);
-    const svc::Response response = svc::run_request(ctx, request);
-    // Materialize: artifacts first (a failed write aborts before any
-    // stdout), then the exact output bytes, then the exit code.
-    for (const auto& file : response.files)
-      write_file(file.path, file.content);
-    if (!response.err.empty()) std::fputs(response.err.c_str(), stderr);
-    if (!response.out.empty()) std::fputs(response.out.c_str(), stdout);
-    return response.exit_code;
+    return svc::materialize(svc::run_request(ctx, request));
   } catch (const chk::InputError& e) {
     // Bad input (malformed file, unparseable option, missing path):
     // coded diagnostic, exit 2 — distinct from internal errors below.
